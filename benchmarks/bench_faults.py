@@ -20,7 +20,6 @@ from concurrent.futures import as_completed
 import numpy as np
 
 from repro.batch import WorkUnit, run_units
-from repro.batch.parallel import _get_executor
 from repro.batch.schedule import _run_unit
 from repro.faults import (
     FaultCounters,
@@ -28,6 +27,7 @@ from repro.faults import (
     inject_faults,
     parse_fault_specs,
 )
+from repro.faults.supervisor import _get_executor
 
 N_JOBS = 2
 

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from repro.mallows.sampling import (
+    FENWICK_MIN_ITEMS,
     _displacement_draws,
     _orders_from_displacements,
     _use_fenwick_decode,
-    calibrate_decode_crossover,
-    decode_crossover,
     sample_mallows_batch,
 )
 from repro.rankings.permutation import random_ranking
@@ -75,14 +74,14 @@ def test_fenwick_decode_wins_at_large_n(fast_mode, report):
     report(
         "RIM decode — chunked vs Fenwick at large n",
         (
-            f"m={m} samples, n={n} items, crossover n>={decode_crossover()}\n"
+            f"m={m} samples, n={n} items, crossover n>={FENWICK_MIN_ITEMS}\n"
             f"chunked decode : {chunked_s * 1e3:9.1f} ms\n"
             f"Fenwick decode : {fenwick_s * 1e3:9.1f} ms\n"
             f"speedup        : {speedup:9.2f}x (required >= {threshold:g}x)"
         ),
         metrics={
             "m": m, "n": n, "chunked_s": chunked_s, "fenwick_s": fenwick_s,
-            "speedup": speedup, "crossover": decode_crossover(),
+            "speedup": speedup, "crossover": FENWICK_MIN_ITEMS,
         },
     )
     assert speedup >= threshold, (
@@ -103,28 +102,3 @@ def test_small_n_stays_on_chunked_path():
         assert np.array_equal(auto, _orders_from_displacements(center, v, method="chunked"))
         assert np.array_equal(auto, _orders_from_displacements(center, v, method="fenwick"))
 
-
-def test_calibrated_crossover_is_sane(fast_mode, report):
-    """The on-host calibration must never route paper scale to Fenwick.
-
-    The full-mode grid deliberately includes a paper-scale point (n = 256,
-    where the chunked decode wins by ~3x on every machine measured): if a
-    calibration bug ever declared Fenwick the winner there, ``measured``
-    would come back 256 and the ``> 500`` assertion fails.  ``--fast``
-    drops the sub-500 point (smaller m makes its margin noisier) and
-    checks the return contract only.
-    """
-    if fast_mode:
-        grid, m = (512, 1024, 2048), 512
-    else:
-        grid, m = (256, 724, 1024, 1448, 2048), 1024
-    measured = calibrate_decode_crossover(n_grid=grid, m=m, apply=False)
-    report(
-        "RIM decode — calibrated crossover",
-        f"grid={grid}, measured crossover n>={measured} "
-        f"(live threshold n>={decode_crossover()})",
-        metrics={"measured_crossover": measured, "live_crossover": decode_crossover()},
-    )
-    assert measured in set(grid) | {max(grid) + 1}
-    if not fast_mode:
-        assert measured > 500

@@ -10,7 +10,7 @@ module builds what the transitive rules (REP009–REP011) need instead:
   inspects;
 * a **project symbol table** mapping qualified names
   (``repro.serve.core.ServerCore.submit``) to definitions, following
-  package re-exports (``from repro.batch.parallel import run_trials``
+  package re-exports (``from repro.batch.schedule import run_trials``
   makes ``repro.batch.run_trials`` an alias);
 * the **call graph** (:class:`CallGraph`) over those symbols, with a
   ``dynamic`` edge target for anything the resolver cannot pin down

@@ -16,19 +16,19 @@ This subpackage provides the batched building blocks for that workload:
 * :mod:`repro.batch.cache` — a process-wide LRU cache of per-constraint
   bound matrices and per-``(n, theta)`` Mallows position marginals, with
   hit/miss counters and explicit invalidation;
-* :mod:`repro.batch.parallel` — the ``n_jobs`` process-pool fan-out in two
-  sharding modes: by *row range* over an ``(m, n)`` sampling + scoring
-  pipeline (Figs. 1/3/4) and by *trial* over arbitrary
-  ``(trial_index, rng)`` experiment loops (Fig. 2, German Credit), both
-  with per-shard RNG streams that keep every ``n_jobs`` value
-  byte-identical under a fixed seed;
-* :mod:`repro.batch.schedule` — the experiment-level scheduler on top:
-  heterogeneous independent jobs (figure experiments, German Credit
-  panels, per-panel repeats, per-delta trial blocks) flattened into one
-  task graph of :class:`~repro.batch.schedule.WorkUnit`\\ s and interleaved
-  through the single shared pool via a :class:`~repro.batch.schedule.WorkerPool`
-  handle, with per-unit ``SeedSequence`` children keeping whole-pipeline
-  output byte-identical for every ``n_jobs``.
+* :mod:`repro.batch.schedule` — the one supervised dispatch path:
+  independent jobs (figure experiments, German Credit panels, per-panel
+  repeats, per-delta trial blocks) flattened into one task graph of
+  :class:`~repro.batch.schedule.WorkUnit`\\ s and interleaved through the
+  single shared pool via a :class:`~repro.batch.schedule.WorkerPool`
+  handle, plus the two inner-loop fan-outs built on it — by *row range*
+  over an ``(m, n)`` sampling + scoring pipeline (Figs. 1/3/4,
+  :func:`~repro.batch.schedule.mallows_sample_and_score`) and by *trial*
+  over ``(trial_index, rng)`` experiment loops (Fig. 2,
+  :func:`~repro.batch.schedule.run_trials`); per-unit RNG streams keep
+  every ``n_jobs`` value byte-identical under a fixed seed;
+* :mod:`repro.batch.parallel` — the clock-free worker side: the shared
+  executor registry, ``n_jobs`` resolution and the shard bodies.
 
 The scalar APIs in :mod:`repro.rankings.distances`,
 :mod:`repro.fairness.infeasible_index` and :mod:`repro.fairness.exposure`
@@ -69,10 +69,8 @@ from repro.batch.parallel import (
     MallowsBatchScores,
     effective_n_jobs,
     in_worker,
-    mallows_sample_and_score,
     reset_warnings,
     resolve_n_jobs,
-    run_trials,
     shard_row_ranges,
     shutdown_workers,
 )
@@ -81,7 +79,9 @@ from repro.batch.schedule import (
     WorkerPool,
     WorkUnit,
     iter_units,
+    mallows_sample_and_score,
     pool_for,
+    run_trials,
     run_units,
 )
 

@@ -1,17 +1,22 @@
-"""Multi-core fan-out of the experiment hot loops, in two sharding modes.
+"""Worker side of the multi-core fan-out: pool plumbing and shard bodies.
 
-Mode 1 — row-range sharding (:func:`mallows_sample_and_score`)
---------------------------------------------------------------
-The large-batch experiments (Figs. 1, 3, 4) run one inner pipeline: draw an
-``(m, n)`` batch of Mallows samples, then score every row with the batched
-kernels.  Rows are mutually independent, so the batch is sharded by
-contiguous row range across worker processes.  The sampler consumes exactly
-one uniform double per ``(row, item)`` cell, row-major, from the caller's
-generator, so each shard's worker gets a clone of the caller's bit
-generator advanced to its first row's stream offset (``lo * n`` draws) —
-PCG64's ``advance`` makes this O(1) — and the parent generator is advanced
-past all ``m * n`` draws afterwards.  The upshot, pinned by the
-equivalence tests:
+The fan-out entry points live in :mod:`repro.batch.schedule`: they cut a
+loop into :class:`~repro.batch.schedule.WorkUnit`\\ s and run them through
+the one supervised dispatch path (:func:`~repro.batch.schedule.run_units`).
+This module holds what those units need and nothing that reads a clock:
+the per-``n_jobs`` executor registry, the worker initializer, the
+``n_jobs`` resolution rules, and the shard bodies with their RNG plumbing.
+
+Row shards (:func:`repro.batch.schedule.mallows_sample_and_score`)
+------------------------------------------------------------------
+The large-batch experiments (Figs. 1, 3, 4) draw an ``(m, n)`` batch of
+Mallows samples and score every row; rows are independent, so the batch
+is cut into contiguous row ranges (:func:`shard_row_ranges`).  The sampler
+consumes exactly one uniform double per ``(row, item)`` cell, row-major,
+from the caller's generator, so :func:`_shard_sources` gives each shard a
+clone of the caller's PCG64 bit generator advanced to its first row's
+stream offset (``lo * n`` draws, O(1)) and advances the caller's generator
+past all ``m * n`` draws.  Hence, pinned by the equivalence tests:
 
 * any ``n_jobs`` (including 1) produces **byte-identical** samples and
   scores under a fixed seed;
@@ -19,36 +24,23 @@ equivalence tests:
   whole batch single-process, so downstream consumers of the same stream
   (e.g. bootstrap resampling) are unaffected by the fan-out.
 
-Bit generators without ``advance`` (e.g. MT19937) fall back to drawing the
-displacement matrix in the parent and shipping row slices to the workers —
-same outputs, slightly less parallel.
+A lone shard samples straight from the caller's generator, and bit
+generators whose ``advance`` does not count doubles (MT19937, SFC64,
+Philox) fall back to drawing the displacement matrix in the parent and
+shipping row slices — same outputs, slightly less parallel.
 
-Mode 2 — trial sharding (:func:`run_trials`)
---------------------------------------------
-The remaining experiments (the German Credit panels of Figs. 5–7, Fig. 2)
-iterate a *heterogeneous* trial — subsample, solve, score — whose batches
-are far too small for row sharding; they parallelize at the
-``(trial_index,)`` granularity instead.  :func:`run_trials` derives one
-:class:`~numpy.random.SeedSequence` child per trial from the caller's seed
-(``spawn_seed_sequences`` style), so trial ``t`` sees the same stream no
-matter which worker — or the serial loop — executes it.  Results are
-returned in trial order, making the output **byte-identical to the serial
-loop for every** ``n_jobs``.  Requests with fewer trials than workers are
-clamped to ``min(n_jobs, n_trials)`` shards on the shared pool (heavy
-few-repeat loops stay parallel); only a single-trial request runs inline,
-after a one-time :class:`RuntimeWarning`.
+Trial shards (:func:`repro.batch.schedule.run_trials`)
+-------------------------------------------------------
+Heterogeneous ``(trial_index, rng)`` loops (Fig. 2, the German Credit
+panels) are cut into contiguous trial ranges; each trial's generator is
+built from its own ``SeedSequence`` child, so trial ``t`` sees the same
+stream in whichever process — or the serial loop — runs it.
 
-Both modes share the same per-``n_jobs`` pooled ``ProcessPoolExecutor``\\ s,
-reused across pipeline calls (the experiments call them in tight loops) and
-shared with the experiment-level scheduler (:mod:`repro.batch.schedule`);
-:func:`shutdown_workers` tears the pools down explicitly, and an ``atexit``
-hook does so at interpreter exit.
-
-Pool children never nest pools: every worker process is marked by a pool
-initializer, and :func:`effective_n_jobs` — the resolution step every fan-out
-entry point goes through — returns 1 inside a worker regardless of the
-requested ``n_jobs``.  A batch kernel reached *from inside* a pooled trial or
-work unit therefore always runs inline instead of forking grandchildren.
+Pool children never nest pools: every worker process is marked by the
+pool initializer, and :func:`effective_n_jobs` — the resolution step every
+fan-out entry point goes through — returns 1 inside a worker regardless of
+the requested ``n_jobs``.  A batch kernel reached *from inside* a pooled
+unit therefore always runs inline instead of forking grandchildren.
 """
 
 from __future__ import annotations
@@ -56,25 +48,24 @@ from __future__ import annotations
 import atexit
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from repro.rankings.permutation import Ranking
-from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
+from repro.utils.rng import SeedLike, as_generator
 
 if TYPE_CHECKING:  # lazy at runtime: repro.mallows.sampling imports repro.batch
     from repro.fairness.constraints import FairnessConstraints
     from repro.groups.attributes import GroupAssignment
 
-#: Below this many rows per worker the pool overhead dominates and the
-#: pipeline runs single-process instead (output is identical either way; a
-#: one-time RuntimeWarning flags the declined fan-out request).
+#: Below this many rows per worker the pool overhead dominates, so a row
+#: batch is cut into at most ``m // MIN_ROWS_PER_JOB`` shards (a batch
+#: under ``2 * MIN_ROWS_PER_JOB`` rows is one shard and runs inline).
 MIN_ROWS_PER_JOB = 128
 
-#: Keys of the one-time advisories (declined fan-outs, deprecated
+#: Keys of the one-time advisories (pool degradation, deprecated
 #: constructors) that have already fired.  A registry (rather than one
 #: boolean per call site) so test runs can wipe it wholesale between cases —
 #: a module global that latches forever would both leak state across tests
@@ -100,41 +91,13 @@ def _warn_once(
     warnings.warn(message, category, stacklevel=stacklevel)
 
 
-def _warn_small_batch(m: int, n_jobs: int) -> None:
-    _warn_once(
-        "small_batch",
-        f"n_jobs={n_jobs} requested but the batch has only {m} rows "
-        f"(< 2 x MIN_ROWS_PER_JOB = {2 * MIN_ROWS_PER_JOB}), so the pipeline "
-        "runs single-process: at this size the worker-pool dispatch costs "
-        "more than the work.  Output is identical either way.  Small-m "
-        "experiment loops parallelize at the per-trial granularity instead "
-        "(see ROADMAP).  This warning is shown once per reset_warnings().",
-    )
-
-
-def _warn_small_trials(n_trials: int, n_jobs: int) -> None:
-    _warn_once(
-        "small_trials",
-        f"n_jobs={n_jobs} requested but the loop has only {n_trials} "
-        "trial(s), so it runs inline: dispatching a single trial to the "
-        "pool pays the fork/pickle overhead for nothing.  Output is "
-        "identical either way.  This warning is shown once per "
-        "reset_warnings().",
-    )
-
-
-#: Live executors keyed by worker count, reused across pipeline calls.
+#: Live executors keyed by worker count, reused across pipeline calls
+#: (built and evicted by :mod:`repro.faults.supervisor`).
 _EXECUTORS: dict[int, ProcessPoolExecutor] = {}
 
 #: True in pool-child processes (set by the executor initializer); pool
 #: children must never spawn pools of their own.
 _IN_WORKER = False
-
-
-def _mark_worker() -> None:
-    """Executor initializer: flag this process as a pool child."""
-    global _IN_WORKER
-    _IN_WORKER = True
 
 
 def _init_worker(plan: object = None) -> None:
@@ -147,7 +110,8 @@ def _init_worker(plan: object = None) -> None:
     the same plan from birth, so a fault fires on the same ``(unit key,
     attempt)`` pair regardless of which worker draws the unit.
     """
-    _mark_worker()
+    global _IN_WORKER
+    _IN_WORKER = True
     if plan is not None:
         # Lazy: repro.faults.injection configures plans *through* this
         # module (install_plan evicts executors), so a top-level import
@@ -200,8 +164,8 @@ def effective_n_jobs(n_jobs: int) -> int:
     parent should answer: a worker that resolved ``-1`` to all cores and
     forked its own pool would oversubscribe the machine ``n_jobs``-fold.
     Every fan-out entry point resolves through here, so batch kernels called
-    from *inside* a pooled trial or work unit run inline by construction
-    rather than by the accident of their workload sizes.
+    from *inside* a pooled unit run inline by construction rather than by
+    the accident of their workload sizes.
     """
     if n_jobs != 1 and in_worker():
         if n_jobs < 1 and n_jobs != -1:
@@ -222,23 +186,10 @@ def shutdown_workers() -> None:
 atexit.register(shutdown_workers)
 
 
-def _get_executor(n_jobs: int) -> ProcessPoolExecutor:
-    executor = _EXECUTORS.get(n_jobs)
-    if executor is None:
-        from repro.faults.injection import configured_plan  # lazy: cycle
-
-        executor = ProcessPoolExecutor(
-            max_workers=n_jobs,
-            initializer=_init_worker,
-            initargs=(configured_plan(),),
-        )
-        _EXECUTORS[n_jobs] = executor
-    return executor
-
-
 @dataclass(frozen=True)
 class MallowsBatchScores:
-    """Outputs of one sharded sampling + scoring pipeline run.
+    """Outputs of one sampling + scoring pipeline run (or of one of its
+    row shards).
 
     Attributes are ``None`` when the corresponding input (constraints,
     scores, ``return_orders``) was not supplied.
@@ -249,292 +200,95 @@ class MallowsBatchScores:
     orders: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything one worker needs to sample and score rows ``[lo, hi)``."""
-
-    center_order: np.ndarray
-    theta: float
-    rows: int
-    bit_generator: object | None  # advanced clone; None => displacements set
-    displacements: np.ndarray | None
-    groups: "GroupAssignment | None"
-    constraints: "FairnessConstraints | None"
-    scores: np.ndarray | None
-    ndcg_k: int | None
-    return_orders: bool
+#: Bit generators whose ``advance(k)`` skips exactly ``k`` doubles of
+#: ``Generator.random`` (Philox's counts 4-word blocks instead).
+_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
-def _score_orders(
-    orders: np.ndarray, task: _ShardTask
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    from repro.batch.kernels import batch_infeasible_index, batch_ndcg
+def _shard_sources(
+    seed: SeedLike, ranges: Sequence[tuple[int, int]], n: int, theta: float
+) -> list[np.random.Generator | np.ndarray]:
+    """What each row shard of an ``n``-item batch samples from.
 
-    iis = None
-    if task.constraints is not None:
-        iis = batch_infeasible_index(orders, task.groups, task.constraints)
-    ndcgs = None
-    if task.scores is not None:
-        ndcgs = batch_ndcg(orders, task.scores, k=task.ndcg_k)
-    return iis, ndcgs, orders if task.return_orders else None
-
-
-def _run_shard(
-    task: _ShardTask,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Worker entry point: materialize the shard's rows, score them."""
-    from repro.mallows.sampling import (
-        _displacement_draws,
-        _orders_from_displacements,
-    )
-
-    if task.displacements is not None:
-        v = task.displacements
-    else:
-        rng = np.random.Generator(task.bit_generator)
-        v = _displacement_draws(
-            task.center_order.size, task.theta, task.rows, rng
-        )
-    orders = _orders_from_displacements(task.center_order, v)
-    return _score_orders(orders, task)
-
-
-def _shard_bit_generators(
-    rng: np.random.Generator, ranges: Sequence[tuple[int, int]], n: int
-) -> list[object] | None:
-    """Clones of ``rng``'s bit generator advanced to each shard's stream
-    offset, or ``None`` when the bit generator cannot ``advance``.
-
-    On success the parent generator is advanced past the whole batch, so its
-    subsequent draws match the single-process path exactly.
+    A lone shard gets the caller's generator itself: it runs inline (the
+    scheduler never pools a single unit) and consumes the stream in place,
+    exactly like the single-process sampler.  Otherwise each shard gets a
+    generator on a clone of the caller's bit generator advanced to the
+    shard's first draw, and the caller's generator is advanced past the
+    whole batch (keeping any buffered 32-bit half-word, as drawing doubles
+    would).  Bit generators that cannot advance by draws get their rows
+    of a displacement matrix drawn here instead.
     """
+    rng = as_generator(seed)
+    if len(ranges) == 1:
+        return [rng]
     base = rng.bit_generator
-    if not hasattr(base, "advance"):
-        return None
+    if not isinstance(base, _ADVANCEABLE):
+        from repro.mallows.sampling import _displacement_draws
+
+        v = _displacement_draws(n, theta, ranges[-1][1], rng)
+        return [v[lo:hi] for lo, hi in ranges]
     state = base.state
-    clones: list[object] = []
+    sources: list[np.random.Generator | np.ndarray] = []
     for lo, _hi in ranges:
         clone = type(base)()
         clone.state = state
         clone.advance(lo * n)
-        clones.append(clone)
+        sources.append(np.random.Generator(clone))
     base.advance(ranges[-1][1] * n)
-    return clones
+    base.state = {
+        **base.state,
+        "has_uint32": state["has_uint32"],
+        "uinteger": state["uinteger"],
+    }
+    return sources
 
 
-def mallows_sample_and_score(
+def _run_shard(
+    _seed: None,
     center: Ranking,
     theta: float,
-    m: int,
-    *,
-    groups: "GroupAssignment | None" = None,
-    constraints: "FairnessConstraints | None" = None,
-    scores: Sequence[float] | np.ndarray | None = None,
-    ndcg_k: int | None = None,
-    seed: SeedLike = None,
-    n_jobs: int = 1,
-    return_orders: bool = False,
+    rows: int,
+    source: np.random.Generator | np.ndarray,
+    groups: "GroupAssignment | None",
+    constraints: "FairnessConstraints | None",
+    scores: np.ndarray | None,
+    ndcg_k: int | None,
+    return_orders: bool,
 ) -> MallowsBatchScores:
-    """Draw ``m`` Mallows samples around ``center`` and score every row,
-    sharded across ``n_jobs`` worker processes.
+    """Work unit of one row shard: sample its ``rows`` from ``source`` (see
+    :func:`_shard_sources`), then score them."""
+    from repro.batch.kernels import batch_infeasible_index, batch_ndcg
+    from repro.mallows.sampling import (
+        _orders_from_displacements,
+        sample_mallows_batch,
+    )
 
-    Parameters
-    ----------
-    groups, constraints:
-        When given (together), the per-row Two-Sided Infeasible Index is
-        computed.
-    scores:
-        When given, the per-row NDCG against these item scores is computed
-        (top ``ndcg_k``; the full ranking by default).
-    seed:
-        Any :data:`~repro.utils.rng.SeedLike`.  A passed-in generator is
-        consumed exactly as the single-process path would consume it.
-    n_jobs:
-        Worker processes (``-1`` = all cores).  Output is byte-identical
-        for every value.  Batches under ``2 * MIN_ROWS_PER_JOB`` rows run
-        single-process regardless (pool dispatch would cost more than the
-        work); a one-time :class:`RuntimeWarning` flags the declined
-        request so the no-op is never silent.
-    return_orders:
-        Also return the ``(m, n)`` sample orders (costs inter-process
-        transfer of the whole batch when sharded).
-    """
-    from repro.mallows.sampling import sample_mallows_batch
-
-    if (groups is None) != (constraints is None):
-        raise ValueError("groups and constraints must be supplied together")
-    n_jobs = effective_n_jobs(n_jobs)
-    n = len(center)
-    score_array = None
-    if scores is not None:
-        score_array = np.asarray(scores, dtype=np.float64)
-
-    n_shards = min(n_jobs, max(1, m // MIN_ROWS_PER_JOB)) if n > 0 else 1
-    if n_shards <= 1:
-        if n_jobs > 1 and 0 < m < 2 * MIN_ROWS_PER_JOB:
-            _warn_small_batch(m, n_jobs)
-        from repro.batch.kernels import batch_infeasible_index, batch_ndcg
-
-        rng = as_generator(seed)
-        orders = sample_mallows_batch(center, theta, m, seed=rng)
-        iis = None
-        if constraints is not None:
-            iis = batch_infeasible_index(orders, groups, constraints)
-        ndcgs = None
-        if score_array is not None:
-            ndcgs = batch_ndcg(orders, score_array, k=ndcg_k)
-        return MallowsBatchScores(
-            infeasible_index=iis,
-            ndcg=ndcgs,
-            orders=orders if return_orders else None,
-        )
-
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
-    rng = as_generator(seed)
-    ranges = shard_row_ranges(m, n_shards)
-    clones = _shard_bit_generators(rng, ranges, n)
-    if clones is None:
-        # Non-advanceable bit generator: draw centrally, decode remotely.
-        from repro.mallows.sampling import _displacement_draws
-
-        v = _displacement_draws(n, theta, m, rng)
-        shard_rngs: list[object | None] = [None] * len(ranges)
-        shard_vs: list[np.ndarray | None] = [v[lo:hi] for lo, hi in ranges]
+    if isinstance(source, np.ndarray):
+        orders = _orders_from_displacements(center.order, source)
     else:
-        shard_rngs = clones
-        shard_vs = [None] * len(ranges)
-
-    tasks = [
-        _ShardTask(
-            center_order=center.order,
-            theta=theta,
-            rows=hi - lo,
-            bit_generator=shard_rngs[s],
-            displacements=shard_vs[s],
-            groups=groups,
-            constraints=constraints,
-            scores=score_array,
-            ndcg_k=ndcg_k,
-            return_orders=return_orders,
-        )
-        for s, (lo, hi) in enumerate(ranges)
-    ]
-    executor = _get_executor(n_jobs)
-    try:
-        results = list(executor.map(_run_shard, tasks))
-    except BrokenProcessPool:
-        # Row-shard fan-out stays fail-fast (crash recovery lives at the
-        # unit scheduler); the shared cleanup just evicts the dead pool.
-        from repro.faults.supervisor import evict_broken_pool
-
-        evict_broken_pool(n_jobs, executor)
-        raise
-
-    def _concat(parts: list[np.ndarray | None]) -> np.ndarray | None:
-        if any(p is None for p in parts):
-            return None
-        return np.concatenate(parts, axis=0)
-
+        orders = sample_mallows_batch(center, theta, rows, seed=source)
     return MallowsBatchScores(
-        infeasible_index=_concat([r[0] for r in results]),
-        ndcg=_concat([r[1] for r in results]),
-        orders=_concat([r[2] for r in results]),
+        infeasible_index=(
+            None
+            if constraints is None
+            else batch_infeasible_index(orders, groups, constraints)
+        ),
+        ndcg=None if scores is None else batch_ndcg(orders, scores, k=ndcg_k),
+        orders=orders if return_orders else None,
     )
 
 
-@dataclass(frozen=True)
-class _TrialShard:
-    """One worker's slice of a trial loop: contiguous trial indices plus the
-    per-trial seed sequences and the shared payload."""
-
-    trial_fn: Callable[..., Any]
-    first_trial: int
-    seeds: tuple[np.random.SeedSequence, ...]
-    payload: tuple[Any, ...]
-
-
-def _run_trial_shard(task: _TrialShard) -> list[Any]:
-    """Worker entry point: run the shard's trials in index order."""
-    return [
-        task.trial_fn(task.first_trial + i, np.random.default_rng(seq), *task.payload)
-        for i, seq in enumerate(task.seeds)
-    ]
-
-
-def run_trials(
+def _run_trial_shard(
+    _seed: None,
     trial_fn: Callable[..., Any],
-    n_trials: int,
-    *,
-    seed: SeedLike = None,
-    n_jobs: int = 1,
-    payload: tuple[Any, ...] = (),
+    first_trial: int,
+    seeds: tuple[np.random.SeedSequence, ...],
+    payload: tuple[Any, ...],
 ) -> list[Any]:
-    """Run ``trial_fn(trial_index, rng, *payload)`` for every trial, fanned
-    out across ``n_jobs`` worker processes, returning results in trial order.
-
-    This is the trial-granular twin of :func:`mallows_sample_and_score`: it
-    parallelizes experiment loops whose unit of work is one *repeat* (a
-    subsample + solver run, say) rather than one batch row.  Each trial gets
-    its own child :class:`~numpy.random.SeedSequence` derived from ``seed``,
-    so trial ``t``'s stream is a function of ``(seed, t)`` only and the
-    results are **byte-identical to the serial loop for every** ``n_jobs``.
-
-    Parameters
-    ----------
-    trial_fn:
-        Module-level callable (it is pickled to the workers) invoked as
-        ``trial_fn(trial_index, rng, *payload)``.  Its return value must be
-        picklable.
-    n_trials:
-        Number of trials to run.
-    seed:
-        Any :data:`~repro.utils.rng.SeedLike`; a passed-in generator is
-        consumed exactly as :func:`~repro.utils.rng.spawn_generators` would
-        consume it (one 63-bit draw).
-    n_jobs:
-        Worker processes (``-1`` = all cores).  When ``n_trials < n_jobs``
-        the fan-out is *clamped*: the trials are sharded one-per-worker
-        across ``min(n_jobs, n_trials)`` workers of the shared pool, so
-        heavy few-repeat loops (German Credit at ``n_repeats=5`` under
-        ``--jobs -1``) still run fully parallel.  Only the truly-inline
-        case — a single trial — skips the pool, after a one-time
-        :class:`RuntimeWarning`.  Output is identical for every value.
-    payload:
-        Extra positional arguments shipped to every trial (pickled once per
-        shard, not once per trial).
-    """
-    if n_trials < 0:
-        raise ValueError(f"trial count must be non-negative, got {n_trials}")
-    n_jobs = effective_n_jobs(n_jobs)
-    seqs = spawn_seed_sequences(seed, n_trials)
-    if n_trials == 0:
-        return []
-    n_shards = min(n_jobs, n_trials)
-    if n_shards == 1:
-        if n_jobs > 1:
-            _warn_small_trials(n_trials, n_jobs)
-        return [
-            trial_fn(t, np.random.default_rng(seqs[t]), *payload)
-            for t in range(n_trials)
-        ]
-
-    tasks = [
-        _TrialShard(
-            trial_fn=trial_fn,
-            first_trial=lo,
-            seeds=tuple(seqs[lo:hi]),
-            payload=payload,
-        )
-        for lo, hi in shard_row_ranges(n_trials, n_shards)
+    """Work unit of one trial shard: run its trials in index order, each on
+    the generator of its own ``SeedSequence`` child."""
+    return [
+        trial_fn(first_trial + i, np.random.default_rng(seq), *payload)
+        for i, seq in enumerate(seeds)
     ]
-    executor = _get_executor(n_jobs)
-    try:
-        shard_results = list(executor.map(_run_trial_shard, tasks))
-    except BrokenProcessPool:
-        # Trial-shard fan-out stays fail-fast too; see evict_broken_pool.
-        from repro.faults.supervisor import evict_broken_pool
-
-        evict_broken_pool(n_jobs, executor)
-        raise
-    return [result for shard in shard_results for result in shard]

@@ -1,14 +1,17 @@
-"""Experiment-level work scheduler: one task graph, one shared pool.
+"""Work scheduler: one task graph, one supervised dispatch path.
 
-The fan-out primitives of :mod:`repro.batch.parallel` parallelize *inside*
-one experiment loop — a batch of Mallows rows, a run of trials.  Whole
-pipelines (``run_all``) are made of many such loops plus work that fits
-neither mode: seven figure experiments, four German Credit panels, a table.
-Run one loop at a time and the pipeline scales with the *widest inner loop*,
-not with the machine.  This module flattens the whole pipeline into a flat
-graph of independent :class:`WorkUnit`\\ s — figure experiments, panels,
-per-panel repeats, per-delta trial blocks — and interleaves all of them
-through the one shared process pool.
+Every pooled fan-out in the package is a list of units run by
+:func:`iter_units` (or :func:`run_units` on top of it).  Whole pipelines
+(``run_all``) are made of seven figure experiments, four German Credit
+panels and a table; run one loop at a time and the pipeline scales with
+the *widest inner loop*, not with the machine.  So the caller flattens its
+work into a graph of independent :class:`WorkUnit`\\ s — figure cells,
+panels, per-panel repeats, per-delta trial blocks — and all of them
+interleave through the one shared process pool.  The two inner-loop
+fan-outs are built the same way: :func:`mallows_sample_and_score` makes
+one unit per row range of a Mallows batch, :func:`run_trials` one unit per
+trial range of an experiment loop (their shard bodies and RNG plumbing
+live in the clock-free :mod:`repro.batch.parallel`).
 
 Task-graph / seed-tree contract
 -------------------------------
@@ -20,9 +23,11 @@ Task-graph / seed-tree contract
   :func:`run_units`.
 * ``fn`` is invoked as ``fn(seed, *payload)`` with the unit's
   ``SeedSequence`` (or ``None``).  Randomness must come only from
-  generators derived from that seed, so the unit's output is a pure
-  function of ``(fn, seed, payload)`` — the property that makes the
-  schedule free to run units anywhere, in any order.
+  generators derived from that seed or carried in the payload (a row
+  shard's advanced bit-generator clone, a trial shard's seed children), so
+  the unit's output is a pure function of ``(fn, seed, payload)`` — the
+  property that makes the schedule free to run units anywhere, in any
+  order.
 * The caller derives each unit's seed from its experiment's existing seed
   tree (the same ``SeedSequence`` children the serial loop would hand that
   piece of work).  Because child sequences are addressed by index, not by
@@ -39,17 +44,17 @@ Task-graph / seed-tree contract
 * Units are submitted heaviest-``weight``-first (longest-processing-time
   order), so a late long-running panel repeat cannot serialize the tail of
   the schedule.  Weights only shape the schedule, never the results.
-* The pooled path is supervised (:mod:`repro.faults`): worker crashes
+* A lone unit, ``n_jobs=1`` and any call inside a pool child run inline.
+  Everything else is supervised (:mod:`repro.faults`): worker crashes
   rebuild the executor and resubmit the unserved units with their original
   seeds under a bounded :class:`~repro.faults.policy.RetryPolicy`, so one
-  OOM-killed worker no longer aborts a whole pipeline — and because every
-  unit is a pure function of ``(fn, seed, payload)``, recovery never
-  changes a digest.
-* The pool is the same per-``n_jobs`` pooled executor the inner-loop
-  primitives use, and pool children are barred from nesting pools
+  OOM-killed worker never aborts a pipeline — and because every unit is a
+  pure function of ``(fn, seed, payload)``, recovery never changes a
+  digest.
+* Pool children are barred from nesting pools
   (:func:`~repro.batch.parallel.effective_n_jobs` forces ``n_jobs=1``
-  inside workers) — a unit that internally calls ``run_trials`` or
-  ``mallows_sample_and_score`` simply runs that part inline.
+  inside workers) — a unit that internally calls :func:`run_trials` or
+  :func:`mallows_sample_and_score` simply runs that part inline.
 
 :class:`WorkerPool` is the shareable handle for all of this: experiment
 configs carry one ``pool`` and every entry point schedules through it, so a
@@ -61,13 +66,35 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Sequence,
+)
 
 import numpy as np
 
-from repro.batch.parallel import effective_n_jobs
+from repro.batch.parallel import (
+    MIN_ROWS_PER_JOB,
+    MallowsBatchScores,
+    _run_shard,
+    _run_trial_shard,
+    _shard_sources,
+    effective_n_jobs,
+    shard_row_ranges,
+)
 from repro.faults.policy import RetryPolicy
 from repro.faults.supervisor import FaultCounters, supervise_units
+from repro.rankings.permutation import Ranking
+from repro.utils.rng import SeedLike, spawn_seed_sequences
+
+if TYPE_CHECKING:
+    from repro.fairness.constraints import FairnessConstraints
+    from repro.groups.attributes import GroupAssignment
 
 
 @dataclass(frozen=True)
@@ -293,19 +320,156 @@ class WorkerPool:
         trial_fn: Callable[..., Any],
         n_trials: int,
         *,
-        seed=None,
+        seed: SeedLike = None,
         payload: tuple[Any, ...] = (),
     ) -> list[Any]:
-        """Trial-granular fan-out on this pool (see
-        :func:`repro.batch.parallel.run_trials`)."""
-        from repro.batch.parallel import run_trials
-
-        return run_trials(
-            trial_fn, n_trials, seed=seed, n_jobs=self.n_jobs, payload=payload
-        )
+        """Trial-granular fan-out on this pool, under its retry policy and
+        into its counters (see :func:`run_trials`)."""
+        if n_trials < 0:
+            raise ValueError(
+                f"trial count must be non-negative, got {n_trials}"
+            )
+        n_jobs = effective_n_jobs(self.n_jobs)
+        seqs = spawn_seed_sequences(seed, n_trials)
+        units = [
+            WorkUnit(
+                key=lo,
+                fn=_run_trial_shard,
+                payload=(trial_fn, lo, tuple(seqs[lo:hi]), payload),
+                weight=float(hi - lo),
+            )
+            for lo, hi in shard_row_ranges(
+                n_trials, max(1, min(n_jobs, n_trials))
+            )
+        ]
+        results = self.run(units)
+        return [result for u in units for result in results[u.key]]
 
 
 def pool_for(pool: WorkerPool | None, n_jobs: int) -> WorkerPool:
     """The config-resolution rule: an explicitly threaded ``pool`` wins,
     otherwise a handle on the ``n_jobs``-sized shared pool."""
     return pool if pool is not None else WorkerPool(n_jobs)
+
+
+def run_trials(
+    trial_fn: Callable[..., Any],
+    n_trials: int,
+    *,
+    seed: SeedLike = None,
+    n_jobs: int = 1,
+    payload: tuple[Any, ...] = (),
+) -> list[Any]:
+    """Run ``trial_fn(trial_index, rng, *payload)`` for every trial, fanned
+    out across ``n_jobs`` worker processes, returning results in trial order.
+
+    This is the trial-granular twin of :func:`mallows_sample_and_score`: it
+    parallelizes experiment loops whose unit of work is one *repeat* (a
+    subsample + solver run, say) rather than one batch row.  Each trial gets
+    its own child :class:`~numpy.random.SeedSequence` derived from ``seed``,
+    so trial ``t``'s stream is a function of ``(seed, t)`` only and the
+    results are **byte-identical to the serial loop for every** ``n_jobs``.
+
+    Parameters
+    ----------
+    trial_fn:
+        Module-level callable (it is pickled to the workers) invoked as
+        ``trial_fn(trial_index, rng, *payload)``.  Its return value must be
+        picklable.
+    n_trials:
+        Number of trials to run.
+    seed:
+        Any :data:`~repro.utils.rng.SeedLike`; a passed-in generator is
+        consumed exactly as :func:`~repro.utils.rng.spawn_generators` would
+        consume it (one 63-bit draw).
+    n_jobs:
+        Worker processes (``-1`` = all cores).  The trials are cut into
+        ``min(n_jobs, n_trials)`` contiguous work units, so heavy
+        few-repeat loops (German Credit at ``n_repeats=5`` under
+        ``--jobs -1``) still run fully parallel, and a single trial runs
+        inline.  Output is identical for every value.
+    payload:
+        Extra positional arguments shipped to every trial (pickled once per
+        unit, not once per trial).
+    """
+    return WorkerPool(n_jobs).run_trials(
+        trial_fn, n_trials, seed=seed, payload=payload
+    )
+
+
+def mallows_sample_and_score(
+    center: Ranking,
+    theta: float,
+    m: int,
+    *,
+    groups: "GroupAssignment | None" = None,
+    constraints: "FairnessConstraints | None" = None,
+    scores: Sequence[float] | np.ndarray | None = None,
+    ndcg_k: int | None = None,
+    seed: SeedLike = None,
+    n_jobs: int = 1,
+    return_orders: bool = False,
+) -> MallowsBatchScores:
+    """Draw ``m`` Mallows samples around ``center`` and score every row,
+    sharded by row range across ``n_jobs`` worker processes.
+
+    Parameters
+    ----------
+    groups, constraints:
+        When given (together), the per-row Two-Sided Infeasible Index is
+        computed.
+    scores:
+        When given, the per-row NDCG against these item scores is computed
+        (top ``ndcg_k``; the full ranking by default).
+    seed:
+        Any :data:`~repro.utils.rng.SeedLike`.  A passed-in generator is
+        consumed exactly as the single-process path would consume it.
+    n_jobs:
+        Worker processes (``-1`` = all cores).  Output is byte-identical
+        for every value.  Each shard gets at least ``MIN_ROWS_PER_JOB``
+        rows, so batches under ``2 * MIN_ROWS_PER_JOB`` rows are one shard
+        and run inline (pool dispatch would cost more than the work).
+    return_orders:
+        Also return the ``(m, n)`` sample orders (costs inter-process
+        transfer of the whole batch when sharded).
+    """
+    if (groups is None) != (constraints is None):
+        raise ValueError("groups and constraints must be supplied together")
+    if theta < 0:
+        raise ValueError(f"theta must be non-negative, got {theta}")
+    n_jobs = effective_n_jobs(n_jobs)
+    n = len(center)
+    n_shards = min(n_jobs, max(1, m // MIN_ROWS_PER_JOB)) if n > 0 else 1
+    # An empty batch is still one (empty) shard, so every output keeps
+    # its shape.
+    ranges = shard_row_ranges(m, n_shards) or [(0, 0)]
+    if scores is not None:
+        scores = np.asarray(scores, dtype=np.float64)
+    units = [
+        WorkUnit(
+            key=lo,
+            fn=_run_shard,
+            payload=(
+                center, theta, hi - lo, source,
+                groups, constraints, scores, ndcg_k, return_orders,
+            ),
+            weight=float(hi - lo),
+        )
+        for (lo, hi), source in zip(
+            ranges, _shard_sources(seed, ranges, n, theta)
+        )
+    ]
+    results = run_units(units, n_jobs=n_jobs)
+    parts = [results[u.key] for u in units]
+    return MallowsBatchScores(
+        infeasible_index=_concat([p.infeasible_index for p in parts]),
+        ndcg=_concat([p.ndcg for p in parts]),
+        orders=_concat([p.orders for p in parts]),
+    )
+
+
+def _concat(parts: list[np.ndarray | None]) -> np.ndarray | None:
+    """Stack one output across the row shards (``None`` if not computed)."""
+    if parts[0] is None:
+        return None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)

@@ -1,9 +1,8 @@
 """repro.engine — the unified serving facade.
 
 One session object, :class:`RankingEngine`, owns the process pool, the
-kernel caches, the decode-crossover configuration and a measured-cost
-scheduler model for its lifetime, and serves the whole algorithm zoo
-through a string-keyed registry:
+kernel caches and a measured-cost scheduler model for its lifetime, and
+serves the whole algorithm zoo through a string-keyed registry:
 
 >>> import numpy as np
 >>> from repro.engine import RankingEngine

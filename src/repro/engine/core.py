@@ -12,7 +12,6 @@ library-user surface over the same machinery: a session object that owns
 * a private :class:`~repro.batch.cache.KernelCache` (installed as the
   active cache around every request, so memoized bound matrices and
   position marginals — and their hit/miss counters — are session-scoped),
-* the Fenwick/chunked decode-crossover override for large-``n`` sampling,
 * a :class:`~repro.engine.costs.CostModel` that learns measured per-kind
   unit wall-times and feeds them back as dispatch weights
 
@@ -31,6 +30,13 @@ request), so request ``i``'s ranking is a pure function of
 ``n_jobs``, in whatever order the responses arrive.  Only arrival *order*
 may differ; :func:`responses_digest` (which sorts by submission index) is
 the one-line check.
+
+Both batch entry points drain through one loop (:meth:`RankingEngine._drain`)
+over guarded units: a request that raises comes back as a value, which
+:meth:`~RankingEngine.rank_many` re-raises and
+:meth:`~RankingEngine.rank_many_submit` routes to its ``on_error``
+callback.  How a unit reaches a worker — and how a worker crash is
+recovered — is decided only by :mod:`repro.faults.supervisor`.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +56,7 @@ from repro.batch.parallel import resolve_n_jobs
 from repro.batch.schedule import WorkerPool, WorkUnit, iter_units
 from repro.engine.costs import CostModel, load_bench_cost_tables
 from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.faults.supervisor import FaultCounters
+from repro.faults.supervisor import FaultCounters, _get_executor
 from repro.engine.registry import algorithm_spec, make_algorithm
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, spawn_seed_sequences
@@ -61,8 +67,7 @@ class EngineConfig:
     """Every session knob in one place.
 
     Consolidates what used to be scattered: ``n_jobs`` on four experiment
-    configs, bare ``pool`` handles, process-global cache invalidation, and
-    :func:`~repro.mallows.sampling.set_decode_crossover`.
+    configs, bare ``pool`` handles, and process-global cache invalidation.
 
     Attributes
     ----------
@@ -73,10 +78,6 @@ class EngineConfig:
     cache_max_entries:
         LRU budget of the session's :class:`~repro.batch.cache.KernelCache`
         (per table: bound matrices / position marginals).
-    decode_crossover:
-        Override for the Fenwick decode dispatch threshold applied around
-        the session's requests (``None`` keeps the library default).  Speed
-        only — the decodes agree bit for bit.
     cost_smoothing:
         EWMA smoothing of the session's measured-cost model.
     retry:
@@ -88,7 +89,6 @@ class EngineConfig:
 
     n_jobs: int = 1
     cache_max_entries: int = 128
-    decode_crossover: int | None = None
     cost_smoothing: float = 0.5
     retry: RetryPolicy | None = None
 
@@ -97,10 +97,6 @@ class EngineConfig:
         if self.cache_max_entries < 1:
             raise ValueError(
                 f"cache_max_entries must be >= 1, got {self.cache_max_entries}"
-            )
-        if self.decode_crossover is not None and self.decode_crossover < 1:
-            raise ValueError(
-                f"decode_crossover must be >= 1, got {self.decode_crossover}"
             )
 
 
@@ -220,6 +216,13 @@ class EngineStats:
         return text
 
 
+#: One drained request: its submission index, the request, and its
+#: response or the exception it raised (see :meth:`RankingEngine._drain`).
+_Drain = Generator[
+    tuple[int, RankingRequest, RankingResponse | Exception], None, None
+]
+
+
 def _as_request(obj: object, index: int) -> RankingRequest:
     """Coerce a ``rank_many`` element: a request, or ``(name, problem)``."""
     if isinstance(obj, RankingRequest):
@@ -256,19 +259,14 @@ def _rank_unit(
     name: str,
     params: tuple[tuple[str, Any], ...],
     problem: FairRankingProblem,
-    crossover: int | None,
 ) -> tuple[Ranking, dict[str, Any]]:
     """Work-unit adapter for one request (pickled to pool workers).
 
-    The output is a pure function of ``(name, params, problem, seed)`` —
-    the decode-crossover override only moves work between two bit-identical
-    decode paths — which is what lets the scheduler run requests anywhere.
+    The output is a pure function of ``(name, params, problem, seed)``,
+    which is what lets the scheduler run requests anywhere.
     """
-    from repro.mallows.sampling import decode_override
-
     algorithm = make_algorithm(name, **dict(params))
-    with decode_override(crossover):
-        result = algorithm.rank(problem, seed=seed)
+    result = algorithm.rank(problem, seed=seed)
     metadata = dict(result.metadata)
     metadata.setdefault("algorithm_label", result.algorithm)
     return result.ranking, metadata
@@ -279,20 +277,21 @@ def _rank_unit_guarded(
     name: str,
     params: tuple[tuple[str, Any], ...],
     problem: FairRankingProblem,
-    crossover: int | None,
 ) -> tuple[bool, Any]:
-    """:func:`_rank_unit` with per-request error capture.
+    """:func:`_rank_unit` with per-request error capture — the unit every
+    engine batch runs.
 
     Returns ``(True, (ranking, metadata))`` on success and
     ``(False, exception)`` on failure, so one poisoned request in a
     coalesced batch surfaces to *its* waiter instead of tearing down the
     whole stream (the serving tier's isolation requirement — see
-    :meth:`RankingEngine.rank_many_submit`).  Exceptions that cannot
-    survive the trip back through the pool's pickler are downgraded to a
-    picklable ``RuntimeError`` carrying their repr.
+    :meth:`RankingEngine.rank_many_submit`); :meth:`RankingEngine.rank_many`
+    re-raises it instead.  Exceptions that cannot survive the trip back
+    through the pool's pickler are downgraded to a picklable
+    ``RuntimeError`` carrying their repr.
     """
     try:
-        return True, _rank_unit(seed, name, params, problem, crossover)
+        return True, _rank_unit(seed, name, params, problem)
     except Exception as exc:
         try:
             pickle.dumps(exc)
@@ -453,8 +452,6 @@ class RankingEngine:
         self._require_open()
         n_jobs = resolve_n_jobs(self._config.n_jobs)
         if n_jobs > 1:
-            from repro.batch.parallel import _get_executor
-
             executor = _get_executor(n_jobs)
             # One no-op per worker, submitted together: every process forks
             # and imports before real requests arrive.
@@ -511,7 +508,7 @@ class RankingEngine:
             )
         spec = algorithm_spec(name)
         t0 = time.perf_counter()
-        with self._session_context():
+        with use_cache(self._cache):
             algorithm = make_algorithm(spec.name, **request_params)
             result = algorithm.rank(problem, seed=request_seed)
         seconds = time.perf_counter() - t0
@@ -559,8 +556,10 @@ class RankingEngine:
         """
         self._require_open()
         resolved = [_as_request(obj, i) for i, obj in enumerate(requests)]
-        units = self._build_units(resolved, seed, fn=_rank_unit)
-        return self._stream(resolved, units, n_jobs)
+        units = self._build_units(resolved, seed, fn=_rank_unit_guarded)
+        return _reraise_errors(
+            self._drain(resolved, units, n_jobs, self._config.retry)
+        )
 
     def _build_units(
         self,
@@ -586,7 +585,6 @@ class RankingEngine:
                         spec.name,
                         tuple(sorted(request.params.items())),
                         request.problem,
-                        self._config.decode_crossover,
                     ),
                     weight=self._costs.weight(kind, default=1.0),
                     kind=kind,
@@ -635,53 +633,19 @@ class RankingEngine:
         self._require_open()
         resolved = [_as_request(obj, i) for i, obj in enumerate(requests)]
         units = self._build_units(resolved, seed, fn=_rank_unit_guarded)
-        jobs = self._config.n_jobs if n_jobs is None else n_jobs
-        self._batches_total += 1
-        delivered = 0
-        t0 = time.perf_counter()
-        stream = iter_units(
-            units,
-            n_jobs=jobs,
-            policy=self._config.retry if retry is None else retry,
-            counters=self._faults,
+        drain = self._drain(
+            resolved, units, n_jobs, self._config.retry if retry is None else retry
         )
-        try:
-            while True:
-                with use_cache(self._cache):
-                    try:
-                        done = next(stream)
-                    except StopIteration:
-                        break
-                index = done.key
-                request = resolved[index]
-                ok, payload = done.result
-                self._busy_seconds += done.seconds
+        delivered = 0
+        with closing(drain):
+            for index, request, outcome in drain:
                 delivered += 1
-                if ok:
-                    ranking, metadata = payload
-                    self._requests_total += 1
-                    self._costs.observe(done.kind, done.seconds)
-                    on_response(
-                        RankingResponse(
-                            request_id=(
-                                request.request_id
-                                if request.request_id is not None
-                                else index
-                            ),
-                            index=index,
-                            algorithm=done.kind[1],
-                            ranking=ranking,
-                            metadata=metadata,
-                            seconds=done.seconds,
-                        )
-                    )
+                if isinstance(outcome, RankingResponse):
+                    on_response(outcome)
+                elif on_error is None:
+                    raise outcome
                 else:
-                    if on_error is None:
-                        raise payload
-                    on_error(index, request, payload)
-        finally:
-            stream.close()  # cancel still-queued units on early abandon
-            self._wall_seconds += time.perf_counter() - t0
+                    on_error(index, request, outcome)
         return delivered
 
     def warm_start_costs(
@@ -710,22 +674,24 @@ class RankingEngine:
             table = load_bench_cost_tables(*source)
         return self._costs.merge_jsonable(table)
 
-    def _stream(
+    def _drain(
         self,
         requests: list[RankingRequest],
         units: list[WorkUnit],
         n_jobs: int | None,
-    ) -> Iterator[RankingResponse]:
-        """Generator body of :meth:`rank_many` (split out so argument
-        validation in ``rank_many`` happens eagerly at call time)."""
+        retry: RetryPolicy | None,
+    ) -> _Drain:
+        """The one drain loop behind :meth:`rank_many` and
+        :meth:`rank_many_submit`: run the guarded units through the
+        supervised scheduler and yield ``(index, request, outcome)`` as
+        each completes, where ``outcome`` is the :class:`RankingResponse`
+        or the exception the request raised.  Closing it early cancels
+        whatever has not started."""
         self._batches_total += 1
         jobs = self._config.n_jobs if n_jobs is None else n_jobs
         t0 = time.perf_counter()
         stream = iter_units(
-            units,
-            n_jobs=jobs,
-            policy=self._config.retry,
-            counters=self._faults,
+            units, n_jobs=jobs, policy=retry, counters=self._faults
         )
         try:
             while True:
@@ -734,10 +700,7 @@ class RankingEngine:
                 # must NOT stay installed across the yield — the consumer's
                 # own kernel work between responses belongs to whatever
                 # cache *it* has active, and interleaved streams from two
-                # engines would otherwise restore in non-LIFO order.  The
-                # decode-crossover override is likewise applied inside each
-                # _rank_unit, in whichever process executes it (a
-                # parent-side override would be invisible to pool workers).
+                # engines would otherwise restore in non-LIFO order.
                 with use_cache(self._cache):
                     try:
                         done = next(stream)
@@ -745,22 +708,25 @@ class RankingEngine:
                         break
                 index = done.key
                 request = requests[index]
-                ranking, metadata = done.result
-                self._requests_total += 1
+                ok, outcome = done.result
                 self._busy_seconds += done.seconds
-                self._costs.observe(done.kind, done.seconds)
-                yield RankingResponse(
-                    request_id=(
-                        request.request_id
-                        if request.request_id is not None
-                        else index
-                    ),
-                    index=index,
-                    algorithm=done.kind[1],
-                    ranking=ranking,
-                    metadata=metadata,
-                    seconds=done.seconds,
-                )
+                if ok:
+                    ranking, metadata = outcome
+                    self._requests_total += 1
+                    self._costs.observe(done.kind, done.seconds)
+                    outcome = RankingResponse(
+                        request_id=(
+                            request.request_id
+                            if request.request_id is not None
+                            else index
+                        ),
+                        index=index,
+                        algorithm=done.kind[1],
+                        ranking=ranking,
+                        metadata=metadata,
+                        seconds=done.seconds,
+                    )
+                yield index, request, outcome
         finally:
             stream.close()  # cancel still-queued units on early abandon
             self._wall_seconds += time.perf_counter() - t0
@@ -782,25 +748,23 @@ class RankingEngine:
             faults=self._faults.snapshot(),
         )
 
-    @contextmanager
-    def _session_context(self) -> Iterator[None]:
-        """The in-process installation of the session's owned state: its
-        kernel cache, and the decode-crossover override (both restored on
-        exit).  Used by :meth:`rank`; the streamed path installs the cache
-        per scheduler resumption instead (see :meth:`_stream`)."""
-        from repro.mallows.sampling import decode_override
-
-        with use_cache(self._cache), decode_override(
-            self._config.decode_crossover
-        ):
-            yield
-
     def __repr__(self) -> str:
         return (
             f"RankingEngine(n_jobs={self._config.n_jobs}, "
             f"requests={self._requests_total}, "
             f"closed={self._closed})"
         )
+
+
+def _reraise_errors(drain: _Drain) -> Iterator[RankingResponse]:
+    """:meth:`RankingEngine.rank_many`'s view of a drain: the responses,
+    with the first per-request failure re-raised (closing the drain, which
+    cancels still-queued units)."""
+    with closing(drain):
+        for _index, _request, outcome in drain:
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
 
 
 def _noop(index: int) -> int:

@@ -1,7 +1,11 @@
 """Fault tolerance for the shared worker pool: bounded retries,
 deterministic chaos, and a supervised scheduler.
 
-The package splits into three small layers:
+Every pooled path is supervised: experiment units, the row shards of
+:func:`~repro.batch.mallows_sample_and_score`, the trial shards of
+:func:`~repro.batch.run_trials` and the engine's served requests all
+reach a worker through the one dispatch loop below.  The package splits
+into three small layers:
 
 :mod:`repro.faults.policy`
     :class:`RetryPolicy` — the recovery budget (attempts per unit,
@@ -11,8 +15,7 @@ The package splits into three small layers:
     :func:`supervise_units` — the pooled dispatch loop that survives
     ``BrokenProcessPool`` by rebuilding the executor and resubmitting
     unserved units with their *original* seeds (digest-neutral by the
-    purity contract), plus :class:`FaultCounters` telemetry and the
-    shared :func:`evict_broken_pool` cleanup.
+    purity contract), plus :class:`FaultCounters` telemetry.
 :mod:`repro.faults.injection`
     :class:`InjectionPlan` / :class:`FaultSpec` — deterministic chaos,
     keyed by ``(unit key, attempt)`` and shipped to workers through the
@@ -57,7 +60,6 @@ from repro.faults.policy import (
 from repro.faults.supervisor import (
     GLOBAL_FAULTS,
     FaultCounters,
-    evict_broken_pool,
     reset_fault_counters,
     supervise_units,
 )
@@ -79,7 +81,6 @@ __all__ = [
     "active_plan",
     "clear_plan",
     "configured_plan",
-    "evict_broken_pool",
     "inject_faults",
     "install_plan",
     "maybe_inject",

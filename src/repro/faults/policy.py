@@ -7,6 +7,13 @@ field so tests (and the deterministic serve harness) can substitute a
 recording fake and stay sleep-free — backoff *amounts* are still
 computed and counted, they just never block.
 
+Every pooled path runs under a policy.  A
+:class:`~repro.batch.schedule.WorkerPool` handle or an engine session
+passes its own, for experiment units, served requests and trial shards
+(``WorkerPool.run_trials``) alike; the fan-outs that take only
+``n_jobs`` (``mallows_sample_and_score``, module-level ``run_trials``)
+run under :data:`DEFAULT_RETRY_POLICY`.
+
 Only *crash* faults (worker process death, surfacing as
 ``BrokenProcessPool``) consume budget.  Application faults — the unit's
 own function raising — are never retried; they keep their historical

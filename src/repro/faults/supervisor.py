@@ -1,13 +1,14 @@
 """Supervised pool recovery: crash-fault retries under a bounded budget.
 
-:func:`supervise_units` is the pooled dispatch loop behind
-:func:`repro.batch.schedule.iter_units`.  It submits work units to the
-shared per-``n_jobs`` executor exactly as the unsupervised path did
-(longest-processing-time order, as-completed harvesting) — but when the
-pool collapses (``BrokenProcessPool``: a worker was OOM-killed,
-segfaulted, or hard-exited by the fault-injection harness) it rebuilds
-the executor and resubmits the unserved units *with their original
-seeds* under a :class:`~repro.faults.policy.RetryPolicy`.
+:func:`supervise_units` is the one pooled dispatch loop: every unit that
+reaches a worker process — experiment cells, row and trial shards, served
+requests — arrives through :func:`repro.batch.schedule.iter_units` and is
+submitted here, to the shared per-``n_jobs`` executor built by
+:func:`_get_executor` (longest-processing-time order, as-completed
+harvesting).  When the pool collapses (``BrokenProcessPool``: a worker
+was OOM-killed, segfaulted, or hard-exited by the fault-injection
+harness) it rebuilds the executor and resubmits the unserved units *with
+their original seeds* under a :class:`~repro.faults.policy.RetryPolicy`.
 
 Because every unit's output is a pure function of ``(fn, seed,
 payload)``, a retried unit reproduces its original bytes exactly: crash
@@ -39,14 +40,14 @@ process-wide :data:`GLOBAL_FAULTS` plus any caller-supplied counters
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol, Sequence
 
-from repro.batch.parallel import _EXECUTORS, _get_executor, _warn_once
+from repro.batch.parallel import _EXECUTORS, _init_worker, _warn_once
 from repro.exceptions import PoolRecoveryExhausted
-from repro.faults.injection import maybe_inject
+from repro.faults.injection import configured_plan, maybe_inject
 from repro.faults.policy import (
     DEFAULT_RETRY_POLICY,
     DEGRADE_RAISE,
@@ -148,14 +149,26 @@ def reset_fault_counters() -> None:
     GLOBAL_FAULTS.reset()
 
 
-def evict_broken_pool(
-    n_jobs: int,
-    executor: Any,
-    futures: Iterable[Future[Any]] = (),
+def _get_executor(n_jobs: int) -> ProcessPoolExecutor:
+    """The shared ``n_jobs``-worker executor, built on first use; its
+    workers carry the configured injection plan from birth."""
+    executor = _EXECUTORS.get(n_jobs)
+    if executor is None:
+        executor = ProcessPoolExecutor(
+            max_workers=n_jobs,
+            initializer=_init_worker,
+            initargs=(configured_plan(),),
+        )
+        _EXECUTORS[n_jobs] = executor
+    return executor
+
+
+def _evict_broken_pool(
+    n_jobs: int, executor: Any, futures: Iterable[Future[Any]]
 ) -> None:
-    """The one shared broken-pool cleanup: cancel still-queued ``futures``,
-    drop the executor from the per-``n_jobs`` registry, and shut it down
-    without waiting.
+    """Broken-pool cleanup: cancel still-queued ``futures``, drop the
+    executor from the per-``n_jobs`` registry, and shut it down without
+    waiting.
 
     Cancelling explicitly (not just via ``cancel_futures=True``) keeps
     behaviour uniform across executor implementations and marks the
@@ -265,9 +278,9 @@ def supervise_units(
                 pending.discard(index)
                 yield index, result, seconds
             elif not isinstance(error, BrokenProcessPool):
-                evict_broken_pool(n_jobs, executor, futures)
+                _evict_broken_pool(n_jobs, executor, futures)
                 raise error
-        evict_broken_pool(n_jobs, executor, futures)
+        _evict_broken_pool(n_jobs, executor, futures)
         for tally in tallies:
             tally.record(crash_faults=1)
         # Every unit still unserved was caught in this collapse: charge

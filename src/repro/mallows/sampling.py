@@ -38,17 +38,15 @@ machine (``theta = 0.5``, ``m = 2048``):
 
 The constant factors favour the chunked decode up to ``n ≈ 1000`` (and for
 small batches, where the Fenwick per-call overhead cannot amortize), so the
-default crossover is conservative: Fenwick runs only when
-``n >= 1024 and m >= 512``.  :func:`calibrate_decode_crossover` re-measures
-the crossover on the host and adjusts the threshold; because the two paths
-agree bit-for-bit, the dispatch point never affects results.
+crossover is a fixed, conservative shape rule: Fenwick runs only when
+``n >= 1024 and m >= 512``.  Paper-scale batches (``n <= 500``) never reach
+it, and because the two paths agree bit-for-bit, the dispatch point never
+affects results.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -60,10 +58,10 @@ from repro.utils.rng import SeedLike, as_generator
 #: comparison buffer resident in cache, which is worth ~2x at large ``m``.
 _DECODE_CHUNK = 8192
 
-#: Default ``n`` at or above which the Fenwick decode takes over (see the
-#: crossover table in the module docstring).  ``n <= 500`` is always safely
-#: below it, keeping the paper-scale workloads on the chunked path.
-DEFAULT_DECODE_CROSSOVER = 1024
+#: ``n`` at or above which the Fenwick decode takes over (see the crossover
+#: table in the module docstring).  ``n <= 500`` is always safely below it,
+#: keeping the paper-scale workloads on the chunked path.
+FENWICK_MIN_ITEMS = 1024
 
 #: Minimum batch rows for the Fenwick decode: below this the per-call NumPy
 #: overhead of the ``O(log n)`` descent dominates and the chunked decode
@@ -73,8 +71,6 @@ FENWICK_MIN_ROWS = 512
 #: Byte budget for one chunk of Fenwick trees; bounds the working set so the
 #: trees stay cache-resident (an int16 tree row is ``2 * (N + 1)`` bytes).
 _FENWICK_CHUNK_BYTES = 1 << 23
-
-_decode_crossover = DEFAULT_DECODE_CROSSOVER
 
 
 def _displacement_draws(n: int, theta: float, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,100 +190,7 @@ def _decode_chunk_fenwick(
 
 def _use_fenwick_decode(m: int, n: int) -> bool:
     """Shape-based dispatch between the two bit-identical decodes."""
-    return n >= _decode_crossover and m >= FENWICK_MIN_ROWS
-
-
-def decode_crossover() -> int:
-    """The ``n`` at or above which batches decode via the Fenwick path."""
-    return _decode_crossover
-
-
-def set_decode_crossover(n: int | None) -> None:
-    """Override the Fenwick dispatch threshold (``None`` restores the
-    default).  Outputs are bit-identical on either side of the threshold,
-    so this only ever changes speed."""
-    global _decode_crossover
-    if n is None:
-        _decode_crossover = DEFAULT_DECODE_CROSSOVER
-        return
-    if n < 1:
-        raise ValueError(f"decode crossover must be >= 1, got {n}")
-    _decode_crossover = int(n)
-
-
-@contextmanager
-def decode_override(n: int | None):
-    """Temporarily override the Fenwick dispatch threshold for the duration
-    of the ``with`` block (no-op when ``n`` is ``None``); the previous
-    threshold is restored on exit.  Like :func:`set_decode_crossover` this
-    only ever changes speed — the decodes agree bit for bit."""
-    if n is None:
-        yield
-        return
-    previous = decode_crossover()
-    set_decode_crossover(n)
-    try:
-        yield
-    finally:
-        set_decode_crossover(previous)
-
-
-def calibrate_decode_crossover(
-    n_grid: tuple[int, ...] = (512, 724, 1024, 1448, 2048),
-    m: int = 1024,
-    theta: float = 0.5,
-    apply: bool = True,
-) -> int:
-    """Measure the chunked/Fenwick crossover on this machine.
-
-    Times both decodes on the same displacement draws for each ``n`` in
-    ``n_grid`` (ascending) and returns the smallest ``n`` from which the
-    Fenwick decode stays ahead — or ``n_grid[-1] + 1`` when it never wins,
-    which keeps every grid point on the chunked path.  With ``apply=True``
-    (the default) the measured value becomes the live dispatch threshold.
-
-    Calibration affects *speed only*: the decodes agree bit-for-bit, so
-    results stay reproducible whatever this measures.
-    """
-    if m < 1:
-        raise ValueError(f"calibration batch must have >= 1 rows, got {m}")
-    if not n_grid or any(n < 1 for n in n_grid):
-        raise ValueError(f"calibration grid must be positive, got {n_grid!r}")
-    # Calibration shapes the dispatch threshold only — the decodes agree
-    # bit-for-bit — so its private fixed-seed stream never reaches results.
-    rng = np.random.default_rng(0)  # repro: noqa[REP001] timing-only draws
-    crossover = None
-    for n in sorted(n_grid):
-        v = _displacement_draws(n, theta, m, rng)
-        center = np.arange(n, dtype=np.int64)
-        timings = []
-        for fn in (_decode_chunk, _decode_chunk_fenwick):
-            out = np.empty((m, n), dtype=np.int64)
-            vT = np.ascontiguousarray(v.T)
-            # This *is* a timing measurement: it picks the faster decode,
-            # never a different answer.
-            start = time.perf_counter()  # repro: noqa[REP002] speed-only
-            if fn is _decode_chunk:
-                dtype = (
-                    np.dtype(np.int16)
-                    if n <= np.iinfo(np.int16).max
-                    else np.dtype(np.int64)
-                )
-                fn(center, vT, out, dtype)
-            else:
-                fn(center, vT, out)
-            timings.append(
-                time.perf_counter() - start  # repro: noqa[REP002] speed-only
-            )
-        if timings[1] < timings[0]:
-            if crossover is None:
-                crossover = n
-        else:
-            crossover = None  # must win from the crossover onwards
-    result = crossover if crossover is not None else max(n_grid) + 1
-    if apply:
-        set_decode_crossover(result)
-    return result
+    return n >= FENWICK_MIN_ITEMS and m >= FENWICK_MIN_ROWS
 
 
 def _orders_from_displacements(
@@ -299,7 +202,7 @@ def _orders_from_displacements(
     ``j − v[j]`` (i.e. ``v[j]`` slots before the current end).  Small-``n``
     batches decode with the chunked position accumulator (``O(n)`` NumPy
     calls, ``O(m·n²)`` elementwise work in a cache-sized dtype); past the
-    measured crossover (see the module docstring) large-``n`` batches use
+    fixed crossover (see the module docstring) large-``n`` batches use
     the Fenwick order-statistic decode (``O(m·n·log n)``).  Both are
     bit-for-bit identical to the sequential insertion loop; ``method``
     (``"auto"``/``"chunked"``/``"fenwick"``) forces a path for tests and

@@ -1,9 +1,10 @@
 """Equivalence tests for the multi-core fan-out (both sharding modes).
 
-The contract of :mod:`repro.batch.parallel`: for a fixed seed, every
-``n_jobs`` value produces byte-identical samples and scores, and leaves a
-passed-in generator in exactly the state the single-process path would —
-so whole experiments are reproducible independently of the worker count.
+The contract of :func:`repro.batch.mallows_sample_and_score`: for a fixed
+seed, every ``n_jobs`` value produces byte-identical samples and scores,
+and leaves a passed-in generator in exactly the state the single-process
+path would — so whole experiments are reproducible independently of the
+worker count.
 The same holds for the trial-granular pool (:func:`repro.batch.run_trials`)
 that covers the German Credit panels and Fig. 2.
 """
@@ -17,7 +18,6 @@ from repro.batch import (
     effective_n_jobs,
     in_worker,
     mallows_sample_and_score,
-    reset_warnings,
     resolve_n_jobs,
     run_trials,
     shard_row_ranges,
@@ -179,6 +179,31 @@ class TestPipelineEquivalence:
         assert np.array_equal(a.orders, b.orders)
         assert np.array_equal(a.infeasible_index, b.infeasible_index)
 
+    def test_philox_generator_is_byte_identical(self, workload):
+        """Philox's ``advance`` counts 4-word blocks, not doubles, so its
+        shards must be drawn centrally rather than cloned."""
+        center, _, _, _ = workload
+        orders = [
+            mallows_sample_and_score(
+                center, THETA, M, n_jobs=n_jobs, return_orders=True,
+                seed=np.random.Generator(np.random.Philox(7)),
+            ).orders
+            for n_jobs in (1, 2)
+        ]
+        assert np.array_equal(orders[0], orders[1])
+
+    def test_buffered_half_word_survives_sharding(self, workload):
+        """A 32-bit half-word buffered in the caller's generator before the
+        batch is still served after it, as drawing doubles leaves it."""
+        center, _, _, _ = workload
+        tails = []
+        for n_jobs in (1, 2):
+            rng = np.random.default_rng(5)
+            rng.integers(0, 10, dtype=np.uint32)
+            mallows_sample_and_score(center, THETA, M, seed=rng, n_jobs=n_jobs)
+            tails.append(rng.integers(0, 2**32, size=3, dtype=np.uint32))
+        assert np.array_equal(tails[0], tails[1])
+
     def test_optional_outputs(self, workload):
         center, groups, constraints, scores = workload
         bare = mallows_sample_and_score(center, THETA, 50, seed=1)
@@ -192,33 +217,20 @@ class TestPipelineEquivalence:
             )
 
     def test_small_batch_warns_once_and_runs_inline(self, workload):
+        """A batch under ``2 * MIN_ROWS_PER_JOB`` rows is one shard, which
+        runs inline (the name predates the removal of its advisory)."""
         center, groups, constraints, _ = workload
-        reset_warnings()
-        with pytest.warns(RuntimeWarning, match="single-process"):
-            out = mallows_sample_and_score(
-                center, THETA, 50, groups=groups, constraints=constraints,
-                seed=3, n_jobs=4,
-            )
+        out = mallows_sample_and_score(
+            center, THETA, 50, groups=groups, constraints=constraints,
+            seed=3, n_jobs=4,
+        )
         assert out.infeasible_index.shape == (50,)
-        # Identical to the plain single-process run, and warned only once.
+        # Identical to the plain single-process run.
         ref = mallows_sample_and_score(
             center, THETA, 50, groups=groups, constraints=constraints,
             seed=3, n_jobs=1,
         )
         assert np.array_equal(out.infeasible_index, ref.infeasible_index)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            mallows_sample_and_score(
-                center, THETA, 50, groups=groups, constraints=constraints,
-                seed=4, n_jobs=4,
-            )
-        # Resetting the registry re-arms the advisory.
-        reset_warnings()
-        with pytest.warns(RuntimeWarning, match="single-process"):
-            mallows_sample_and_score(
-                center, THETA, 50, groups=groups, constraints=constraints,
-                seed=5, n_jobs=4,
-            )
 
     def test_empty_batch(self, workload):
         center, groups, constraints, scores = workload
@@ -316,14 +328,10 @@ class TestTrialPool:
         assert a == b
 
     def test_single_trial_warns_once_and_runs_inline(self):
-        reset_warnings()
-        with pytest.warns(RuntimeWarning, match="inline"):
-            out = run_trials(_square_trial, 1, seed=5, n_jobs=8)
+        """A single trial is one unit, which runs inline (the name
+        predates the removal of its advisory)."""
+        out = run_trials(_square_trial, 1, seed=5, n_jobs=8)
         assert out == run_trials(_square_trial, 1, seed=5, n_jobs=1)
-        # Warned only once per registry reset.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_trials(_square_trial, 1, seed=6, n_jobs=8)
 
 
 class TestExperimentEquivalence:

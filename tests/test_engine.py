@@ -118,8 +118,6 @@ class TestEngineConfig:
             EngineConfig(n_jobs=0)
         with pytest.raises(ValueError):
             EngineConfig(cache_max_entries=0)
-        with pytest.raises(ValueError):
-            EngineConfig(decode_crossover=0)
 
     def test_overrides_compose(self):
         engine = RankingEngine(EngineConfig(n_jobs=2), cache_max_entries=7)
@@ -262,23 +260,6 @@ class TestSessionLifecycle:
             engine.rank("dp", problem)
         with pytest.raises(RuntimeError, match="closed"):
             list(engine.rank_many([("dp", problem)]))
-
-    def test_decode_crossover_scoped_to_requests(self, problem):
-        from repro.mallows.sampling import decode_crossover
-
-        before = decode_crossover()
-        engine = RankingEngine(decode_crossover=64)
-        engine.rank("mallows", problem, seed=0, theta=1.0)
-        assert decode_crossover() == before  # restored outside the request
-
-    def test_decode_crossover_preserves_rankings(self, problem):
-        baseline = RankingEngine().rank(
-            "mallows", problem, seed=5, theta=0.5, n_samples=4
-        )
-        tweaked = RankingEngine(decode_crossover=1).rank(
-            "mallows", problem, seed=5, theta=0.5, n_samples=4
-        )
-        assert (baseline.ranking.order == tweaked.ranking.order).all()
 
     def test_algorithm_constructor_shortcut(self, problem, recwarn):
         engine = RankingEngine()

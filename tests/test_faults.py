@@ -24,7 +24,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import FairRankingProblem
-from repro.batch import WorkUnit, WorkerPool, run_units
+from repro.batch import (
+    WorkUnit,
+    WorkerPool,
+    mallows_sample_and_score,
+    run_trials,
+    run_units,
+)
 from repro.engine import RankingEngine, RankingRequest, responses_digest
 from repro.exceptions import (
     InjectedFault,
@@ -51,6 +57,7 @@ from repro.faults import (
 )
 from repro.faults.injection import _install_worker_plan
 from repro.groups.attributes import GroupAssignment
+from repro.rankings.permutation import random_ranking
 from repro.serve import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -94,6 +101,11 @@ def _policy(**overrides):
 def _draw_unit(seed, count):
     """Seeded unit: the raw stream identity of its SeedSequence."""
     return np.random.default_rng(seed).random(count).tolist()
+
+
+def _draw_trial(trial_index, rng):
+    """Seeded trial: its index plus the raw stream identity."""
+    return trial_index, rng.random(3).tolist()
 
 
 def _units(n=6):
@@ -359,6 +371,61 @@ class TestSupervisedRecovery:
         assert chaos == serial
         assert GLOBAL_FAULTS.crash_faults >= 1
         assert GLOBAL_FAULTS.rebuilds >= 1
+
+
+class TestSupervisedShards:
+    """Row and trial shards reach workers through the same supervised loop
+    as every other unit, so a crash there is recovered, counted, and
+    byte-invisible."""
+
+    def test_row_shards_survive_worker_crash(self):
+        center = random_ranking(15, seed=3)
+        kwargs = dict(seed=2024, return_orders=True)
+        serial = mallows_sample_and_score(center, 0.7, 700, n_jobs=1, **kwargs)
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            chaos = mallows_sample_and_score(
+                center, 0.7, 700, n_jobs=2, **kwargs
+            )
+        assert chaos.orders.tobytes() == serial.orders.tobytes()
+        assert GLOBAL_FAULTS.crash_faults >= 1
+        assert GLOBAL_FAULTS.rebuilds >= 1
+
+    def test_trial_shards_survive_worker_crash(self):
+        serial = run_trials(_draw_trial, 9, seed=SEED, n_jobs=1)
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            chaos = run_trials(_draw_trial, 9, seed=SEED, n_jobs=2)
+        assert pickle.dumps(chaos) == pickle.dumps(serial)
+        assert GLOBAL_FAULTS.crash_faults >= 1
+        assert GLOBAL_FAULTS.rebuilds >= 1
+
+    def test_one_cell_fig1_survives_crash_in_its_row_shards(self):
+        """A lone figure cell runs inline, so its row shards are the pooled
+        work the crash hits."""
+        from repro.experiments.config import Fig1Config
+        from repro.experiments.fig1_infeasible import run_fig1
+
+        base = dict(target_iis=(8,), thetas=(0.5,), n_samples=512)
+        serial = run_fig1(Fig1Config(**base, n_jobs=1))
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            chaos = run_fig1(Fig1Config(**base, n_jobs=2))
+        assert chaos.to_text() == serial.to_text()
+        assert chaos.mean_sample_ii == serial.mean_sample_ii
+        assert GLOBAL_FAULTS.crash_faults >= 1
+        assert GLOBAL_FAULTS.rebuilds >= 1
+
+    def test_worker_pool_run_trials_spends_the_handles_budget(self):
+        counters = FaultCounters()
+        pool = WorkerPool(
+            2,
+            policy=RetryPolicy(
+                max_attempts=1, max_rebuilds=0, on_exhausted=DEGRADE_RAISE
+            ),
+            counters=counters,
+        )
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            with pytest.raises(PoolRecoveryExhausted):
+                pool.run_trials(_draw_trial, 4, seed=SEED)
+        assert counters.crash_faults == 1
 
 
 class TestEngineFaultStats:

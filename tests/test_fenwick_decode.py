@@ -5,7 +5,7 @@ the Fenwick order-statistic decode and the chunked position-accumulator
 decode replay the same insertion process exactly, so for *any* displacement
 matrix they produce identical ``int64`` orders — the dispatch threshold can
 only ever change speed.  These tests pin that across random ``(m, n,
-theta)`` shapes, the crossover boundary itself, and the dispatcher knobs.
+theta)`` shapes, the crossover boundary itself, and the shape gate.
 """
 
 import numpy as np
@@ -15,15 +15,12 @@ from hypothesis import strategies as st
 
 from repro.mallows import sampling
 from repro.mallows.sampling import (
-    DEFAULT_DECODE_CROSSOVER,
+    FENWICK_MIN_ITEMS,
     FENWICK_MIN_ROWS,
     _displacement_draws,
     _orders_from_displacements,
     _use_fenwick_decode,
-    calibrate_decode_crossover,
-    decode_crossover,
     sample_mallows_batch,
-    set_decode_crossover,
 )
 from repro.rankings.permutation import random_ranking
 
@@ -74,9 +71,9 @@ def test_fenwick_matches_legacy_insertion_loop(theta, n):
 @pytest.mark.parametrize(
     "n",
     (
-        DEFAULT_DECODE_CROSSOVER - 1,
-        DEFAULT_DECODE_CROSSOVER,
-        DEFAULT_DECODE_CROSSOVER + 1,
+        FENWICK_MIN_ITEMS - 1,
+        FENWICK_MIN_ITEMS,
+        FENWICK_MIN_ITEMS + 1,
     ),
 )
 def test_decodes_agree_at_crossover_boundary(n):
@@ -127,9 +124,9 @@ def test_large_n_sampler_end_to_end():
 
 class TestDispatcher:
     def test_shape_gate(self):
-        assert _use_fenwick_decode(FENWICK_MIN_ROWS, DEFAULT_DECODE_CROSSOVER)
-        assert not _use_fenwick_decode(FENWICK_MIN_ROWS - 1, DEFAULT_DECODE_CROSSOVER)
-        assert not _use_fenwick_decode(FENWICK_MIN_ROWS, DEFAULT_DECODE_CROSSOVER - 1)
+        assert _use_fenwick_decode(FENWICK_MIN_ROWS, FENWICK_MIN_ITEMS)
+        assert not _use_fenwick_decode(FENWICK_MIN_ROWS - 1, FENWICK_MIN_ITEMS)
+        assert not _use_fenwick_decode(FENWICK_MIN_ROWS, FENWICK_MIN_ITEMS - 1)
         # Paper scale stays on the chunked path.
         assert not _use_fenwick_decode(10_000, 500)
 
@@ -138,33 +135,3 @@ class TestDispatcher:
             _orders_from_displacements(
                 np.arange(3), np.zeros((2, 3), dtype=np.int64), method="bogus"
             )
-
-    def test_set_decode_crossover(self):
-        try:
-            set_decode_crossover(64)
-            assert decode_crossover() == 64
-            assert _use_fenwick_decode(FENWICK_MIN_ROWS, 64)
-            with pytest.raises(ValueError):
-                set_decode_crossover(0)
-        finally:
-            set_decode_crossover(None)
-        assert decode_crossover() == DEFAULT_DECODE_CROSSOVER
-
-    def test_calibrate_without_apply_leaves_threshold(self):
-        before = decode_crossover()
-        measured = calibrate_decode_crossover(n_grid=(64, 128), m=64, apply=False)
-        assert decode_crossover() == before
-        assert measured in (64, 128, 129)
-
-    def test_calibrate_apply_sets_threshold(self):
-        try:
-            measured = calibrate_decode_crossover(n_grid=(64, 128), m=64, apply=True)
-            assert decode_crossover() == measured
-        finally:
-            set_decode_crossover(None)
-
-    def test_calibrate_validates_args(self):
-        with pytest.raises(ValueError):
-            calibrate_decode_crossover(m=0)
-        with pytest.raises(ValueError):
-            calibrate_decode_crossover(n_grid=())
