@@ -33,9 +33,9 @@ heterogeneous requests onto the shared scheduler and yields responses
 >>> [r.algorithm for r in responses]
 ['mallows', 'dp']
 
-(The one-algorithm class constructors — ``MallowsFairRanking(...)`` and
-friends — still work but are deprecated in favour of the engine registry;
-they produce byte-identical rankings.)
+(The registry names the classes of :mod:`repro.algorithms`: constructing
+``MallowsFairRanking(...)`` and friends directly gives the same algorithm
+and byte-identical rankings.)
 
 Concurrent clients go through the async tier in :mod:`repro.serve`:
 ``AsyncRankingServer`` fronts one engine session, coalesces single

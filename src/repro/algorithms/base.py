@@ -11,10 +11,8 @@ through one loop.
 from __future__ import annotations
 
 import abc
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -130,60 +128,6 @@ class FairRankingResult:
     metadata: dict[str, Any] = field(default_factory=dict)
 
 
-#: Depth of nested :func:`suppress_legacy_warnings` blocks (0 = armed).
-#: The engine's algorithm registry is the sanctioned construction path; it
-#: wraps its factory calls in the suppression context so only *direct*
-#: legacy constructions warn.  Per-thread, so one engine session
-#: constructing through the registry cannot swallow a concurrent thread's
-#: legitimate direct-construction warning (engine sessions are documented
-#: as one-per-thread; see :mod:`repro.batch.cache`).
-_SUPPRESS_LEGACY = threading.local()
-
-
-@contextmanager
-def suppress_legacy_warnings() -> Iterator[None]:
-    """Silence :func:`warn_legacy_constructor` for the duration of the block
-    (re-entrant, thread-scoped).  Used by
-    :func:`repro.engine.make_algorithm`, the registry path that replaces
-    direct constructor calls."""
-    _SUPPRESS_LEGACY.depth = getattr(_SUPPRESS_LEGACY, "depth", 0) + 1
-    try:
-        yield
-    finally:
-        _SUPPRESS_LEGACY.depth -= 1
-
-
-def warn_legacy_constructor(cls_name: str, registry_name: str) -> None:
-    """One-time :class:`DeprecationWarning` for a direct algorithm-class
-    construction (the pre-engine API).
-
-    Deduplicated per class through the resettable warn-once registry of
-    :mod:`repro.batch.parallel` (so :func:`repro.batch.reset_warnings`
-    re-arms it, and the shared pytest fixture isolates tests), and silenced
-    entirely inside :func:`suppress_legacy_warnings` — the path the engine
-    registry constructs through.  The legacy constructors keep working and
-    produce byte-identical rankings; the warning only points at the
-    serving-grade replacement.
-    """
-    if getattr(_SUPPRESS_LEGACY, "depth", 0):
-        return
-    from repro.batch.parallel import _warn_once
-
-    _warn_once(
-        f"legacy-constructor:{cls_name}",
-        f"constructing {cls_name} directly is deprecated; build it through "
-        f"the serving engine instead — e.g. "
-        f'RankingEngine().algorithm("{registry_name}", ...) or '
-        f'repro.engine.make_algorithm("{registry_name}", ...) — which adds '
-        f"session-owned worker pools, kernel caches and streaming batch "
-        f"ranking around the same implementation (rankings are "
-        f"byte-identical).  This warning is shown once per "
-        f"reset_warnings().",
-        category=DeprecationWarning,
-        stacklevel=4,
-    )
-
-
 class FairRankingAlgorithm(abc.ABC):
     """Interface implemented by all post-processing algorithms."""
 
@@ -191,7 +135,8 @@ class FairRankingAlgorithm(abc.ABC):
     name: str = "abstract"
 
     #: Whether the algorithm reads ``problem.groups`` — attribute-blind
-    #: methods (Mallows) set this to ``False``.
+    #: methods (Mallows) set this to ``False``.  The engine registry reads
+    #: it from the registered class.
     requires_protected_attribute: bool = True
 
     @abc.abstractmethod

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.batch.cache import active_cache
 from repro.algorithms.base import (
-    warn_legacy_constructor,
     FairRankingAlgorithm,
     FairRankingProblem,
     FairRankingResult,
@@ -35,7 +34,6 @@ class GrBinaryIPF(FairRankingAlgorithm):
     """Exact KT-optimal fair re-ranking for binary protected attributes."""
 
     def __init__(self):
-        warn_legacy_constructor("GrBinaryIPF", "binary-ipf")
         self.name = "gr-binary-ipf"
 
     def rank(self, problem: FairRankingProblem, seed: SeedLike = None) -> FairRankingResult:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import (
-    warn_legacy_constructor,
     FairRankingAlgorithm,
     FairRankingProblem,
     FairRankingResult,
@@ -40,7 +39,6 @@ class DetConstSort(FairRankingAlgorithm):
     """
 
     def __init__(self, noise_sigma: float = 0.0, target_proportions: np.ndarray | None = None):
-        warn_legacy_constructor("DetConstSort", "detconstsort")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
         self.noise_sigma = float(noise_sigma)

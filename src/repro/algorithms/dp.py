@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import (
-    warn_legacy_constructor,
     FairRankingAlgorithm,
     FairRankingProblem,
     FairRankingResult,
@@ -47,7 +46,6 @@ class DpFairRanking(FairRankingAlgorithm):
     """
 
     def __init__(self, noise_sigma: float = 0.0, top_k: int | None = None):
-        warn_legacy_constructor("DpFairRanking", "dp")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
         if top_k is not None and top_k < 1:

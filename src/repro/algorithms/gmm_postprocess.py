@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import (
-    warn_legacy_constructor,
     FairRankingAlgorithm,
     FairRankingProblem,
     FairRankingResult,
@@ -49,7 +48,6 @@ class GeneralizedMallowsFairRanking(FairRankingAlgorithm):
         n_samples: int = 1,
         criterion: SelectionCriterion | None = None,
     ):
-        warn_legacy_constructor("GeneralizedMallowsFairRanking", "gmm")
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         if np.isscalar(thetas):

@@ -20,7 +20,6 @@ from scipy import sparse
 from scipy.optimize import LinearConstraint, milp
 
 from repro.algorithms.base import (
-    warn_legacy_constructor,
     FairRankingAlgorithm,
     FairRankingProblem,
     FairRankingResult,
@@ -54,7 +53,6 @@ class IlpFairRanking(FairRankingAlgorithm):
         time_limit: float | None = None,
         top_k: int | None = None,
     ):
-        warn_legacy_constructor("IlpFairRanking", "ilp")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
         if top_k is not None and top_k < 1:

@@ -24,7 +24,6 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.batch.cache import active_cache
 from repro.algorithms.base import (
-    warn_legacy_constructor,
     FairRankingAlgorithm,
     FairRankingProblem,
     FairRankingResult,
@@ -100,7 +99,6 @@ class ApproxMultiValuedIPF(FairRankingAlgorithm):
     """
 
     def __init__(self, noise_sigma: float = 0.0):
-        warn_legacy_constructor("ApproxMultiValuedIPF", "ipf")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
         self.noise_sigma = float(noise_sigma)

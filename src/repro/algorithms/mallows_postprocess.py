@@ -10,7 +10,6 @@ P-fairness against *unknown* attributes (Section V-C).
 from __future__ import annotations
 
 from repro.algorithms.base import (
-    warn_legacy_constructor,
     FairRankingAlgorithm,
     FairRankingProblem,
     FairRankingResult,
@@ -54,7 +53,6 @@ class MallowsFairRanking(FairRankingAlgorithm):
         n_samples: int = 1,
         criterion: SelectionCriterion | None = None,
     ):
-        warn_legacy_constructor("MallowsFairRanking", "mallows")
         if theta < 0:
             raise ValueError(f"theta must be non-negative, got {theta}")
         if n_samples < 1:

@@ -30,7 +30,6 @@ REP001    global-RNG construction/use outside seeded entry points
 REP002    wall-clock reads inside clock-free (sans-IO / digest) modules
 REP003    blocking calls inside ``async def`` bodies in ``repro.serve``
 REP004    ``KernelCache()`` / ``DEFAULT_CACHE`` use outside cache owners
-REP005    legacy algorithm constructors bypassing ``make_algorithm``
 REP006    unordered-container iteration in digest-feeding modules
 REP007    bare/swallowed ``except`` in worker-executed code
 REP008    unbounded retry loops in worker-dispatch/serving code

@@ -62,7 +62,6 @@ _SCOPE_FIELDS = (
     "clock_free_modules",
     "async_modules",
     "cache_owners",
-    "registry_factories",
     "digest_modules",
     "worker_modules",
     "retry_modules",

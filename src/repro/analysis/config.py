@@ -111,15 +111,6 @@ class LintConfig:
         "repro.engine",
     )
 
-    # -- REP005: registry-only construction -------------------------------
-    #: Modules allowed to call the legacy algorithm constructors directly:
-    #: the defining package (implementations call siblings and their own
-    #: bases) and the registry whose factories wrap them.
-    registry_factories: tuple[str, ...] = (
-        "repro.algorithms",
-        "repro.engine.registry",
-    )
-
     # -- REP006: ordered-iteration discipline -----------------------------
     #: The digest-feeding modules: anything iterated here can shape a
     #: report, a response stream, or a dispatch-order-observable artefact,

@@ -16,9 +16,6 @@ until now, *check*:
   ``active_cache()`` so engine sessions can scope it; constructing
   ``KernelCache`` (or mutating ``DEFAULT_CACHE``) elsewhere silently
   splits the cache a session thinks it owns.
-* **REP005** — algorithms are constructed through the registry
-  (``make_algorithm``); direct legacy-constructor calls bypass the
-  deprecation shims and the engine's session accounting.
 * **REP006** — anything that feeds ``reports_digest``/``responses_digest``
   must iterate deterministically; sets (and, as a discipline, dict views)
   iterate in hash/insertion order the reader cannot verify locally —
@@ -290,53 +287,6 @@ class CacheDisciplineRule(Rule):
                         "is installed once by repro.batch.cache; sessions "
                         "scope their own via use_cache()",
                     )
-
-
-# ---------------------------------------------------------------------------
-# REP005 — registry-only algorithm construction
-# ---------------------------------------------------------------------------
-
-#: The legacy constructor classes shimmed by the PR-5 registry.
-_LEGACY_CONSTRUCTORS = frozenset(
-    {
-        "MallowsFairRanking",
-        "GeneralizedMallowsFairRanking",
-        "DetConstSort",
-        "ApproxMultiValuedIPF",
-        "GrBinaryIPF",
-        "IlpFairRanking",
-        "DpFairRanking",
-    }
-)
-
-
-@register_rule
-class LegacyConstructorRule(Rule):
-    id = "REP005"
-    summary = "legacy algorithm constructor call bypassing make_algorithm"
-    rationale = (
-        "The registry (repro.engine.registry.make_algorithm) is the one "
-        "construction path: it keeps serving surfaces name-driven, "
-        "silences the deprecation shims exactly once, and lets engine "
-        "sessions account per-algorithm cost. A direct constructor call "
-        "in library code re-opens the legacy path the shims deprecate."
-    )
-
-    def applies(self, ctx: LintContext) -> bool:
-        return not module_matches(ctx.module, ctx.config.registry_factories)
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> _FindingTriples:
-        if not isinstance(node, ast.Call):
-            return
-        name = dotted_name(node.func)
-        if name is not None and name.split(".")[-1] in _LEGACY_CONSTRUCTORS:
-            leaf = name.split(".")[-1]
-            yield _at(
-                node,
-                f"direct {leaf}(...) construction — use "
-                f"make_algorithm(name, ...) so the registry stays the "
-                "single construction path",
-            )
 
 
 # ---------------------------------------------------------------------------

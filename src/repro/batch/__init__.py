@@ -69,7 +69,6 @@ from repro.batch.parallel import (
     MallowsBatchScores,
     effective_n_jobs,
     in_worker,
-    reset_warnings,
     resolve_n_jobs,
     shard_row_ranges,
     shutdown_workers,
@@ -119,7 +118,6 @@ __all__ = [
     "kendall_tau_matrix",
     "mallows_sample_and_score",
     "pool_for",
-    "reset_warnings",
     "resolve_n_jobs",
     "run_trials",
     "run_units",

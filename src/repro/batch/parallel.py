@@ -46,7 +46,6 @@ unit therefore always runs inline instead of forking grandchildren.
 from __future__ import annotations
 
 import atexit
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -64,32 +63,6 @@ if TYPE_CHECKING:  # lazy at runtime: repro.mallows.sampling imports repro.batch
 #: batch is cut into at most ``m // MIN_ROWS_PER_JOB`` shards (a batch
 #: under ``2 * MIN_ROWS_PER_JOB`` rows is one shard and runs inline).
 MIN_ROWS_PER_JOB = 128
-
-#: Keys of the one-time advisories (pool degradation, deprecated
-#: constructors) that have already fired.  A registry (rather than one
-#: boolean per call site) so test runs can wipe it wholesale between cases —
-#: a module global that latches forever would both leak state across tests
-#: and swallow later legitimate warnings.
-_WARNED: set[str] = set()
-
-
-def reset_warnings() -> None:
-    """Forget which one-time advisories have fired, so the next occurrence
-    of each warns again (used by the shared pytest fixture)."""
-    _WARNED.clear()
-
-
-def _warn_once(
-    key: str,
-    message: str,
-    category: type[Warning] = RuntimeWarning,
-    stacklevel: int = 4,
-) -> None:
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(message, category, stacklevel=stacklevel)
-
 
 #: Live executors keyed by worker count, reused across pipeline calls
 #: (built and evicted by :mod:`repro.faults.supervisor`).

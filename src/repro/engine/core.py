@@ -461,8 +461,7 @@ class RankingEngine:
     # -- the serving surface --------------------------------------------------
 
     def algorithm(self, name: str, /, **params: Any) -> FairRankingAlgorithm:
-        """Construct algorithm ``name`` from the registry (no deprecation
-        warning — this is the sanctioned path; see
+        """Construct algorithm ``name`` from the registry (see
         :func:`repro.engine.make_algorithm`)."""
         self._require_open()
         return make_algorithm(name, **params)
@@ -480,8 +479,8 @@ class RankingEngine:
         Accepts either a prebuilt :class:`RankingRequest`, or the inline
         form ``engine.rank("mallows", problem, seed=0, theta=1.0)``.  The
         seed is passed to the algorithm exactly as given, so the ranking is
-        byte-identical to the legacy
-        ``MallowsFairRanking(theta=1.0).rank(problem, seed=0)`` path.
+        byte-identical to
+        ``MallowsFairRanking(theta=1.0).rank(problem, seed=0)``.
         """
         self._require_open()
         if isinstance(request, RankingRequest):

@@ -11,11 +11,11 @@ as data instead of importing classes:
 >>> make_algorithm("mallows", theta=1.0, n_samples=15).name
 'mallows(theta=1, m=15)'
 
-:func:`make_algorithm` is the sanctioned construction path: it builds the
-same implementation classes as the legacy constructors (rankings are
-byte-identical) but without their one-time :class:`DeprecationWarning`.
-Downstream code can extend the zoo with :func:`register_algorithm`, usable
-as a decorator on a factory or passed a class directly.
+:func:`make_algorithm` looks a name up and calls its factory — for the
+builtins, the implementation class itself, so ``make_algorithm("dp")``
+returns a ``DpFairRanking()``.  Downstream code can extend the zoo with
+:func:`register_algorithm`, usable as a decorator on a factory or passed a
+class directly.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from repro.algorithms.base import (
-    FairRankingAlgorithm,
-    suppress_legacy_warnings,
-)
+from repro.algorithms.base import FairRankingAlgorithm
 
 
 @dataclass(frozen=True)
@@ -42,14 +39,19 @@ class AlgorithmSpec:
         implementation class itself.
     summary:
         One-line description, surfaced by the CLI's algorithm listing.
-    requires_protected_attribute:
-        Whether problems served to this algorithm need ``groups``.
     """
 
     name: str
     factory: Callable[..., FairRankingAlgorithm]
     summary: str = ""
-    requires_protected_attribute: bool = True
+
+    @property
+    def requires_protected_attribute(self) -> bool:
+        """Whether problems served to this algorithm need ``groups`` —
+        read from the factory's class attribute (``True`` when absent)."""
+        return bool(
+            getattr(self.factory, "requires_protected_attribute", True)
+        )
 
 
 _REGISTRY: dict[str, AlgorithmSpec] = {}
@@ -61,9 +63,7 @@ def register_algorithm(
     factory: Callable[..., FairRankingAlgorithm] | None = None,
     *,
     summary: str = "",
-    requires_protected_attribute: bool = True,
     aliases: tuple[str, ...] = (),
-    overwrite: bool = False,
 ) -> (
     Callable[..., FairRankingAlgorithm]
     | Callable[
@@ -82,10 +82,10 @@ def register_algorithm(
         omitted, the call returns a decorator expecting it.
     aliases:
         Extra names resolving to the same entry.
-    overwrite:
-        Allow replacing an existing entry; without it a collision raises
-        (two libraries silently fighting over a name would be a debugging
-        tarpit).
+
+    A name or alias that is already registered raises :class:`ValueError`
+    (two libraries silently fighting over a name would be a debugging
+    tarpit).
     """
 
     def _register(
@@ -93,20 +93,14 @@ def register_algorithm(
     ) -> Callable[..., FairRankingAlgorithm]:
         key = name.lower()
         alias_keys = [alias.lower() for alias in aliases]
-        if not overwrite:
-            # Validate every name before writing anything: a collision must
-            # not leave a half-registered entry behind.
-            for candidate in [key, *alias_keys]:
-                if candidate in _REGISTRY or candidate in _ALIASES:
-                    raise ValueError(
-                        f"algorithm {candidate!r} is already registered"
-                    )
-        _REGISTRY[key] = AlgorithmSpec(
-            name=key,
-            factory=fn,
-            summary=summary,
-            requires_protected_attribute=requires_protected_attribute,
-        )
+        # Validate every name before writing anything: a collision must
+        # not leave a half-registered entry behind.
+        for candidate in [key, *alias_keys]:
+            if candidate in _REGISTRY or candidate in _ALIASES:
+                raise ValueError(
+                    f"algorithm {candidate!r} is already registered"
+                )
+        _REGISTRY[key] = AlgorithmSpec(name=key, factory=fn, summary=summary)
         for alias_key in alias_keys:
             _ALIASES[alias_key] = key
         return fn
@@ -149,15 +143,9 @@ def iter_algorithm_specs() -> Iterator[AlgorithmSpec]:
 
 
 def make_algorithm(name: str, /, **params: object) -> FairRankingAlgorithm:
-    """Construct algorithm ``name`` with ``params`` — the registry path.
-
-    Unlike the legacy class constructors this never emits a
-    :class:`DeprecationWarning`; the instances (and their rankings) are
-    otherwise identical.
-    """
-    spec = algorithm_spec(name)
-    with suppress_legacy_warnings():
-        return spec.factory(**params)
+    """Construct algorithm ``name`` (or an alias of it) with ``params``:
+    ``algorithm_spec(name).factory(**params)``."""
+    return algorithm_spec(name).factory(**params)
 
 
 def _register_builtins() -> None:
@@ -181,13 +169,11 @@ def _register_builtins() -> None:
             "the paper's Algorithm 1: attribute-blind Mallows noise, best "
             "of m samples"
         ),
-        requires_protected_attribute=False,
     )
     register_algorithm(
         "gmm",
         GeneralizedMallowsFairRanking,
         summary="Algorithm 1 with a per-insertion dispersion profile",
-        requires_protected_attribute=False,
         aliases=("generalized-mallows",),
     )
     register_algorithm(

@@ -25,8 +25,8 @@ The degradation ladder, in order:
    backoff between rebuilds);
 2. budget spent and ``on_exhausted="inline"`` (batch default): finish
    the stragglers serially in the parent — slower, same bytes — with a
-   one-time :class:`RuntimeWarning` through the resettable warn-once
-   registry;
+   :class:`RuntimeWarning` attributed to the caller's dispatch line, so
+   Python's default filter shows it once per call site;
 3. budget spent and ``on_exhausted="raise"`` (serving default): raise
    :class:`~repro.exceptions.PoolRecoveryExhausted` so the serve tier
    can trip its circuit breaker and shed load instead of dragging all
@@ -40,12 +40,13 @@ process-wide :data:`GLOBAL_FAULTS` plus any caller-supplied counters
 from __future__ import annotations
 
 import time
+import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol, Sequence
 
-from repro.batch.parallel import _EXECUTORS, _init_worker, _warn_once
+from repro.batch.parallel import _EXECUTORS, _init_worker
 from repro.exceptions import PoolRecoveryExhausted
 from repro.faults.injection import configured_plan, maybe_inject
 from repro.faults.policy import (
@@ -308,15 +309,18 @@ def supervise_units(
                     max_rebuilds=policy.max_rebuilds,
                     max_attempts=policy.max_attempts,
                 ) from crash
-            _warn_once(
-                "pool_degraded",
+            # stacklevel 3 names the caller's loop over iter_units.  The
+            # text leaves out the unit count (degraded_units has it), so
+            # the default filter shows it once per call site.
+            warnings.warn(
                 "worker-pool recovery budget exhausted "
                 f"(max_attempts={policy.max_attempts}, "
                 f"max_rebuilds={policy.max_rebuilds}); finishing "
-                f"{len(casualties)} unit(s) inline in the parent process. "
-                "Results are unchanged — every unit is a pure function of "
-                "(fn, seed, payload) — only slower.  This warning is shown "
-                "once per reset_warnings().",
+                "unit(s) inline in the parent process. Results are "
+                "unchanged — every unit is a pure function of "
+                "(fn, seed, payload) — only slower.",
+                RuntimeWarning,
+                stacklevel=3,
             )
             for tally in tallies:
                 tally.record(degraded_units=len(casualties))

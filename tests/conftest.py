@@ -14,22 +14,14 @@ from repro.rankings.permutation import Ranking
 
 
 @pytest.fixture(autouse=True)
-def _reset_fanout_warnings():
-    """Wipe the process-wide warn-once + fault-recovery state before every
-    test.
-
-    The warn-once advisories in :mod:`repro.batch.parallel` are deduplicated
-    in a process-wide registry; without this reset, whichever test fires one
-    first would swallow the warning for every later test that legitimately
-    expects it.  The same hygiene applies to the process-wide
+def _reset_fault_state():
+    """Wipe the process-wide fault-recovery state before every test: the
     :data:`~repro.faults.supervisor.GLOBAL_FAULTS` tally and any configured
     fault-injection plan — a chaos test must never leak crashes into its
     neighbours.
     """
-    from repro.batch import reset_warnings
     from repro.faults import clear_plan, reset_fault_counters
 
-    reset_warnings()
     reset_fault_counters()
     clear_plan()
     yield

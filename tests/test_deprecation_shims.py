@@ -1,6 +1,6 @@
-"""Deprecation shims: legacy algorithm constructors keep working, warn
-exactly once (through the resettable warn-once registry), and produce
-byte-identical rankings to the engine registry path.
+"""Class and registry construction are one API: every registry name
+builds its class, neither path warns, and a directly constructed
+algorithm ranks byte-identically to the engine path.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.algorithms.base import suppress_legacy_warnings
 from repro.algorithms.binary_ipf import GrBinaryIPF
 from repro.algorithms.detconstsort import DetConstSort
 from repro.algorithms.dp import DpFairRanking
@@ -18,12 +17,11 @@ from repro.algorithms.gmm_postprocess import GeneralizedMallowsFairRanking
 from repro.algorithms.ilp import IlpFairRanking
 from repro.algorithms.ipf import ApproxMultiValuedIPF
 from repro.algorithms.mallows_postprocess import MallowsFairRanking
-from repro.batch import reset_warnings
 from repro.engine import RankingEngine, RankingRequest, make_algorithm
 from repro.groups.attributes import GroupAssignment
 from repro.algorithms.base import FairRankingProblem
 
-#: (legacy class, registry name, constructor params) for the whole zoo.
+#: (class, registry name, constructor params) for the whole zoo.
 ZOO = [
     (MallowsFairRanking, "mallows", {"theta": 1.0, "n_samples": 5}),
     (GeneralizedMallowsFairRanking, "gmm", {"thetas": 1.0, "n_samples": 3}),
@@ -44,30 +42,9 @@ def problem():
 
 @pytest.mark.parametrize("cls,name,params", ZOO, ids=[z[1] for z in ZOO])
 class TestLegacyConstructorWarnsOnce:
-    def test_exactly_one_deprecation_warning(self, cls, name, params):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cls(**params)
-            cls(**params)  # second construction is deduplicated
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert cls.__name__ in message
-        assert f'"{name}"' in message
-
-    def test_reset_rearms_the_warning(self, cls, name, params):
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            cls(**params)
-        reset_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cls(**params)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+    """Registry name ↔ class identity across the zoo.  (The class names
+    are older than this file's contents; they stay so test ids stay
+    stable.)"""
 
     def test_registry_path_is_silent(self, cls, name, params):
         with warnings.catch_warnings(record=True) as caught:
@@ -81,9 +58,7 @@ class TestLegacyConstructorWarnsOnce:
     def test_legacy_ranking_byte_identical_to_engine_path(
         self, cls, name, params, problem
     ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = cls(**params).rank(problem, seed=11)
+        legacy = cls(**params).rank(problem, seed=11)
         response = RankingEngine().rank(name, problem, seed=11, **params)
         assert (legacy.ranking.order == response.ranking.order).all()
         # And through the streamed batch path, same seed child semantics:
@@ -93,24 +68,8 @@ class TestLegacyConstructorWarnsOnce:
 
 
 class TestSuppressionContext:
-    def test_suppression_is_scoped_and_reentrant(self):
-        reset_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with suppress_legacy_warnings():
-                with suppress_legacy_warnings():
-                    DpFairRanking()
-                DetConstSort()
-            GrBinaryIPF()  # outside: armed again
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "GrBinaryIPF" in str(deprecations[0].message)
-
     def test_internal_experiment_path_is_silent(self):
-        """The experiments construct through the registry — a pipeline run
-        must not emit constructor deprecations."""
+        """A pipeline run emits no DeprecationWarning."""
         from repro.datasets.german_credit import synthesize_german_credit
         from repro.experiments.config import GermanCreditConfig
         from repro.experiments.german_credit_exp import _one_repeat

@@ -96,6 +96,23 @@ class TestRegistry:
         with pytest.raises(KeyError):
             algorithm_spec("echo")
 
+    def test_spec_reads_attribute_blindness_from_the_class(self):
+        class Blind(FairRankingAlgorithm):
+            name = "blind"
+            requires_protected_attribute = False
+
+            def rank(self, problem, seed=None):
+                raise NotImplementedError
+
+        register_algorithm("blind", Blind)
+        try:
+            assert algorithm_spec("blind").requires_protected_attribute is False
+        finally:
+            unregister_algorithm("blind")
+        assert algorithm_spec("dp").requires_protected_attribute is True
+        assert algorithm_spec("mallows").requires_protected_attribute is False
+        assert algorithm_spec("gmm").requires_protected_attribute is False
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_algorithm("mallows", lambda: None)

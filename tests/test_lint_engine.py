@@ -39,8 +39,6 @@ FIXTURE_MODULES = {
     "rep003_ok.py": "repro.serve.handler",
     "rep004_violation.py": "repro.batch.kernels",
     "rep004_ok.py": "repro.batch.kernels",
-    "rep005_violation.py": "repro.experiments.new_exp",
-    "rep005_ok.py": "repro.experiments.new_exp",
     "rep006_violation.py": "repro.engine.newmod",
     "rep006_ok.py": "repro.engine.newmod",
     "rep007_violation.py": "repro.batch.schedule",
@@ -121,7 +119,6 @@ class TestScoping:
             ("rep002_violation.py", "repro.serve.server"),
             ("rep003_violation.py", "repro.batch.kernels"),
             ("rep004_violation.py", "repro.engine.core"),
-            ("rep005_violation.py", "repro.engine.registry"),
             ("rep006_violation.py", "repro.fairness.checks"),
             ("rep007_violation.py", "repro.rankings.sorting"),
             # repro.experiments.driver: a seeded entry point (RNG fine)
@@ -148,7 +145,7 @@ class TestEngine:
     def test_registry_mirrors_engine_registry_shape(self):
         ids = rule_ids()
         assert ids == tuple(sorted(ids))
-        assert {"REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
+        assert {"REP001", "REP002", "REP003", "REP004", "REP006",
                 "REP007"} <= set(ids)
         for rule in iter_rules():
             assert rule.id and rule.summary and rule.rationale

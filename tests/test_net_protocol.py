@@ -316,6 +316,7 @@ class TestSansIOContract:
         the property the REP002/REP009 contracts pin down statically."""
         import repro.net.protocol as mod
 
-        source = open(mod.__file__, encoding="utf-8").read()
+        with open(mod.__file__, encoding="utf-8") as fh:
+            source = fh.read()
         for needle in ("import socket", "import asyncio", "import time"):
             assert needle not in source
