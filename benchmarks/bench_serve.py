@@ -62,12 +62,8 @@ def test_serve_digest_and_coalescing(fast_mode, report):
             ref.rank_many(requests, seed=SEED, n_jobs=1)
         )
 
-    coalesced_cfg = ServeConfig(
-        batch_window=0.005, max_batch_size=16, seed=SEED, n_jobs=n_jobs
-    )
-    solo_cfg = ServeConfig(
-        batch_window=0.0, max_batch_size=1, seed=SEED, n_jobs=n_jobs
-    )
+    coalesced_cfg = ServeConfig(max_batch_size=16, seed=SEED, n_jobs=n_jobs)
+    solo_cfg = ServeConfig(max_batch_size=1, seed=SEED, n_jobs=n_jobs)
 
     with RankingEngine(n_jobs=n_jobs) as engine:
         engine.warm_up()
@@ -79,7 +75,7 @@ def test_serve_digest_and_coalescing(fast_mode, report):
     # Micro-batching and per-batch dispatch must serve identical bytes.
     assert on_report.digest() == serial
     assert off_report.digest() == serial
-    assert on_stats.coalescing > 1.0  # the window actually coalesced
+    assert on_stats.coalescing > 1.0  # the burst actually coalesced
     assert off_stats.coalescing == 1.0
 
     percentiles = on_stats.latency_percentiles()
@@ -133,7 +129,7 @@ def test_http_frontend_races_in_process_tier(fast_mode, report):
     requests = pin_request_seeds(
         synthetic_requests(n_requests, seed=7), seed=SEED
     )
-    config = ServeConfig(batch_window=0.005, max_batch_size=16, n_jobs=n_jobs)
+    config = ServeConfig(max_batch_size=16, n_jobs=n_jobs)
 
     with RankingEngine(n_jobs=1) as ref:
         serial = responses_digest(ref.rank_many(requests, n_jobs=1))
@@ -203,7 +199,6 @@ def test_admission_sheds_load_under_starved_budget(fast_mode, report):
     n_requests = 24 if fast_mode else 64
     requests = synthetic_requests(n_requests, seed=11)
     config = ServeConfig(
-        batch_window=0.002,
         max_batch_size=8,
         cost_budget=0.08,
         default_cost=0.05,

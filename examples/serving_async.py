@@ -2,8 +2,8 @@
 
 The scenario: many asyncio clients share one ranking service.  Each
 client awaits ``server.rank(...)`` for a *single* request, but the
-:class:`repro.serve.AsyncRankingServer` coalesces every call landing
-inside a small micro-batching window into one
+:class:`repro.serve.AsyncRankingServer` coalesces the calls that wait
+while the engine drains a batch into the next
 :meth:`~repro.engine.RankingEngine.rank_many` dispatch on the shared
 worker pool — so 24 concurrent awaits turn into a handful of batches,
 not 24 pool round-trips.  Admission is priced by the session's learned
@@ -15,7 +15,7 @@ retry against.
 Determinism survives the concurrency: submission ``i`` draws the same
 ``SeedSequence`` child the serial loop would give request ``i``, so the
 served response set digests byte-identically to ``rank_many`` over the
-same submissions — for any window, batch cap, or worker count.
+same submissions — for any batch cap or worker count.
 
 Run:  python examples/serving_async.py [n_clients]
 """
@@ -93,7 +93,6 @@ async def client(server, request, results):
 
 async def serve_swarm(engine, requests) -> None:
     config = ServeConfig(
-        batch_window=0.005,  # 5 ms coalescing window
         max_batch_size=8,
         cost_budget=2.0,
         max_queue_depth=64,

@@ -39,13 +39,13 @@ and byte-identical rankings.)
 
 Concurrent clients go through the async tier in :mod:`repro.serve`:
 ``AsyncRankingServer`` fronts one engine session, coalesces single
-``rank`` awaits landing inside a micro-batching window into one
-``rank_many`` dispatch, and prices admission with the session's learned
-per-kind cost model (queueing and then shedding load with a structured
-``ServerOverloaded`` once the in-flight budget is spent).  Responses stay
-byte-identical to the serial loop over the same submissions — see
-``examples/serving_async.py`` and the ``repro serve`` / ``repro
-bench-client`` CLI commands.
+``rank`` awaits that arrive while the engine drains a batch into the
+next ``rank_many`` dispatch, and prices admission with the session's
+learned per-kind cost model (queueing and then shedding load with a
+structured ``ServerOverloaded`` once the in-flight budget is spent).
+Responses stay byte-identical to the serial loop over the same
+submissions — see ``examples/serving_async.py`` and the ``repro serve``
+/ ``repro bench-client`` CLI commands.
 
 Remote clients reach the same tier over plain HTTP/1.1 + JSON through
 :mod:`repro.net` — a stdlib-only wire frontend (``HttpRankingServer`` /

@@ -77,7 +77,6 @@ class LintConfig:
     #: to the same bar as ``repro.serve.core``.
     clock_free_modules: tuple[str, ...] = (
         "repro.serve.core",
-        "repro.serve.batching",
         "repro.serve.admission",
         "repro.serve.protocol",
         "repro.net.protocol",

@@ -180,7 +180,7 @@ class BlockingAsyncRule(Rule):
     id = "REP003"
     summary = "blocking call inside an `async def` body in the serving tier"
     rationale = (
-        "One blocked event loop stalls every coalescing window, deadline "
+        "One blocked event loop stalls every batch dispatch, deadline "
         "timer, and waiter at once; sleeps use asyncio.sleep, file IO "
         "happens off-loop, and engine compute crosses the executor hop."
     )

@@ -190,14 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="synthetic mixed-kind requests to serve (default 64)",
         )
         p.add_argument(
-            "--window", type=float, default=0.002, metavar="SECONDS",
-            help="micro-batching window: single rank calls arriving within "
-                 "it coalesce into one rank_many dispatch (default 0.002)",
-        )
-        p.add_argument(
             "--max-batch", type=int, default=16, metavar="K",
-            help="hard cap per coalesced batch (a full batch dispatches "
-                 "before its window expires; default 16)",
+            help="cap per coalesced batch: requests that arrive while the "
+                 "engine drains a batch form the next one (default 16)",
         )
         p.add_argument(
             "--budget", type=float, default=1.0, metavar="SECONDS",
@@ -623,7 +618,6 @@ def _serve_config(args):
 
     try:
         return ServeConfig(
-            batch_window=args.window,
             max_batch_size=args.max_batch,
             max_queue_depth=args.queue_depth,
             cost_budget=args.budget,
@@ -801,7 +795,7 @@ def _cmd_bench_client(args, engine: RankingEngine) -> int:
     if args.verify_digest:
         _verify_serial_digest(report, requests, args.seed)
     if args.compare_coalescing:
-        solo = _replace(config, max_batch_size=1, batch_window=0.0)
+        solo = _replace(config, max_batch_size=1)
         solo_report, solo_stats = run_once(solo)
         _print_load_report(solo_report, solo_stats, prefix="[no-coalescing] ")
         if solo_report.throughput > 0.0:

@@ -79,9 +79,8 @@ from repro.utils.rng import spawn_seed_sequences
 
 BREAKER_CLOSED = "closed"
 
-#: Default ``Retry-After`` hint (seconds) attached to overload
-#: rejections — overload has no intrinsic time base, unlike the
-#: breaker's cooldown, so this is a config knob.
+#: ``Retry-After`` hint (seconds) attached to overload rejections —
+#: overload has no intrinsic time base, unlike the breaker's cooldown.
 DEFAULT_OVERLOAD_RETRY_AFTER = 0.05
 
 
@@ -116,14 +115,12 @@ class HttpRankingServer:
         host: str = "127.0.0.1",
         port: int = 0,
         limits: HttpLimits | None = None,
-        overload_retry_after: float = DEFAULT_OVERLOAD_RETRY_AFTER,
         **overrides: Any,
     ) -> None:
         self._inner = AsyncRankingServer(engine, config, **overrides)
         self._host = host
         self._requested_port = port
         self._limits = limits or HttpLimits()
-        self._overload_retry_after = float(overload_retry_after)
         self._server: asyncio.base_events.Server | None = None
         self._connections: dict[int, _Connection] = {}
         self._conn_tasks: set[asyncio.Task[None]] = set()
@@ -334,14 +331,13 @@ class HttpRankingServer:
                 ),
             )
         if isinstance(exc, ServerOverloaded):
-            hint = self._overload_retry_after
             return (
                 429,
-                (_retry_after_header(hint),),
+                (_retry_after_header(DEFAULT_OVERLOAD_RETRY_AFTER),),
                 error_body(
                     "overloaded",
                     str(exc),
-                    retry_after_s=hint,
+                    retry_after_s=DEFAULT_OVERLOAD_RETRY_AFTER,
                     details={
                         "predicted_cost": exc.predicted_cost,
                         "inflight_cost": exc.inflight_cost,

@@ -2,8 +2,8 @@
 
 An :class:`AsyncRankingServer` fronts a
 :class:`~repro.engine.RankingEngine` for many concurrent asyncio clients:
-single ``rank`` submissions arriving within a micro-batching window
-coalesce into one ``rank_many`` dispatch, admission is priced by the
+single ``rank`` submissions that wait while the engine drains a batch
+coalesce into the next ``rank_many`` dispatch, admission is priced by the
 engine's learned cost model (admit / bounded queue / structured
 rejection), and per-request deadlines and cancellation drop work before
 it burns compute.  Responses stream back to their originating waiters as
@@ -15,17 +15,16 @@ Layering (deterministic testability is the design driver):
 
 * :mod:`repro.serve.protocol` — config, errors, tickets, stats;
 * :mod:`repro.serve.admission` — cost-priced admit/queue/reject;
-* :mod:`repro.serve.batching` — the coalescing window;
 * :mod:`repro.serve.core` — the sans-IO semantics state machine
-  (explicit clocks; what the fake-clock harness drives), including the
-  health circuit breaker that sheds admissions with
-  :class:`ServerUnhealthy` after an exhausted pool recovery;
+  (explicit clocks; what the fake-clock harness drives), including
+  adaptive batching behind the one drain and the health circuit breaker
+  that sheds admissions with :class:`ServerUnhealthy` after an exhausted
+  pool recovery;
 * :mod:`repro.serve.server` — the asyncio shell;
 * :mod:`repro.serve.loadgen` — synthetic request streams + client swarm.
 """
 
 from repro.serve.admission import AdmissionPolicy, Decision
-from repro.serve.batching import MicroBatcher
 from repro.serve.core import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -63,7 +62,6 @@ __all__ = [
     "Decision",
     "DeadlineExceeded",
     "LoadReport",
-    "MicroBatcher",
     "percentile_summary",
     "pin_request_seeds",
     "RankingTransport",

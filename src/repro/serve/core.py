@@ -1,17 +1,26 @@
 """The serving-tier semantics core — synchronous, clock-free, loop-free.
 
 :class:`ServerCore` owns every decision the async server makes — admission
-pricing, queueing, micro-batch coalescing, deadline expiry, cancellation,
+pricing, queueing, adaptive batching, deadline expiry, cancellation,
 budget accounting — as a plain state machine whose methods take explicit
 ``now`` timestamps and return work to do.  The asyncio shell
 (:class:`repro.serve.server.AsyncRankingServer`) is reduced to plumbing:
 translate loop time into these calls, run dispatched batches on the
 engine, and marshal completions back in.
 
+Batching is adaptive, as in Clipper (Crankshaw et al., NSDI 2017): the
+engine session has one drain, and :meth:`ServerCore.poll` hands it the
+admitted tickets in FIFO order, up to ``max_batch_size``, as soon as it
+is free.  Requests that arrive while a batch is in flight wait in that
+FIFO and form the next batch once :meth:`ServerCore.on_batch_done` (or
+:meth:`ServerCore.on_batch_aborted`) frees the drain.  No timer is
+involved: a lone request on an idle server dispatches on the next tick,
+and submissions landing in the same tick still ride together.
+
 This sans-IO split is what the deterministic test harness exploits: the
 *production* semantics — the same object, not a test double — run under a
-fake clock with inline engine drains, so batching-window coalescing,
-max-batch cutoff, deadline expiry, queue-full rejection, client
+fake clock with inline engine drains, so coalescing behind an in-flight
+batch, max-batch cutoff, deadline expiry, queue-full rejection, client
 cancellation, and the health circuit breaker are all tested without a
 single real sleep.
 
@@ -32,7 +41,7 @@ Server-wide submission ``i`` derives its seed from child ``i`` of the
 config's seed root — exactly the rule
 :meth:`repro.engine.RankingEngine.rank_many` applies to a batch — and
 delivered responses are re-indexed by submission order.  However requests
-coalesce into micro-batches, then, :func:`responses_digest` over the
+coalesce into batches, then, :func:`responses_digest` over the
 served responses is byte-identical to one big ``rank_many`` (or the
 serial loop) over the same submissions, for every ``n_jobs``.
 """
@@ -41,7 +50,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Any
 
 import numpy as np
 
@@ -49,7 +57,6 @@ from repro.engine.core import RankingEngine, RankingRequest, RankingResponse
 from repro.engine.registry import algorithm_spec
 from repro.exceptions import WorkerCrashError
 from repro.serve.admission import AdmissionPolicy, Decision
-from repro.serve.batching import MicroBatcher
 from repro.serve.protocol import (
     BATCHED,
     DISPATCHED,
@@ -74,7 +81,7 @@ BREAKER_HALF_OPEN = "half-open"
 
 
 class ServerCore:
-    """Admission + coalescing + deadline state machine over one engine.
+    """Admission + batching + deadline state machine over one engine.
 
     Single-owner: every method must be called from one scheduling context
     (the event loop thread, or a test driver).  Time is always passed in;
@@ -92,11 +99,11 @@ class ServerCore:
             default_cost=self.config.default_cost,
             max_queue_depth=self.config.max_queue_depth,
         )
-        self.batcher = MicroBatcher(
-            self.config.batch_window, self.config.max_batch_size
-        )
         self.stats = ServeStats()
         self._queue: deque[Ticket] = deque()
+        # Admitted tickets waiting for the drain, in admission order.
+        self._batched: deque[Ticket] = deque()
+        self._batch_in_flight = False
         self._live: set[Ticket] = set()
         self._seed_root = (
             self.config.seed
@@ -125,6 +132,12 @@ class ServerCore:
     def live(self) -> int:
         """Unretired submissions (queued + batched + dispatched)."""
         return len(self._live)
+
+    @property
+    def batch_in_flight(self) -> bool:
+        """Whether the drain is running a batch (until
+        :meth:`on_batch_done` or :meth:`on_batch_aborted`)."""
+        return self._batch_in_flight
 
     @property
     def breaker_state(self) -> str:
@@ -203,7 +216,7 @@ class ServerCore:
                 max_queue_depth=self.policy.max_queue_depth,
             )
         if decision is Decision.ADMIT:
-            self._admit(ticket, now)
+            self._admit(ticket)
             self.stats.admitted += 1
         else:
             self._queue.append(ticket)
@@ -258,51 +271,51 @@ class ServerCore:
         self._probe = None
         self.stats.breaker_closed += 1
 
-    def _admit(self, ticket: Ticket, now: float) -> None:
+    def _admit(self, ticket: Ticket) -> None:
         self.policy.acquire(ticket.cost)
         ticket.state = BATCHED
-        self.batcher.add(ticket, now)
+        self._batched.append(ticket)
 
     # -- the scheduling tick --------------------------------------------------
 
-    def poll(self, now: float) -> list[list[Ticket]]:
+    def poll(self, now: float) -> list[Ticket]:
         """One scheduling tick: expire deadlines, promote queued tickets
-        into freed budget, and collect every micro-batch due for
-        dispatch (window expired, batch full, or — on a closed server —
-        everything pending, since nothing new can join a window).
+        into freed budget, and — if the drain is free — hand it the next
+        batch: the admitted tickets in FIFO order, up to
+        ``max_batch_size``.  Empty when a batch is in flight or nothing
+        is admitted.
 
-        Returned batches are already marked dispatched; the caller must
-        run each through the engine and feed completions back via
-        :meth:`on_response` / :meth:`on_request_error` /
-        :meth:`on_batch_aborted`.
+        The returned batch is already marked dispatched; the caller must
+        run it through the engine, feed per-request completions back via
+        :meth:`on_response` / :meth:`on_request_error`, and end the drain
+        with :meth:`on_batch_done` or :meth:`on_batch_aborted`.
         """
         self._expire(now)
-        self._promote(now)
-        batches = (
-            self.batcher.flush_all()
-            if self._closed
-            else self.batcher.collect_due(now)
-        )
-        for batch in batches:
-            self.stats.dispatched_batches += 1
-            self.stats.dispatched_requests += len(batch)
-            self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-            for ticket in batch:
-                ticket.state = DISPATCHED
-        return batches
+        self._promote()
+        if self._batch_in_flight or not self._batched:
+            return []
+        size = min(len(self._batched), self.config.max_batch_size)
+        batch = [self._batched.popleft() for _ in range(size)]
+        self._batch_in_flight = True
+        self.stats.dispatched_batches += 1
+        self.stats.dispatched_requests += size
+        self.stats.largest_batch = max(self.stats.largest_batch, size)
+        for ticket in batch:
+            ticket.state = DISPATCHED
+        return batch
 
     def next_event_at(self) -> float | None:
-        """Earliest instant the core needs a tick: the open window's
-        flush, or the nearest live deadline.  ``None`` = nothing timed
-        pending (ticks still happen on submissions and completions)."""
-        candidates = []
-        flush_at = self.batcher.next_flush_at()
-        if flush_at is not None:
-            candidates.append(flush_at)
-        for ticket in self._live:
-            if ticket.deadline_at is not None and not ticket.settled:
-                candidates.append(ticket.deadline_at)
-        return min(candidates) if candidates else None
+        """Earliest instant the core needs a tick: the nearest live
+        deadline.  ``None`` = nothing timed pending (ticks still happen
+        on submissions and completions)."""
+        return min(
+            (
+                ticket.deadline_at
+                for ticket in self._live
+                if ticket.deadline_at is not None and not ticket.settled
+            ),
+            default=None,
+        )
 
     def _expire(self, now: float) -> None:
         for ticket in list(self._live):
@@ -329,10 +342,10 @@ class ServerCore:
                 self.stats.expired_before_dispatch += 1
                 self._drop_pending(ticket)
 
-    def _promote(self, now: float) -> None:
+    def _promote(self) -> None:
         while self._queue and self.policy.can_admit(self._queue[0].cost):
             ticket = self._queue.popleft()
-            self._admit(ticket, now)
+            self._admit(ticket)
             self.stats.promoted += 1
 
     # -- client-side events ---------------------------------------------------
@@ -351,6 +364,12 @@ class ServerCore:
             self._drop_pending(ticket)
 
     # -- engine-side events ---------------------------------------------------
+
+    def on_batch_done(self, now: float) -> None:
+        """The drain finished its batch (every request already reported
+        through :meth:`on_response` / :meth:`on_request_error`): it is
+        free for the next one."""
+        self._batch_in_flight = False
 
     def on_response(
         self, ticket: Ticket, response: RankingResponse, now: float
@@ -401,8 +420,9 @@ class ServerCore:
         Retry-After semantics while the pool rebuilds, and a probe
         re-opens the floor once it proves the pool healthy.  Only this
         batch's unsettled tickets see errors — already-settled batchmates
-        keep their results.
+        keep their results.  The drain is free again afterwards.
         """
+        self._batch_in_flight = False
         if isinstance(error, WorkerCrashError):
             self._trip_breaker(now)
         for ticket in batch:
@@ -457,7 +477,7 @@ class ServerCore:
             except ValueError:
                 pass
         elif ticket.state == BATCHED:
-            self.batcher.remove(ticket)
+            self._batched.remove(ticket)
             self.policy.release(ticket.cost)
         if ticket is self._probe:
             # The probe died before dispatch (expiry/cancel/abort): free

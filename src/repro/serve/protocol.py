@@ -27,15 +27,10 @@ class ServeConfig:
 
     Attributes
     ----------
-    batch_window:
-        Micro-batching window in seconds: the first admitted request opens
-        a batch, and every admission within ``batch_window`` of it
-        coalesces into the same ``rank_many`` dispatch.  ``0.0`` flushes
-        on the next scheduler tick (requests arriving in the same tick
-        still coalesce).
     max_batch_size:
-        Hard cap per coalesced batch; a full batch dispatches immediately,
-        before its window expires.
+        Cap per coalesced batch.  The drain takes the admitted requests
+        in FIFO order, up to this many, as soon as it is free; requests
+        that arrive while a batch runs form the next one.
     max_queue_depth:
         Bound of the admission queue (requests holding for budget).  A
         submission that can neither be admitted nor queued is rejected
@@ -76,7 +71,6 @@ class ServeConfig:
         :class:`repro.serve.core.ServerCore`).
     """
 
-    batch_window: float = 0.002
     max_batch_size: int = 16
     max_queue_depth: int = 128
     cost_budget: float = 1.0
@@ -88,10 +82,6 @@ class ServeConfig:
     breaker_cooldown: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0.0:
-            raise ValueError(
-                f"batch_window must be >= 0, got {self.batch_window}"
-            )
         if self.max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
@@ -182,8 +172,9 @@ class DeadlineExceeded(ServeError):
     """A request's deadline expired before its response could be served.
 
     ``dispatched`` distinguishes the two paths: ``False`` means the
-    request was dropped from the queue/window before any compute started;
-    ``True`` means it was already dispatched — the waiter is released at
+    request was dropped while it waited for budget or for the drain,
+    before any compute started; ``True`` means it was already
+    dispatched — the waiter is released at
     the deadline, the in-flight compute finishes in the background (its
     budget share is released on completion), and the late result is
     discarded without poisoning the rest of the batch.
@@ -261,7 +252,7 @@ class ServeStats:
 
     ``latencies`` maps a kind label (``"rank:dp:150"``) to submit-to-
     delivery wall seconds of every *completed* request of that kind —
-    queueing, batching window, and compute included, which is what a
+    queueing, waiting for the drain, and compute included, which is what a
     client actually experiences.
     """
 

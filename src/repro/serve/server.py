@@ -2,21 +2,23 @@
 
 The shell owns exactly the things the semantics core
 (:class:`~repro.serve.core.ServerCore`) refuses to: an event loop, one
-timer, one dispatcher task, and one worker thread that drains coalesced
-batches through the engine's blocking
-:meth:`~repro.engine.RankingEngine.rank_many_submit` hook.  Every
-decision — admit/queue/reject, window flush, deadline expiry,
-cancellation, budget accounting — is delegated to the core with the
-loop's clock, so the shell stays a thin, auditable adapter:
+timer, and one worker thread that drains batches through the engine's
+blocking :meth:`~repro.engine.RankingEngine.rank_many_submit` hook.
+Every decision — admit/queue/reject, when a batch dispatches, deadline
+expiry, cancellation, budget accounting — is delegated to the core with
+the loop's clock, so the shell stays a thin, auditable adapter:
 
 * ``submit()`` hands the core a fresh ``asyncio.Future`` waiter and
   awaits it; client-side ``cancel()`` of that await is forwarded to the
   core (dropped pre-dispatch, discarded post-dispatch);
-* one ``call_later`` timer tracks ``core.next_event_at()`` (window
-  flushes and deadline expiries); submissions and completions tick the
-  core via ``call_soon``;
-* dispatched batches queue onto a single dispatcher task that runs them
-  **one at a time** in a private one-thread executor — the engine
+* submissions and completions tick the core via ``call_soon`` — never
+  inline, so every submission landing in the same loop iteration rides
+  in the same batch — and one ``call_later`` timer tracks
+  ``core.next_event_at()`` (deadline expiries);
+* a batch that ``poll`` hands out runs in a private one-thread executor;
+  the core hands out the next one only after this one's done-callback
+  reports :meth:`~repro.serve.core.ServerCore.on_batch_done` (or
+  :meth:`~repro.serve.core.ServerCore.on_batch_aborted`) — the engine
   session is a shared resource, and its internal ``n_jobs`` pool is the
   parallelism, not concurrent drains;
 * engine completions are marshalled back with
@@ -24,8 +26,8 @@ loop's clock, so the shell stays a thin, auditable adapter:
   loop thread.
 
 Shutdown is leak-free by construction: ``stop()`` drains (or aborts)
-every ticket, retires the dispatcher task, and joins the executor — the
-CI smoke lane asserts no stray tasks or threads survive it.
+every ticket, waits out the batch in flight, and joins the executor —
+the CI smoke lane asserts no stray tasks or threads survive it.
 
 Example
 -------
@@ -33,7 +35,7 @@ Example
 
     engine = RankingEngine(n_jobs=4)
     engine.warm_start_costs("BENCH_PR6.json")   # price admission from day 0
-    async with AsyncRankingServer(engine, batch_window=0.002) as server:
+    async with AsyncRankingServer(engine, max_batch_size=16) as server:
         response = await server.rank("mallows", problem, theta=1.0)
 """
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from typing import Any
 
 from repro.algorithms.base import FairRankingProblem
@@ -68,7 +71,7 @@ class AsyncRankingServer:
     config:
         A :class:`~repro.serve.protocol.ServeConfig`; keyword overrides
         may be passed instead of (or on top of) it, e.g.
-        ``AsyncRankingServer(engine, batch_window=0.005)``.
+        ``AsyncRankingServer(engine, max_batch_size=8)``.
     """
 
     def __init__(
@@ -96,8 +99,6 @@ class AsyncRankingServer:
         self._core: ServerCore | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._dispatch_queue: asyncio.Queue | None = None
-        self._dispatcher: asyncio.Task | None = None
         self._timer: asyncio.TimerHandle | None = None
         self._poll_handle: asyncio.Handle | None = None
         self._idle: asyncio.Event | None = None
@@ -137,7 +138,8 @@ class AsyncRankingServer:
         return self._core.breaker_state
 
     async def start(self) -> "AsyncRankingServer":
-        """Bind to the running loop and start the dispatcher."""
+        """Bind to the running loop and start the drain thread's
+        executor."""
         if self._core is not None:
             raise RuntimeError("the server is already started")
         self._loop = asyncio.get_running_loop()
@@ -145,12 +147,8 @@ class AsyncRankingServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
-        self._dispatch_queue = asyncio.Queue()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._dispatcher = self._loop.create_task(
-            self._dispatch_loop(), name="repro-serve-dispatcher"
-        )
         return self
 
     async def __aenter__(self) -> "AsyncRankingServer":
@@ -163,9 +161,9 @@ class AsyncRankingServer:
         """Stop the server, leak-free.
 
         ``drain=True`` (default) serves everything already accepted —
-        pending windows flush immediately (nothing new can join them) and
-        queued requests promote as budget frees.  ``drain=False`` fails
-        every not-yet-dispatched request with
+        batches keep dispatching as the drain frees, and queued requests
+        promote as budget frees.  ``drain=False`` fails every
+        not-yet-dispatched request with
         :class:`~repro.serve.protocol.ServerClosed`; work already in the
         engine still runs to completion (compute cannot be yanked from a
         process pool) and is delivered if its waiter survives.
@@ -179,11 +177,8 @@ class AsyncRankingServer:
                 ServerClosed("the server was stopped without draining"),
                 loop.time(),
             )
-        # A closed core flushes pending windows on the next tick.
         self._schedule_poll()
         await self._idle.wait()
-        await self._dispatch_queue.put(None)
-        await self._dispatcher
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -192,8 +187,6 @@ class AsyncRankingServer:
             self._poll_handle = None
         self._executor.shutdown(wait=True)
         self._core = None
-        self._dispatcher = None
-        self._dispatch_queue = None
         self._executor = None
         self._loop = None
         self._idle = None
@@ -205,14 +198,14 @@ class AsyncRankingServer:
     ) -> RankingResponse:
         """Serve one request through the tier.
 
-        Coalesces with concurrent submissions inside the batching window,
-        subject to cost-priced admission — raises
+        Coalesces with the submissions that wait for the drain alongside
+        it, subject to cost-priced admission — raises
         :class:`~repro.serve.protocol.ServerOverloaded` immediately when
         shedding load, :class:`~repro.serve.protocol.DeadlineExceeded`
         when ``deadline`` (or the config default) expires first, and the
         request's own engine-side exception if its algorithm fails.
         Cancelling the returned awaitable drops an undispatched request
-        from the queue/window; a dispatched one finishes in the
+        before it reaches the engine; a dispatched one finishes in the
         background and its result is discarded.
         """
         if self._core is None:
@@ -264,8 +257,12 @@ class AsyncRankingServer:
         self._poll_handle = None
         if self._core is None:
             return
-        for batch in self._core.poll(self._loop.time()):
-            self._dispatch_queue.put_nowait(batch)
+        batch = self._core.poll(self._loop.time())
+        if batch:
+            drain = self._loop.run_in_executor(
+                self._executor, self._drain_batch, batch
+            )
+            drain.add_done_callback(partial(self._on_drain_done, batch))
         self._update_idle()
         self._arm_timer()
 
@@ -280,7 +277,8 @@ class AsyncRankingServer:
         self._timer = self._loop.call_later(delay, self._schedule_poll)
 
     def _update_idle(self) -> None:
-        if self._core is not None and self._core.live == 0:
+        core = self._core
+        if core is not None and core.live == 0 and not core.batch_in_flight:
             self._idle.set()
 
     def _on_engine_response(
@@ -301,29 +299,28 @@ class AsyncRankingServer:
 
     # -- dispatch (one batch at a time through the engine) --------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            batch = await self._dispatch_queue.get()
-            if batch is None:
-                return
-            try:
-                await self._loop.run_in_executor(
-                    self._executor, self._drain_batch, batch
-                )
-            except Exception as exc:
-                # Engine/scheduler-level failure (e.g. a broken pool):
-                # per-request failures never surface here — they were
-                # already routed by rank_many_submit's on_error.
-                self._core.on_batch_aborted(batch, exc, self._loop.time())
-                self._update_idle()
-                self._schedule_poll()
+    def _on_drain_done(
+        self, batch: list[Ticket], drain: asyncio.Future[None]
+    ) -> None:
+        if self._core is None:
+            return
+        error = drain.exception()
+        if error is None:
+            self._core.on_batch_done(self._loop.time())
+        else:
+            # Engine/scheduler-level failure (e.g. a broken pool):
+            # per-request failures never surface here — they were
+            # already routed by rank_many_submit's on_error.
+            self._core.on_batch_aborted(batch, error, self._loop.time())
+        self._update_idle()
+        self._schedule_poll()
 
     def _drain_batch(self, batch: list[Ticket]) -> None:
         """Blocking engine drain — runs in the serve worker thread.
 
         Every ticket's request carries its pinned per-submission seed, so
         the batch-level seed is irrelevant: the served rankings are the
-        same whatever window/cap carved this particular batch.
+        same however arrivals and the cap carved this particular batch.
         """
         loop = self._loop
 

@@ -2,10 +2,10 @@
 
 The serving tier's semantics live entirely in the sans-IO
 :class:`~repro.serve.core.ServerCore` (explicit ``now`` everywhere, no
-clock reads, no event loop), so concurrency behaviour — batching-window
-coalescing, max-batch cutoff, deadline expiry, queue promotion,
-cancellation — is testable as plain synchronous state transitions.  This
-module is the driver the serve tests share:
+clock reads, no event loop), so concurrency behaviour — coalescing
+behind an in-flight batch, max-batch cutoff, deadline expiry, queue
+promotion, cancellation — is testable as plain synchronous state
+transitions.  This module is the driver the serve tests share:
 
 * :class:`FakeClock` — time is a number we move by hand;
 * :class:`RecordingWaiter` — the test stand-in for ``asyncio.Future``
@@ -14,13 +14,17 @@ module is the driver the serve tests share:
   ``advance`` / ``tick`` / ``run`` and drains dispatched batches
   *inline* through the real engine (``rank_many_submit`` at
   ``n_jobs=1``), so every test exercises production code end to end
-  without a single real sleep.
+  without a single real sleep;
+* :class:`DrainGate` — the asyncio suites' way to park requests: it
+  holds an engine's first drain in the serve thread until released.
 
-Not a test file itself — imported by ``test_serve_batching.py`` and
-``test_serve.py``.
+Not a test file itself — imported by the serve, net-server and fault
+suites.
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.engine.core import RankingEngine, RankingRequest, RankingResponse
 from repro.serve.core import ServerCore
@@ -81,12 +85,13 @@ class CoreDriver:
 
     The driver is the test's event loop: ``submit`` hands the core a
     recording waiter, ``advance``/``tick`` move time and collect the
-    batches the core wants dispatched, ``run`` drains a batch through the
+    batch the core wants dispatched, ``run`` drains a batch through the
     engine synchronously (``n_jobs=1`` — worker-count independence is the
-    asyncio integration suite's job), and ``drain`` loops until nothing
-    is live.  Dispatched-but-unrun batches accumulate in ``pending`` so a
-    test can interleave expiry/cancellation *between* dispatch and
-    completion — the race window that matters.
+    asyncio integration suite's job) and reports the drain done, and
+    ``drain`` loops tick-and-run until nothing is live.  The dispatched
+    batch stays unrun in ``pending`` until the test runs it, so a test
+    can interleave expiry, cancellation and new arrivals *while the batch
+    is in flight* — the race window that matters.
     """
 
     def __init__(self, engine: RankingEngine, config: ServeConfig | None = None, **overrides):
@@ -95,7 +100,7 @@ class CoreDriver:
         self.engine = engine
         self.clock = FakeClock()
         self.core = ServerCore(engine, config)
-        self.pending: list[list[Ticket]] = []
+        self.pending: list[Ticket] = []
         self.waiters: list[RecordingWaiter] = []
 
     def submit(
@@ -109,20 +114,23 @@ class CoreDriver:
         self.waiters.append(waiter)
         return ticket, waiter
 
-    def tick(self) -> list[list[Ticket]]:
-        """One scheduling tick at the current fake time; newly dispatched
-        batches are queued on ``pending`` and returned."""
-        batches = self.core.poll(self.clock.now)
-        self.pending.extend(batches)
-        return batches
+    def tick(self) -> list[Ticket]:
+        """One scheduling tick at the current fake time; a newly
+        dispatched batch becomes ``pending`` and is returned (empty while
+        a batch is in flight or nothing waits)."""
+        batch = self.core.poll(self.clock.now)
+        if batch:
+            self.pending = list(batch)
+        return batch
 
-    def advance(self, dt: float) -> list[list[Ticket]]:
+    def advance(self, dt: float) -> list[Ticket]:
         """Move time forward and tick."""
         self.clock.advance(dt)
         return self.tick()
 
     def run(self, batch: list[Ticket]) -> None:
-        """Drain one dispatched batch inline through the real engine."""
+        """Drain one dispatched batch inline through the real engine,
+        then report the drain free."""
         self.engine.rank_many_submit(
             [ticket.request for ticket in batch],
             n_jobs=1,
@@ -133,13 +141,13 @@ class CoreDriver:
                 batch[index], error, self.clock.now
             ),
         )
+        self.core.on_batch_done(self.clock.now)
 
-    def run_pending(self) -> int:
-        """Drain every dispatched-but-unrun batch; returns batches run."""
-        batches, self.pending = self.pending, []
-        for batch in batches:
+    def run_pending(self) -> None:
+        """Drain the dispatched-but-unrun batch, if there is one."""
+        batch, self.pending = self.pending, []
+        if batch:
             self.run(batch)
-        return len(batches)
 
     def drain(self, *, max_rounds: int = 100) -> None:
         """Tick-and-run until the core has no live tickets (bounded, so a
@@ -148,11 +156,36 @@ class CoreDriver:
             if self.core.live == 0 and not self.pending:
                 return
             self.run_pending()
-            when = self.core.next_event_at()
-            if when is not None and when > self.clock.now:
-                self.clock.advance(when - self.clock.now)
             self.tick()
         raise AssertionError(
             f"core did not drain in {max_rounds} rounds "
             f"(live={self.core.live}, pending={len(self.pending)})"
         )
+
+
+class DrainGate:
+    """Holds the first batch ``engine`` drains until :meth:`release`.
+
+    Wraps ``engine.rank_many_submit`` — the serve shell's one call into
+    the engine — so its first call blocks in the serve thread: requests
+    submitted meanwhile wait behind an in-flight batch, which is how the
+    asyncio tests park work before dispatch.  ``drained`` records the
+    request ids of every batch that reached the engine.  The hold is
+    bounded by ``timeout``, so a failing test cannot hang the suite.
+    """
+
+    def __init__(self, engine: RankingEngine, *, timeout: float = 10.0):
+        self.drained: list[list[object]] = []
+        self._released = threading.Event()
+        drain = engine.rank_many_submit
+
+        def gated(requests, **kwargs):
+            self.drained.append([r.request_id for r in requests])
+            if len(self.drained) == 1:
+                self._released.wait(timeout)
+            return drain(requests, **kwargs)
+
+        engine.rank_many_submit = gated
+
+    def release(self) -> None:
+        self._released.set()

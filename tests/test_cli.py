@@ -344,7 +344,6 @@ class TestServeCommand:
         args = _build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.requests == 64
-        assert args.window == 0.002
         assert args.max_batch == 16
         assert args.verify_digest is False
 
@@ -376,7 +375,7 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             main(["serve", "--requests", "0"])
         with pytest.raises(SystemExit):
-            main(["serve", "--window", "-1"])
+            main(["serve", "--max-batch", "0"])
 
     def test_bench_client_compare_coalescing(self, capsys):
         assert main([

@@ -477,12 +477,11 @@ def engine():
 class TestCircuitBreaker:
     """Fake-clock state-machine tests: open, shed, probe, close — no
     real pool dies here; exhaustion arrives via ``on_batch_aborted``
-    exactly as the dispatch loop delivers it."""
+    exactly as the shell's drain callback delivers it."""
 
     COOLDOWN = 5.0
 
     def _driver(self, engine, **overrides):
-        overrides.setdefault("batch_window", 0.01)
         overrides.setdefault("max_batch_size", 4)
         overrides.setdefault("breaker_cooldown", self.COOLDOWN)
         return CoreDriver(engine, **overrides)
@@ -490,7 +489,7 @@ class TestCircuitBreaker:
     def _trip(self, driver, problem):
         """Dispatch one request and kill its batch with pool exhaustion."""
         _, waiter = driver.submit(_requests(problem, 1)[0])
-        (batch,) = driver.advance(0.01)
+        batch = driver.tick()
         driver.pending.clear()
         driver.core.on_batch_aborted(batch, _exhausted(), driver.clock.now)
         return waiter
@@ -536,7 +535,7 @@ class TestCircuitBreaker:
         with pytest.raises(ServerUnhealthy):
             driver.submit(_requests(problem, 1)[0])
         assert driver.core.stats.shed_unhealthy == 1
-        driver.advance(0.01)
+        driver.tick()
         driver.run_pending()
         assert probe_waiter.result is not None
         assert driver.core.breaker_state == BREAKER_CLOSED
@@ -553,7 +552,7 @@ class TestCircuitBreaker:
         self._trip(driver, problem)
         driver.clock.advance(self.COOLDOWN)
         _, probe_waiter = driver.submit(_requests(problem, 1)[0])
-        (batch,) = driver.advance(0.01)
+        batch = driver.tick()
         driver.pending.clear()
         driver.core.on_request_error(
             batch[0], ValueError("bad request"), driver.clock.now
@@ -566,7 +565,7 @@ class TestCircuitBreaker:
         self._trip(driver, problem)
         driver.clock.advance(self.COOLDOWN)
         _, probe_waiter = driver.submit(_requests(problem, 1)[0])
-        (batch,) = driver.advance(0.01)
+        batch = driver.tick()
         driver.pending.clear()
         driver.core.on_batch_aborted(batch, _exhausted(), driver.clock.now)
         assert isinstance(probe_waiter.error, PoolRecoveryExhausted)
@@ -589,11 +588,11 @@ class TestCircuitBreaker:
         assert driver.core.breaker_state == BREAKER_CLOSED
 
     def test_settled_batchmates_keep_their_results(self, engine, problem):
-        driver = self._driver(engine, batch_window=10.0, max_batch_size=2)
+        driver = self._driver(engine, max_batch_size=2)
         r1, r2 = _requests(problem, 2)
         _, w1 = driver.submit(r1)
         _, w2 = driver.submit(r2)
-        (batch,) = driver.tick()  # full batch dispatches immediately
+        batch = driver.tick()  # both submitted in one tick: one batch
         driver.pending.clear()
         driver.core.on_request_error(
             batch[0], ValueError("poisoned"), driver.clock.now
@@ -624,10 +623,10 @@ class TestServedChaos:
             with RankingEngine(n_jobs=2) as engine:
                 async with AsyncRankingServer(
                     engine,
-                    # A generous window so the gathered submissions coalesce
-                    # into multi-unit batches — single-unit batches run
-                    # inline and would dodge the pool (and the fault).
-                    batch_window=0.05,
+                    # The gathered submissions land in one tick, so they
+                    # coalesce into one multi-unit batch — a single-unit
+                    # batch runs inline and would dodge the pool (and the
+                    # fault).
                     seed=SEED,
                     n_jobs=2,
                     retry=retry,
@@ -656,7 +655,6 @@ class TestServedChaos:
             with RankingEngine(n_jobs=2) as engine:
                 async with AsyncRankingServer(
                     engine,
-                    batch_window=0.05,
                     seed=SEED,
                     n_jobs=2,
                     retry=retry,

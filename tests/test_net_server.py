@@ -43,6 +43,8 @@ from repro.serve import (
     synthetic_requests,
 )
 
+from serve_harness import DrainGate
+
 SEED = 20260807
 
 
@@ -257,9 +259,8 @@ class TestErrorSurface:
 
 class TestServingTierExceptionsOverTheWire:
     #: One request fills the budget, one fills the queue, the next is
-    #: rejected; the huge window keeps the first two in flight.
+    #: rejected; a held drain keeps the first one in flight.
     OVERLOAD = dict(
-        batch_window=30.0,
         cost_budget=10.0,
         default_cost=10.0,
         max_queue_depth=1,
@@ -268,6 +269,7 @@ class TestServingTierExceptionsOverTheWire:
     def test_overload_raises_real_server_overloaded_with_details(self):
         async def scenario():
             async with _Frontend(n_jobs=1, **self.OVERLOAD) as (server, client):
+                gate = DrainGate(server.inner.engine)
                 requests = _pinned(3)
                 inflight = [
                     asyncio.ensure_future(client.submit(requests[i]))
@@ -292,20 +294,32 @@ class TestServingTierExceptionsOverTheWire:
                 inner = validate_error_body(loads(raw.body))
                 assert inner["code"] == "overloaded"
                 assert 0.0 < inner["retry_after_s"] <= 1.0
+                gate.release()
                 await server.stop(drain=False)
-                failures = await asyncio.gather(
+                outcomes = await asyncio.gather(
                     *inflight, return_exceptions=True
                 )
-                assert all(isinstance(f, ServerClosed) for f in failures)
+                # The dispatched request still lands; the queued one fails.
+                closed = [o for o in outcomes if isinstance(o, ServerClosed)]
+                served = [o for o in outcomes if not isinstance(o, Exception)]
+                assert len(closed) == len(served) == 1
 
         run(scenario())
 
     def test_deadline_expiry_raises_deadline_exceeded(self):
         async def scenario():
-            async with _Frontend(n_jobs=1, batch_window=30.0) as (server, client):
+            async with _Frontend(n_jobs=1) as (server, client):
+                gate = DrainGate(server.inner.engine)
+                first, late = _pinned(2)
+                inflight = asyncio.ensure_future(client.submit(first))
+                while server.inner.stats().dispatched_batches == 0:
+                    await asyncio.sleep(0.005)
                 with pytest.raises(DeadlineExceeded) as excinfo:
-                    await client.submit(_pinned(1)[0], deadline=0.02)
+                    await client.submit(late, deadline=0.02)
                 assert excinfo.value.deadline == pytest.approx(0.02)
+                assert excinfo.value.dispatched is False
+                gate.release()
+                assert (await inflight).algorithm == first.algorithm
                 await server.stop(drain=False)
 
         run(scenario())
@@ -345,7 +359,6 @@ class TestGracefulShutdown:
             async with _Frontend(
                 n_jobs=1,
                 seed=SEED,
-                batch_window=0.0,
                 max_batch_size=1,
                 cost_budget=0.05,
                 default_cost=0.05,

@@ -13,7 +13,9 @@ headline contracts on top:
   and per-request failure isolation all surface through ``await``.
 
 No test here asserts on ``time.sleep`` — waiting happens only on server
-futures and the loop's own timers.
+futures and the loop's own timers.  Tests that need requests parked
+before dispatch hold the engine's first drain with
+:class:`serve_harness.DrainGate`, so later submissions wait behind it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from repro.serve import (
     synthetic_requests,
 )
 
+from serve_harness import DrainGate
+
 SEED = 2026
 
 
@@ -61,6 +65,14 @@ def _serve_threads():
     return [
         t for t in threading.enumerate() if t.name.startswith("repro-serve")
     ]
+
+
+async def _in_flight(server, request):
+    """Submit ``request`` and wait until its batch is on the drain."""
+    task = asyncio.ensure_future(server.submit(request))
+    while server.stats().dispatched_batches == 0:
+        await asyncio.sleep(0)
+    return task
 
 
 class TestLifecycle:
@@ -91,47 +103,59 @@ class TestLifecycle:
 
     def test_config_overrides_compose(self):
         engine = RankingEngine(n_jobs=1)
-        base = ServeConfig(batch_window=0.5, max_batch_size=4)
+        base = ServeConfig(cost_budget=0.5, max_batch_size=4)
         server = AsyncRankingServer(engine, base, max_batch_size=8)
-        assert server.config.batch_window == 0.5
+        assert server.config.cost_budget == 0.5
         assert server.config.max_batch_size == 8
 
     def test_stop_without_drain_fails_pending_with_server_closed(self):
         async def scenario():
             engine = RankingEngine(n_jobs=1)
-            server = await AsyncRankingServer(
-                engine, batch_window=30.0, seed=SEED
-            ).start()
+            gate = DrainGate(engine)
+            server = await AsyncRankingServer(engine, seed=SEED).start()
+            first = await _in_flight(server, RankingRequest("dp", _problem()))
             waiter = asyncio.ensure_future(
                 server.submit(RankingRequest("dp", _problem()))
             )
             await asyncio.sleep(0)  # let the submission reach the core
+            # The loop cannot see the drain finish before stop() aborts.
+            gate.release()
             await server.stop(drain=False)
             with pytest.raises(ServerClosed):
                 await waiter
+            # Work already in the engine still lands.
+            assert (await first).algorithm == "dp"
 
         run(scenario())
 
     def test_stop_with_drain_serves_parked_window(self):
         async def scenario():
             engine = RankingEngine(n_jobs=1)
-            server = await AsyncRankingServer(
-                engine, batch_window=30.0, seed=SEED
-            ).start()
+            gate = DrainGate(engine)
+            server = await AsyncRankingServer(engine, seed=SEED).start()
+            first = await _in_flight(
+                server, RankingRequest("dp", _problem(), request_id="first")
+            )
             waiter = asyncio.ensure_future(
-                server.submit(RankingRequest("dp", _problem()))
+                server.submit(
+                    RankingRequest("ipf", _problem(), request_id="parked")
+                )
             )
             await asyncio.sleep(0)
-            # Window is 30s out, but a draining stop flushes it now.
+            # Parked behind the drain; a draining stop still serves it.
+            assert server.stats().dispatched_requests == 1
+            gate.release()
             await server.stop()
             response = await waiter
-            assert response.algorithm == "dp"
+            assert response.algorithm == "ipf"
+            assert (await first).algorithm == "dp"
+            assert gate.drained == [["first"], ["parked"]]
 
         run(scenario())
 
     def test_stop_with_drain_serves_queued_undispatched_requests(self):
         """A draining stop must serve requests still *queued* behind the
-        admission budget — not just parked windows: the queue promotes
+        admission budget — not just admitted ones: the queue promotes
         as budget frees, even though the core is closed to new work.
         This is the drain contract the HTTP frontend's SIGTERM path
         leans on."""
@@ -142,7 +166,6 @@ class TestLifecycle:
             # of the burst waits in the admission queue, undispatched.
             server = await AsyncRankingServer(
                 engine,
-                batch_window=0.0,
                 max_batch_size=1,
                 cost_budget=0.05,
                 default_cost=0.05,
@@ -171,15 +194,18 @@ class TestLifecycle:
 
         async def scenario():
             engine = RankingEngine(n_jobs=1)
+            gate = DrainGate(engine)
             server = await AsyncRankingServer(
                 engine,
-                batch_window=30.0,
                 max_batch_size=1,
                 cost_budget=0.05,
                 default_cost=0.05,
                 max_queue_depth=8,
                 seed=SEED,
             ).start()
+            # The request in flight holds the whole budget: the burst
+            # behind it queues, undispatched.
+            first = await _in_flight(server, RankingRequest("dp", _problem()))
             waiters = [
                 asyncio.ensure_future(
                     server.submit(RankingRequest("dp", _problem()))
@@ -187,10 +213,12 @@ class TestLifecycle:
                 for _ in range(4)
             ]
             await asyncio.sleep(0)
-            assert server.stats().queued >= 2
+            assert server.stats().queued == 4
+            gate.release()
             await server.stop(drain=False)
             outcomes = await asyncio.gather(*waiters, return_exceptions=True)
             assert all(isinstance(o, ServerClosed) for o in outcomes)
+            assert (await first).algorithm == "dp"
 
         run(scenario())
 
@@ -207,7 +235,7 @@ class TestServingContracts:
             baseline_tasks = asyncio.all_tasks()
             with RankingEngine(n_jobs=2) as engine:
                 async with AsyncRankingServer(
-                    engine, batch_window=0.005, seed=SEED, n_jobs=2
+                    engine, seed=SEED, n_jobs=2
                 ) as server:
                     report = await run_load(server, requests)
                     stats = server.stats()
@@ -229,7 +257,7 @@ class TestServingContracts:
         async def scenario():
             with RankingEngine(n_jobs=n_jobs) as engine:
                 async with AsyncRankingServer(
-                    engine, batch_window=0.003, seed=SEED, n_jobs=n_jobs
+                    engine, seed=SEED, n_jobs=n_jobs
                 ) as server:
                     report = await run_load(server, requests)
             assert report.served == 16, report.summary()
@@ -259,9 +287,7 @@ class TestServingContracts:
 
         async def serve(reqs):
             with RankingEngine(n_jobs=1) as engine:
-                async with AsyncRankingServer(
-                    engine, batch_window=0.005, seed=SEED
-                ) as server:
+                async with AsyncRankingServer(engine, seed=SEED) as server:
                     return await asyncio.gather(
                         *(server.submit(r) for r in reqs)
                     )
@@ -279,18 +305,17 @@ class TestServingContracts:
         async def scenario():
             problem = _problem()
             with RankingEngine(n_jobs=1) as engine:
+                gate = DrainGate(engine)  # park the first request in flight
                 async with AsyncRankingServer(
                     engine,
-                    batch_window=30.0,  # park the first request in flight
                     cost_budget=0.05,
                     default_cost=0.05,
                     max_queue_depth=0,
                     seed=SEED,
                 ) as server:
-                    first = asyncio.ensure_future(
-                        server.submit(RankingRequest("dp", problem))
+                    first = await _in_flight(
+                        server, RankingRequest("dp", problem)
                     )
-                    await asyncio.sleep(0)
                     with pytest.raises(ServerOverloaded) as exc_info:
                         await server.submit(RankingRequest("dp", problem))
                     err = exc_info.value
@@ -299,6 +324,7 @@ class TestServingContracts:
                     assert err.max_queue_depth == 0
                     assert server.stats().rejected == 1
                     # The draining stop still serves the parked request.
+                    gate.release()
                 response = await first
                 assert response.algorithm == "dp"
 
@@ -308,9 +334,11 @@ class TestServingContracts:
         async def scenario():
             problem = _problem()
             with RankingEngine(n_jobs=1) as engine:
-                async with AsyncRankingServer(
-                    engine, batch_window=30.0, seed=SEED
-                ) as server:
+                gate = DrainGate(engine)
+                async with AsyncRankingServer(engine, seed=SEED) as server:
+                    first = await _in_flight(
+                        server, RankingRequest("dp", problem)
+                    )
                     doomed = asyncio.ensure_future(
                         server.submit(RankingRequest("dp", problem))
                     )
@@ -321,14 +349,16 @@ class TestServingContracts:
                     stats = server.stats()
                     assert stats.cancelled_before_dispatch == 1
                     # The server is not poisoned: a fresh request serves
-                    # (parked in the 30s window, flushed by the drain).
+                    # (parked behind the drain, served by the stop).
                     follow = asyncio.ensure_future(
                         server.rank("dp", problem)
                     )
                     await asyncio.sleep(0)
+                    gate.release()
                 response = await follow
                 assert response.algorithm == "dp"
-                assert stats.completed == 1
+                assert (await first).algorithm == "dp"
+                assert stats.completed == 2
 
         run(scenario())
 
@@ -336,9 +366,13 @@ class TestServingContracts:
         async def scenario():
             problem = _problem()
             with RankingEngine(n_jobs=1) as engine:
+                gate = DrainGate(engine)
                 async with AsyncRankingServer(
-                    engine, batch_window=30.0, max_batch_size=16, seed=SEED
+                    engine, max_batch_size=16, seed=SEED
                 ) as server:
+                    first = await _in_flight(
+                        server, RankingRequest("dp", problem)
+                    )
                     with pytest.raises(DeadlineExceeded) as exc_info:
                         await server.submit(
                             RankingRequest("dp", problem, request_id="late"),
@@ -347,8 +381,51 @@ class TestServingContracts:
                     assert exc_info.value.dispatched is False
                     assert exc_info.value.request_id == "late"
                     assert server.stats().expired_before_dispatch == 1
+                    gate.release()
+                await first
 
         run(scenario())
+
+    def test_requests_waiting_behind_the_drain_drop_before_dispatch(self):
+        """A request waiting behind an in-flight batch that expires or is
+        cancelled is dropped before dispatch: counted as such, its budget
+        share released at once, and never handed to the engine."""
+
+        async def scenario():
+            problem = _problem()
+            with RankingEngine(n_jobs=1) as engine:
+                gate = DrainGate(engine)
+                async with AsyncRankingServer(engine, seed=SEED) as server:
+                    first = await _in_flight(
+                        server, RankingRequest("dp", problem, request_id="first")
+                    )
+                    doomed = asyncio.ensure_future(
+                        server.submit(
+                            RankingRequest("dp", problem, request_id="doomed")
+                        )
+                    )
+                    with pytest.raises(DeadlineExceeded) as exc_info:
+                        await server.submit(
+                            RankingRequest("dp", problem, request_id="late"),
+                            deadline=0.01,
+                        )
+                    assert exc_info.value.dispatched is False
+                    doomed.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await doomed
+                    stats = server.stats()
+                    assert stats.expired_before_dispatch == 1
+                    assert stats.cancelled_before_dispatch == 1
+                    assert stats.expired_after_dispatch == 0
+                    assert stats.cancelled_after_dispatch == 0
+                    # Only the batch in flight still holds budget.
+                    assert server._core.policy.inflight_count == 1
+                    gate.release()
+                await first
+                assert stats.dispatched_requests == 1
+            return gate.drained
+
+        assert run(scenario()) == [["first"]]
 
     def test_failing_request_poisons_only_itself(self):
         async def scenario():
@@ -361,9 +438,7 @@ class TestServingContracts:
                 "mallows", problem, params={"theta": -1.0}, request_id="bad"
             )
             with RankingEngine(n_jobs=1) as engine:
-                async with AsyncRankingServer(
-                    engine, batch_window=0.005, seed=SEED
-                ) as server:
+                async with AsyncRankingServer(engine, seed=SEED) as server:
                     results = await asyncio.gather(
                         server.submit(good[0]),
                         server.submit(bad),
@@ -412,7 +487,6 @@ class TestServingContracts:
                     assert engine.warm_start_costs(path) == 1
                 async with AsyncRankingServer(
                     engine,
-                    batch_window=30.0,
                     cost_budget=0.5,
                     default_cost=0.01,
                     max_queue_depth=8,
@@ -441,9 +515,7 @@ class TestStatsAndLoadgen:
 
         async def scenario():
             with RankingEngine(n_jobs=1) as engine:
-                async with AsyncRankingServer(
-                    engine, batch_window=0.005, seed=SEED
-                ) as server:
+                async with AsyncRankingServer(engine, seed=SEED) as server:
                     report = await run_load(server, requests)
                     stats = server.stats()
                     assert stats.coalescing >= 1.0
@@ -474,7 +546,6 @@ class TestStatsAndLoadgen:
             with RankingEngine(n_jobs=1) as engine:
                 async with AsyncRankingServer(
                     engine,
-                    batch_window=0.002,
                     cost_budget=0.05,
                     default_cost=0.05,
                     max_queue_depth=1,
@@ -494,7 +565,6 @@ class TestStatsAndLoadgen:
             with RankingEngine(n_jobs=1) as engine:
                 async with AsyncRankingServer(
                     engine,
-                    batch_window=0.002,
                     cost_budget=0.05,
                     default_cost=0.05,
                     max_queue_depth=1,

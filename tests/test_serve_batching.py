@@ -4,11 +4,11 @@ Everything here drives the *production* state machine
 (:class:`repro.serve.core.ServerCore` and its parts) through the
 deterministic harness in :mod:`serve_harness` — manual time, recording
 waiters, inline engine drains.  No thread, no event loop, and not a
-single real sleep: batching-window coalescing, max-batch cutoff, deadline
-expiry, queue-full rejection, FIFO promotion and client cancellation are
-all asserted as exact state transitions, including the hypothesis
-property that *any* interleaving of admitted requests serves responses
-byte-identical to the serial loop.
+single real sleep: coalescing behind an in-flight batch, max-batch
+cutoff, deadline expiry, queue-full rejection, FIFO promotion and client
+cancellation are all asserted as exact state transitions, including the
+hypothesis property that *any* interleaving of admitted requests serves
+responses byte-identical to the serial loop.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from repro.serve import (
     AdmissionPolicy,
     Decision,
     DeadlineExceeded,
-    MicroBatcher,
     ServeConfig,
     ServerClosed,
     ServerOverloaded,
 )
-from repro.serve.protocol import BATCHED, DISPATCHED, QUEUED, RETIRED, Ticket
+from repro.serve.protocol import BATCHED, DISPATCHED, QUEUED, RETIRED
 
-from serve_harness import CoreDriver, RecordingWaiter
+from serve_harness import CoreDriver
 
 
 @pytest.fixture
@@ -66,86 +65,6 @@ def _serial_digest(requests, seed):
     """The reference: one serial rank_many over the same submissions."""
     with RankingEngine(n_jobs=1) as ref:
         return responses_digest(ref.rank_many(requests, seed=seed, n_jobs=1))
-
-
-class TestMicroBatcher:
-    def _ticket(self, i):
-        return Ticket(
-            index=i, request=None, kind=("rank", "dp", 6), cost=0.05,
-            waiter=RecordingWaiter(), submitted_at=0.0,
-        )
-
-    def test_window_opens_on_first_add(self):
-        b = MicroBatcher(window=0.01, max_batch_size=8)
-        assert b.next_flush_at() is None
-        b.add(self._ticket(0), now=5.0)
-        assert b.next_flush_at() == pytest.approx(5.01)
-        # Later joiners do NOT extend the window.
-        b.add(self._ticket(1), now=5.008)
-        assert b.next_flush_at() == pytest.approx(5.01)
-
-    def test_collect_before_window_yields_nothing(self):
-        b = MicroBatcher(window=0.01, max_batch_size=8)
-        b.add(self._ticket(0), now=0.0)
-        assert b.collect_due(0.005) == []
-        assert len(b) == 1
-
-    def test_window_expiry_closes_batch(self):
-        b = MicroBatcher(window=0.01, max_batch_size=8)
-        t0, t1 = self._ticket(0), self._ticket(1)
-        b.add(t0, now=0.0)
-        b.add(t1, now=0.004)
-        (batch,) = b.collect_due(0.01)
-        assert batch == [t0, t1]
-        assert len(b) == 0 and b.next_flush_at() is None
-
-    def test_full_batch_closes_immediately(self):
-        b = MicroBatcher(window=10.0, max_batch_size=2)
-        b.add(self._ticket(0), now=0.0)
-        b.add(self._ticket(1), now=0.0)
-        # Collectable now — a full batch never waits for its window.
-        assert b.next_flush_at() == float("-inf")
-        (batch,) = b.collect_due(0.0)
-        assert len(batch) == 2
-
-    def test_remove_from_open_window_resets_it(self):
-        b = MicroBatcher(window=0.01, max_batch_size=8)
-        t0 = self._ticket(0)
-        b.add(t0, now=0.0)
-        assert b.remove(t0) is True
-        assert b.next_flush_at() is None
-        # The next admission starts a fresh window at its own time.
-        b.add(self._ticket(1), now=7.0)
-        assert b.next_flush_at() == pytest.approx(7.01)
-
-    def test_remove_from_due_batch(self):
-        b = MicroBatcher(window=10.0, max_batch_size=2)
-        t0, t1 = self._ticket(0), self._ticket(1)
-        b.add(t0, now=0.0)
-        b.add(t1, now=0.0)  # closed
-        assert b.remove(t0) is True
-        (batch,) = b.collect_due(0.0)
-        assert batch == [t1]
-
-    def test_emptied_due_batch_disappears(self):
-        b = MicroBatcher(window=10.0, max_batch_size=1)
-        t0 = self._ticket(0)
-        b.add(t0, now=0.0)
-        assert b.remove(t0) is True
-        assert b.collect_due(0.0) == []
-        assert b.next_flush_at() is None
-
-    def test_flush_all_ignores_window(self):
-        b = MicroBatcher(window=10.0, max_batch_size=8)
-        b.add(self._ticket(0), now=0.0)
-        (batch,) = b.flush_all()
-        assert len(batch) == 1 and len(b) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(window=-1.0, max_batch_size=4)
-        with pytest.raises(ValueError):
-            MicroBatcher(window=0.0, max_batch_size=0)
 
 
 class TestAdmissionPolicy:
@@ -205,43 +124,71 @@ class TestAdmissionPolicy:
 
 class TestCoalescing:
     def test_requests_within_window_coalesce_into_one_batch(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.01, max_batch_size=16)
-        requests = _requests(problem, 3)
-        tickets = [driver.submit(r)[0] for r in requests]
-        assert driver.tick() == []  # window still open
-        driver.clock.advance(0.004)
-        assert driver.tick() == []
-        (batch,) = driver.advance(0.006)  # t = 0.01: window expires
+        """The in-flight drain is the only window: every request arriving
+        while it runs rides in the next batch."""
+        driver = CoreDriver(engine, max_batch_size=16)
+        first, *rest = _requests(problem, 4)
+        driver.submit(first)
+        assert len(driver.tick()) == 1
+        tickets = []
+        for request in rest:
+            tickets.append(driver.submit(request)[0])
+            driver.clock.advance(0.004)
+            assert driver.tick() == []  # the drain is busy
+        driver.run_pending()
+        batch = driver.tick()
         assert batch == tickets
         assert all(t.state == DISPATCHED for t in batch)
         driver.run_pending()
-        assert driver.core.stats.dispatched_batches == 1
+        assert driver.core.stats.dispatched_batches == 2
         assert driver.core.stats.largest_batch == 3
         assert all(w.result is not None for w in driver.waiters)
 
     def test_full_batch_dispatches_before_window(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=10.0, max_batch_size=2)
-        driver.submit(_requests(problem, 1)[0])
-        assert driver.tick() == []
-        driver.submit(_requests(problem, 1)[0])
-        (batch,) = driver.tick()  # no time passed at all
-        assert len(batch) == 2
+        driver = CoreDriver(engine, max_batch_size=2)
+        tickets = [driver.submit(r)[0] for r in _requests(problem, 3)]
+        batch = driver.tick()  # no time passed at all
+        assert batch == tickets[:2]  # the cap cuts the burst
+        assert tickets[2].state == BATCHED
         assert driver.clock.now == 0.0
 
     def test_batches_split_across_windows(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.01, max_batch_size=16)
+        """A request arriving after the drain went idle again rides
+        alone: batches split at drain completions."""
+        driver = CoreDriver(engine, max_batch_size=16)
         requests = _requests(problem, 2)
         driver.submit(requests[0])
-        (first,) = driver.advance(0.01)
-        driver.submit(requests[1])  # a fresh window opens now
-        assert driver.tick() == []
-        (second,) = driver.advance(0.01)
+        first = driver.tick()
+        driver.run_pending()
+        driver.submit(requests[1])
+        second = driver.tick()
         assert [len(first), len(second)] == [1, 1]
         driver.run_pending()
         assert driver.core.stats.dispatched_batches == 2
 
+    def test_in_flight_batch_holds_arrivals_until_the_drain_completes(
+        self, engine, problem
+    ):
+        driver = CoreDriver(engine, max_batch_size=2)
+        first, *rest = _requests(problem, 4)
+        driver.submit(first)
+        assert len(driver.tick()) == 1
+        waiting = [driver.submit(r)[0] for r in rest]
+        assert driver.tick() == []
+        assert driver.advance(5.0) == []  # no timer flushes them either
+        assert all(t.state == BATCHED for t in waiting)
+        driver.run_pending()  # the drain completes...
+        assert driver.tick() == waiting[:2]  # ...split at max_batch_size
+        assert driver.tick() == []
+        driver.run_pending()
+        assert driver.tick() == waiting[2:]
+        driver.run_pending()
+        stats = driver.core.stats
+        assert (stats.dispatched_batches, stats.largest_batch) == (3, 2)
+        assert all(w.result is not None for w in driver.waiters)
+
     def test_coalesced_responses_match_serial_digest(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.01, max_batch_size=3, seed=11)
+        driver = CoreDriver(engine, max_batch_size=3, seed=11)
         requests = _requests(problem, 8)
         for request in requests:
             driver.submit(request)
@@ -254,17 +201,16 @@ class TestCoalescing:
         assert driver.core.stats.dispatched_batches >= 3  # cap forced splits
 
     def test_zero_window_still_coalesces_same_tick(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.0, max_batch_size=16)
+        driver = CoreDriver(engine, max_batch_size=16)
         requests = _requests(problem, 3)
         for request in requests:
             driver.submit(request)
-        (batch,) = driver.tick()  # flush_at == now: due immediately
+        batch = driver.tick()  # everything submitted before the tick
         assert len(batch) == 3
 
 
 class TestAdmissionFlow:
     def _driver(self, engine, **kw):
-        kw.setdefault("batch_window", 10.0)  # park admitted tickets
         kw.setdefault("cost_budget", 0.1)
         kw.setdefault("default_cost", 0.05)
         kw.setdefault("max_queue_depth", 1)
@@ -345,8 +291,7 @@ class TestAdmissionFlow:
 class TestDeadlines:
     def test_deadline_expires_queued_ticket_before_dispatch(self, engine, problem):
         driver = CoreDriver(
-            engine, batch_window=10.0, cost_budget=0.05,
-            default_cost=0.05, max_queue_depth=4,
+            engine, cost_budget=0.05, default_cost=0.05, max_queue_depth=4
         )
         requests = _requests(problem, 2)
         driver.submit(requests[0])
@@ -362,23 +307,29 @@ class TestDeadlines:
         assert driver.core.stats.dispatched_requests == 1
 
     def test_deadline_expires_batched_ticket_before_flush(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=1.0, max_batch_size=16)
-        t0, w0 = driver.submit(_requests(problem, 1)[0], deadline=0.25)
-        assert t0.state == BATCHED
+        driver = CoreDriver(engine, max_batch_size=16)
+        first, late = _requests(problem, 2)
+        driver.submit(first)
+        driver.tick()  # `first` is in flight...
+        t1, w1 = driver.submit(late, deadline=0.25)
+        assert t1.state == BATCHED  # ...so `late` waits behind it
         driver.advance(0.25)
-        assert isinstance(w0.error, DeadlineExceeded) and not w0.error.dispatched
-        # Its budget share came back and the window emptied out.
-        assert driver.core.policy.inflight_count == 0
-        assert driver.advance(1.0) == []  # nothing left to flush
+        assert isinstance(w1.error, DeadlineExceeded) and not w1.error.dispatched
+        assert driver.core.stats.expired_before_dispatch == 1
+        # Its budget share came back at once, not when the drain frees.
+        assert driver.core.policy.inflight_count == 1
+        driver.run_pending()
+        assert driver.tick() == []  # nothing left to dispatch
         assert driver.core.live == 0
+        assert driver.core.stats.dispatched_requests == 1
 
     def test_deadline_after_dispatch_releases_waiter_not_batch(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.01, max_batch_size=16)
+        driver = CoreDriver(engine, max_batch_size=16)
         requests = _requests(problem, 3)
         _, w_slow = driver.submit(requests[0], deadline=0.02)
         _, w_a = driver.submit(requests[1])
         _, w_b = driver.submit(requests[2])
-        (batch,) = driver.advance(0.01)  # all three dispatched together
+        assert len(driver.tick()) == 3  # all three dispatched together
         driver.advance(0.02)  # deadline passes while the batch "computes"
         assert isinstance(w_slow.error, DeadlineExceeded)
         assert w_slow.error.dispatched is True
@@ -394,14 +345,18 @@ class TestDeadlines:
         assert driver.core.live == 0
 
     def test_default_deadline_from_config(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=10.0, default_deadline=0.1)
+        driver = CoreDriver(engine, default_deadline=0.1)
         t0, _ = driver.submit(_requests(problem, 1)[0])
         assert t0.deadline_at == pytest.approx(0.1)
 
     def test_next_event_at_tracks_nearest_deadline(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.05, max_batch_size=16)
-        driver.submit(_requests(problem, 1)[0], deadline=0.02)
-        # The deadline (0.02) is nearer than the window flush (0.05).
+        driver = CoreDriver(engine, max_batch_size=16)
+        requests = _requests(problem, 3)
+        driver.submit(requests[0])
+        # Only deadlines are timed: an admitted request needs no timer.
+        assert driver.core.next_event_at() is None
+        driver.submit(requests[1], deadline=0.05)
+        driver.submit(requests[2], deadline=0.02)
         assert driver.core.next_event_at() == pytest.approx(0.02)
 
     def test_invalid_deadline_rejected(self, engine, problem):
@@ -412,24 +367,26 @@ class TestDeadlines:
 
 class TestCancellation:
     def test_cancel_before_dispatch_drops_from_window(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.01, max_batch_size=16)
-        requests = _requests(problem, 2)
-        t0, w0 = driver.submit(requests[0])
-        _, w1 = driver.submit(requests[1])
-        w0.cancel()  # the client stopped waiting...
-        driver.core.cancel(t0, driver.clock.now)  # ...and the shell tells the core
-        (batch,) = driver.advance(0.01)
+        driver = CoreDriver(engine, max_batch_size=16)
+        requests = _requests(problem, 3)
+        driver.submit(requests[0])
+        driver.tick()  # requests[0] is in flight; the others wait
+        t1, w1 = driver.submit(requests[1])
+        _, w2 = driver.submit(requests[2])
+        w1.cancel()  # the client stopped waiting...
+        driver.core.cancel(t1, driver.clock.now)  # ...and the shell tells the core
+        assert driver.core.policy.inflight_count == 2  # its share is back
+        driver.run_pending()
+        batch = driver.tick()
         assert len(batch) == 1  # the cancelled ticket never dispatches
         driver.run_pending()
-        assert w1.result is not None
-        assert w0.result is None and w0.error is None
+        assert w2.result is not None
+        assert w1.result is None and w1.error is None
         assert driver.core.stats.cancelled_before_dispatch == 1
         assert driver.core.live == 0
 
     def test_cancel_queued_ticket_frees_its_slot(self, engine, problem):
-        driver = CoreDriver(
-            engine, batch_window=10.0, cost_budget=0.05, max_queue_depth=1
-        )
+        driver = CoreDriver(engine, cost_budget=0.05, max_queue_depth=1)
         requests = _requests(problem, 3)
         driver.submit(requests[0])
         t1, w1 = driver.submit(requests[1])
@@ -441,9 +398,9 @@ class TestCancellation:
         assert t2.state == QUEUED
 
     def test_cancel_after_dispatch_discards_late_result(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.0, max_batch_size=16)
+        driver = CoreDriver(engine, max_batch_size=16)
         t0, w0 = driver.submit(_requests(problem, 1)[0])
-        (batch,) = driver.tick()
+        driver.tick()
         w0.cancel()
         driver.core.cancel(t0, driver.clock.now)
         assert driver.core.stats.cancelled_after_dispatch == 1
@@ -454,7 +411,7 @@ class TestCancellation:
         assert driver.core.live == 0
 
     def test_cancel_is_idempotent_and_ignores_retired(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.0)
+        driver = CoreDriver(engine)
         t0, _ = driver.submit(_requests(problem, 1)[0])
         driver.tick()
         driver.run_pending()
@@ -466,24 +423,26 @@ class TestCancellation:
 
 class TestShutdownSemantics:
     def test_closed_core_flushes_open_window_immediately(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=10.0, max_batch_size=16)
-        driver.submit(_requests(problem, 1)[0])
+        """Closing stops intake only: what waits behind the drain still
+        dispatches, batch after batch, as the drain frees."""
+        driver = CoreDriver(engine, max_batch_size=1)
+        for request in _requests(problem, 2):
+            driver.submit(request)
+        assert len(driver.tick()) == 1
         driver.core.close()
-        (batch,) = driver.tick()  # no 10s wait: nothing new can join
-        assert len(batch) == 1
         driver.run_pending()
-        assert driver.waiters[0].result is not None
+        assert len(driver.tick()) == 1
+        driver.run_pending()
+        assert all(w.result is not None for w in driver.waiters)
+        assert driver.core.live == 0
 
     def test_abort_pending_fails_undispatched_only(self, engine, problem):
-        driver = CoreDriver(
-            engine, batch_window=10.0, cost_budget=0.05, max_queue_depth=4
-        )
+        driver = CoreDriver(engine, cost_budget=0.05, max_queue_depth=4)
         requests = _requests(problem, 3)
         t0, w0 = driver.submit(requests[0])
         t1, w1 = driver.submit(requests[1])
-        driver.tick()  # nothing due: window parked, t1 queued
+        driver.tick()  # t0 dispatched, t1 queued for budget
         driver.core.close()
-        (batch,) = driver.tick()  # closed → flush dispatches t0
         driver.core.abort_pending(ServerClosed("stopping"), driver.clock.now)
         assert isinstance(w1.error, ServerClosed)
         assert w0.error is None  # dispatched work is not aborted
@@ -495,7 +454,7 @@ class TestShutdownSemantics:
 class TestFailureIsolation:
     def test_failing_request_poisons_only_itself(self, engine, problem):
         # mallows theta must be positive: theta=-1 raises inside the unit.
-        driver = CoreDriver(engine, batch_window=0.01, max_batch_size=16)
+        driver = CoreDriver(engine, max_batch_size=16)
         good = _requests(problem, 2)
         bad = RankingRequest(
             "mallows", problem, params={"theta": -1.0}, request_id="poison"
@@ -503,7 +462,7 @@ class TestFailureIsolation:
         _, w_good0 = driver.submit(good[0])
         _, w_bad = driver.submit(bad)
         _, w_good1 = driver.submit(good[1])
-        (batch,) = driver.advance(0.01)
+        batch = driver.tick()
         assert len(batch) == 3  # admission cannot see parameter validity
         driver.run_pending()
         assert isinstance(w_bad.error, ValueError)
@@ -517,11 +476,11 @@ class TestFailureIsolation:
         assert w.result is not None
 
     def test_batch_abort_fails_every_unresolved_ticket(self, engine, problem):
-        driver = CoreDriver(engine, batch_window=0.0, max_batch_size=16)
+        driver = CoreDriver(engine, max_batch_size=16)
         requests = _requests(problem, 2)
         _, w0 = driver.submit(requests[0])
         _, w1 = driver.submit(requests[1])
-        (batch,) = driver.tick()
+        batch = driver.tick()
         boom = RuntimeError("pool died")
         driver.core.on_batch_aborted(batch, boom, driver.clock.now)
         assert w0.error is boom and w1.error is boom
@@ -553,7 +512,6 @@ class TestDeterminismProperty:
         with RankingEngine(n_jobs=1) as eng:
             driver = CoreDriver(
                 eng,
-                batch_window=0.01,
                 max_batch_size=max_batch_size,
                 cost_budget=100.0,  # everything admits: no request drops
                 seed=seed,
