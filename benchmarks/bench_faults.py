@@ -20,7 +20,6 @@ from concurrent.futures import as_completed
 import numpy as np
 
 from repro.batch import WorkUnit, run_units
-from repro.batch.schedule import _run_unit
 from repro.faults import (
     FaultCounters,
     RetryPolicy,
@@ -53,7 +52,7 @@ def _unsupervised(units, n_jobs):
     as-completed, no retry bookkeeping.  The honest baseline."""
     executor = _get_executor(n_jobs)
     futures = {
-        executor.submit(_run_unit, u.fn, u.seed, u.payload): u.key
+        executor.submit(u.fn, u.seed, *u.payload): u.key
         for u in units
     }
     results = {}

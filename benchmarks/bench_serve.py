@@ -62,8 +62,8 @@ def test_serve_digest_and_coalescing(fast_mode, report):
             ref.rank_many(requests, seed=SEED, n_jobs=1)
         )
 
-    coalesced_cfg = ServeConfig(max_batch_size=16, seed=SEED, n_jobs=n_jobs)
-    solo_cfg = ServeConfig(max_batch_size=1, seed=SEED, n_jobs=n_jobs)
+    coalesced_cfg = ServeConfig(max_batch_size=16, seed=SEED)
+    solo_cfg = ServeConfig(max_batch_size=1, seed=SEED)
 
     with RankingEngine(n_jobs=n_jobs) as engine:
         engine.warm_up()
@@ -129,7 +129,7 @@ def test_http_frontend_races_in_process_tier(fast_mode, report):
     requests = pin_request_seeds(
         synthetic_requests(n_requests, seed=7), seed=SEED
     )
-    config = ServeConfig(max_batch_size=16, n_jobs=n_jobs)
+    config = ServeConfig(max_batch_size=16)
 
     with RankingEngine(n_jobs=1) as ref:
         serial = responses_digest(ref.rank_many(requests, n_jobs=1))
@@ -204,7 +204,6 @@ def test_admission_sheds_load_under_starved_budget(fast_mode, report):
         default_cost=0.05,
         max_queue_depth=2,
         seed=SEED,
-        n_jobs=2,
     )
 
     with RankingEngine(n_jobs=2) as engine:

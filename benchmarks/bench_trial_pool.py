@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from repro.batch import WorkerPool
 from repro.datasets.german_credit import synthesize_german_credit
 from repro.experiments.config import Fig2Config, GermanCreditConfig
 from repro.experiments.fig2_central_ii import run_fig2
@@ -31,9 +32,9 @@ def _panel_config(n_jobs: int, fast: bool) -> GermanCreditConfig:
     if fast:
         return GermanCreditConfig(
             sizes=(10, 30, 50), n_repeats=8, n_bootstrap=200,
-            seed=SEED, n_jobs=n_jobs,
+            seed=SEED, pool=WorkerPool(n_jobs),
         )
-    return GermanCreditConfig(seed=SEED, n_jobs=n_jobs)
+    return GermanCreditConfig(seed=SEED, pool=WorkerPool(n_jobs))
 
 
 def _panel_texts(panel) -> tuple[str, str, str]:
@@ -93,11 +94,11 @@ def test_fig2_trial_fanout(fast_mode, report):
                 n_bootstrap=200 if fast_mode else 1000, seed=SEED)
 
     t0 = time.perf_counter()
-    serial = run_fig2(Fig2Config(**base, n_jobs=1))
+    serial = run_fig2(Fig2Config(**base, pool=WorkerPool(1)))
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fanned = run_fig2(Fig2Config(**base, n_jobs=n_jobs))
+    fanned = run_fig2(Fig2Config(**base, pool=WorkerPool(n_jobs)))
     fanout_s = time.perf_counter() - t0
 
     assert serial.to_text() == fanned.to_text()

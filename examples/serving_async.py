@@ -97,7 +97,6 @@ async def serve_swarm(engine, requests) -> None:
         cost_budget=2.0,
         max_queue_depth=64,
         seed=SEED,
-        n_jobs=engine.n_jobs,
     )
     results: list = []
     async with AsyncRankingServer(engine, config) as server:

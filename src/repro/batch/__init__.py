@@ -79,7 +79,6 @@ from repro.batch.schedule import (
     WorkUnit,
     iter_units,
     mallows_sample_and_score,
-    pool_for,
     run_trials,
     run_units,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "iter_units",
     "kendall_tau_matrix",
     "mallows_sample_and_score",
-    "pool_for",
     "resolve_n_jobs",
     "run_trials",
     "run_units",

@@ -56,15 +56,15 @@ Task-graph / seed-tree contract
   inside workers) — a unit that internally calls :func:`run_trials` or
   :func:`mallows_sample_and_score` simply runs that part inline.
 
-:class:`WorkerPool` is the shareable handle for all of this: experiment
-configs carry one ``pool`` and every entry point schedules through it, so a
-composite pipeline funnels every unit into the same executor instead of
-each experiment spinning up its own fan-out.
+:class:`WorkerPool` is the shareable handle for all of this, and the only
+place a run's worker count and retry policy are set: experiment configs
+carry one ``pool`` and every entry point (and every fan-out inside its
+units) reads it, so a composite pipeline funnels every unit into the same
+executor instead of each experiment spinning up its own fan-out.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -88,7 +88,7 @@ from repro.batch.parallel import (
     shard_row_ranges,
 )
 from repro.faults.policy import RetryPolicy
-from repro.faults.supervisor import FaultCounters, supervise_units
+from repro.faults.supervisor import FaultCounters, clock_unit, supervise_units
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, spawn_seed_sequences
 
@@ -149,20 +149,6 @@ class CompletedUnit:
     kind: Hashable | None = None
 
 
-def _run_unit(fn: Callable[..., Any], seed, payload: tuple[Any, ...]) -> Any:
-    """Execute one unit (in a worker or inline — identical either way)."""
-    return fn(seed, *payload)
-
-
-def _run_unit_timed(
-    fn: Callable[..., Any], seed, payload: tuple[Any, ...]
-) -> tuple[Any, float]:
-    """Execute one unit and clock it (in the executing process)."""
-    t0 = time.perf_counter()
-    result = fn(seed, *payload)
-    return result, time.perf_counter() - t0
-
-
 def _check_unique_keys(units: list[WorkUnit]) -> None:
     keys = [u.key for u in units]
     if len(set(keys)) != len(keys):
@@ -212,7 +198,7 @@ def iter_units(
     n_jobs = effective_n_jobs(n_jobs)
     if n_jobs == 1 or len(units) <= 1:
         for u in units:
-            result, seconds = _run_unit_timed(u.fn, u.seed, u.payload)
+            result, seconds = clock_unit(u.fn, u.seed, u.payload)
             yield CompletedUnit(
                 key=u.key, result=result, seconds=seconds, kind=u.kind
             )
@@ -267,8 +253,9 @@ def run_units(
 
 @dataclass(frozen=True)
 class WorkerPool:
-    """Shareable handle on the scheduler: an ``n_jobs`` budget plus the
-    scheduling entry points, threaded through experiment configs.
+    """Shareable handle on the scheduler: an ``n_jobs`` budget and a retry
+    policy plus the scheduling entry points — the one execution setting
+    of an experiment config or an engine session.
 
     The handle is deliberately near-stateless (the executors themselves
     live in the process-wide registry of :mod:`repro.batch.parallel`,
@@ -344,12 +331,6 @@ class WorkerPool:
         ]
         results = self.run(units)
         return [result for u in units for result in results[u.key]]
-
-
-def pool_for(pool: WorkerPool | None, n_jobs: int) -> WorkerPool:
-    """The config-resolution rule: an explicitly threaded ``pool`` wins,
-    otherwise a handle on the ``n_jobs``-sized shared pool."""
-    return pool if pool is not None else WorkerPool(n_jobs)
 
 
 def run_trials(

@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "repeats) are scheduled onto one shared process pool; 'all' "
                 "flattens every experiment into a single task graph so the "
                 "whole pipeline scales with the core count.  Workloads too "
-                "small to amortize the pool run single-process and warn once"
+                "small to amortize the pool run inline"
             ),
         )
         p.add_argument(
@@ -623,7 +623,6 @@ def _serve_config(args):
             cost_budget=args.budget,
             default_deadline=args.deadline,
             seed=args.seed,
-            n_jobs=None,  # the engine session's budget (--jobs)
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -842,13 +841,13 @@ def main(argv: list[str] | None = None) -> int:
         with engine:
             return _cmd_bench_client(args, engine)
     if args.command == "fig1":
-        print(run_fig1(Fig1Config(n_jobs=pool.n_jobs, pool=pool)).to_text())
+        print(run_fig1(Fig1Config(pool=pool)).to_text())
     elif args.command == "fig2":
-        print(run_fig2(Fig2Config(n_jobs=pool.n_jobs, pool=pool)).to_text())
+        print(run_fig2(Fig2Config(pool=pool)).to_text())
     elif args.command == "fig3":
-        print(run_fig34(Fig34Config(n_jobs=pool.n_jobs, pool=pool)).to_text_fig3())
+        print(run_fig34(Fig34Config(pool=pool)).to_text_fig3())
     elif args.command == "fig4":
-        print(run_fig34(Fig34Config(n_jobs=pool.n_jobs, pool=pool)).to_text_fig4())
+        print(run_fig34(Fig34Config(pool=pool)).to_text_fig4())
     elif args.command == "table1":
         print(run_table1())
     elif args.command in ("fig5", "fig6", "fig7"):
@@ -857,7 +856,6 @@ def main(argv: list[str] | None = None) -> int:
             noise_sigma=args.sigma,
             n_repeats=args.repeats,
             use_milp=args.milp,
-            n_jobs=pool.n_jobs,
             pool=pool,
         )
         result = run_german_credit(config)

@@ -56,7 +56,7 @@ from repro.batch.parallel import resolve_n_jobs
 from repro.batch.schedule import WorkerPool, WorkUnit, iter_units
 from repro.engine.costs import CostModel, load_bench_cost_tables
 from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.faults.supervisor import FaultCounters, _get_executor
+from repro.faults.supervisor import FaultCounters, _get_executor, clock_unit
 from repro.engine.registry import algorithm_spec, make_algorithm
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, spawn_seed_sequences
@@ -64,10 +64,8 @@ from repro.utils.rng import SeedLike, spawn_seed_sequences
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Every session knob in one place.
-
-    Consolidates what used to be scattered: ``n_jobs`` on four experiment
-    configs, bare ``pool`` handles, and process-global cache invalidation.
+    """Every session knob in one place: the two settings of the session's
+    :class:`~repro.batch.schedule.WorkerPool` handle.
 
     Attributes
     ----------
@@ -75,11 +73,6 @@ class EngineConfig:
         Worker processes for :meth:`RankingEngine.rank_many` and the
         experiment pipeline (``-1`` = all cores).  Output is byte-identical
         for every value.
-    cache_max_entries:
-        LRU budget of the session's :class:`~repro.batch.cache.KernelCache`
-        (per table: bound matrices / position marginals).
-    cost_smoothing:
-        EWMA smoothing of the session's measured-cost model.
     retry:
         Crash-recovery budget for the session's pooled work (``None`` =
         :data:`~repro.faults.policy.DEFAULT_RETRY_POLICY`: bounded
@@ -88,16 +81,10 @@ class EngineConfig:
     """
 
     n_jobs: int = 1
-    cache_max_entries: int = 128
-    cost_smoothing: float = 0.5
     retry: RetryPolicy | None = None
 
     def __post_init__(self) -> None:
         resolve_n_jobs(self.n_jobs)  # validate early (raises on 0, -2, …)
-        if self.cache_max_entries < 1:
-            raise ValueError(
-                f"cache_max_entries must be >= 1, got {self.cache_max_entries}"
-            )
 
 
 @dataclass(frozen=True)
@@ -255,7 +242,7 @@ def _request_seed(
 
 
 def _rank_unit(
-    seed: np.random.SeedSequence | None,
+    seed: SeedLike,
     name: str,
     params: tuple[tuple[str, Any], ...],
     problem: FairRankingProblem,
@@ -263,7 +250,9 @@ def _rank_unit(
     """Work-unit adapter for one request (pickled to pool workers).
 
     The output is a pure function of ``(name, params, problem, seed)``,
-    which is what lets the scheduler run requests anywhere.
+    which is what lets the scheduler run requests anywhere;
+    :meth:`RankingEngine.rank` computes through it too, with the caller's
+    seed exactly as given.
     """
     algorithm = make_algorithm(name, **dict(params))
     result = algorithm.rank(problem, seed=seed)
@@ -375,8 +364,8 @@ class RankingEngine:
         self._pool = WorkerPool(
             config.n_jobs, policy=config.retry, counters=self._faults
         )
-        self._cache = KernelCache(config.cache_max_entries)
-        self._costs = CostModel(config.cost_smoothing)
+        self._cache = KernelCache()
+        self._costs = CostModel()
         self._requests_total = 0
         self._batches_total = 0
         self._busy_seconds = 0.0
@@ -506,20 +495,19 @@ class RankingEngine:
                 None,
             )
         spec = algorithm_spec(name)
-        t0 = time.perf_counter()
         with use_cache(self._cache):
-            algorithm = make_algorithm(spec.name, **request_params)
-            result = algorithm.rank(problem, seed=request_seed)
-        seconds = time.perf_counter() - t0
+            (ranking, metadata), seconds = clock_unit(
+                _rank_unit,
+                request_seed,
+                (spec.name, tuple(sorted(request_params.items())), problem),
+            )
         self._requests_total += 1
         self._costs.observe(("rank", spec.name, problem.n_items), seconds)
-        metadata = dict(result.metadata)
-        metadata.setdefault("algorithm_label", result.algorithm)
         return RankingResponse(
             request_id=request_id if request_id is not None else 0,
             index=0,
             algorithm=spec.name,
-            ranking=result.ranking,
+            ranking=ranking,
             metadata=metadata,
             seconds=seconds,
         )
@@ -596,7 +584,6 @@ class RankingEngine:
         requests: Sequence["RankingRequest | tuple[str, FairRankingProblem]"],
         *,
         seed: SeedLike = None,
-        n_jobs: int | None = None,
         on_response: Callable[[RankingResponse], None],
         on_error: Callable[[int, RankingRequest, Exception], None] | None = None,
         retry: RetryPolicy | None = None,
@@ -619,10 +606,12 @@ class RankingEngine:
           re-raises (cancelling still-queued units), matching
           :meth:`rank_many`.
 
-        Worker *crashes* are recovered under ``retry`` (default: the
-        session's policy) before they ever surface; only a recovery that
-        exhausts its budget under ``on_exhausted="raise"`` becomes a
-        scheduler-level :class:`~repro.exceptions.PoolRecoveryExhausted`.
+        The batch runs on the session's workers.  Worker *crashes* are
+        recovered under ``retry`` (default: the session's policy) before
+        they ever surface; only a recovery that exhausts its budget under
+        ``on_exhausted="raise"`` — the policy the serving tier passes —
+        becomes a scheduler-level
+        :class:`~repro.exceptions.PoolRecoveryExhausted`.
         Scheduler-level failures (an exhausted pool, a corrupted stream)
         are not per-request and always raise.  Returns the number of
         deliveries (responses plus errors).  Seeds, weights and the
@@ -632,9 +621,8 @@ class RankingEngine:
         self._require_open()
         resolved = [_as_request(obj, i) for i, obj in enumerate(requests)]
         units = self._build_units(resolved, seed, fn=_rank_unit_guarded)
-        drain = self._drain(
-            resolved, units, n_jobs, self._config.retry if retry is None else retry
-        )
+        policy = self._config.retry if retry is None else retry
+        drain = self._drain(resolved, units, None, policy)
         delivered = 0
         with closing(drain):
             for index, request, outcome in drain:

@@ -4,15 +4,15 @@ Defaults mirror the paper's settings; benchmarks shrink the Monte-Carlo
 knobs (sample counts, bootstrap resamples) where the full protocol would
 take minutes, without changing the workload shape.
 
-Every config carries the same parallelism pair: ``n_jobs`` (worker budget,
-``-1`` = all cores) and ``pool`` (an optional shared
-:class:`~repro.batch.schedule.WorkerPool` handle).  A composite pipeline
-like :func:`~repro.experiments.runner.run_all` builds one handle and
-threads it through every config, so all experiments schedule their work
-units onto the same process pool instead of each spinning up its own
-fan-out; a config without a handle gets a private view on the
-``n_jobs``-sized shared pool.  Either way the output is byte-identical for
-every worker count under a fixed seed.
+Every config carries one execution setting, ``pool``: a
+:class:`~repro.batch.schedule.WorkerPool` handle whose ``n_jobs`` (worker
+budget, ``-1`` = all cores) and ``policy`` (crash-recovery budget) govern
+the experiment's work units and every fan-out inside them.  The default
+handle runs everything inline.  A composite pipeline like
+:func:`~repro.experiments.runner.run_all` threads one handle through every
+config, so all experiments schedule their work units onto the same process
+pool.  The output is byte-identical for every worker count under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -44,12 +44,9 @@ class Fig1Config:
     n_samples: int = 200
     n_bootstrap: int = 1000
     seed: int = 2024
-    #: Worker processes for the sampling+scoring pipeline (-1 = all cores).
-    #: Output is byte-identical for every value under a fixed seed.
-    n_jobs: int = 1
-    #: Shared scheduler handle (overrides ``n_jobs`` when set); see the
-    #: module docstring.
-    pool: WorkerPool | None = None
+    #: Scheduler handle for the work units and their inner fan-outs; see
+    #: the module docstring.
+    pool: WorkerPool = WorkerPool()
 
 
 @dataclass(frozen=True)
@@ -62,12 +59,9 @@ class Fig2Config:
     n_trials: int = 200
     n_bootstrap: int = 1000
     seed: int = 2024
-    #: Worker processes for the per-trial fan-out (-1 = all cores).
-    #: Output is byte-identical for every value under a fixed seed.
-    n_jobs: int = 1
-    #: Shared scheduler handle (overrides ``n_jobs`` when set); see the
-    #: module docstring.
-    pool: WorkerPool | None = None
+    #: Scheduler handle for the work units and their inner fan-outs; see
+    #: the module docstring.
+    pool: WorkerPool = WorkerPool()
 
 
 @dataclass(frozen=True)
@@ -81,12 +75,9 @@ class Fig34Config:
     samples_per_trial: int = 20
     n_bootstrap: int = 1000
     seed: int = 2024
-    #: Worker processes for the sampling+scoring pipeline (-1 = all cores).
-    #: Output is byte-identical for every value under a fixed seed.
-    n_jobs: int = 1
-    #: Shared scheduler handle (overrides ``n_jobs`` when set); see the
-    #: module docstring.
-    pool: WorkerPool | None = None
+    #: Scheduler handle for the work units and their inner fan-outs; see
+    #: the module docstring.
+    pool: WorkerPool = WorkerPool()
 
 
 @dataclass(frozen=True)
@@ -105,12 +96,9 @@ class GermanCreditConfig:
     n_bootstrap: int = 1000
     use_milp: bool = False  # exact DP by default; MILP available for audit
     seed: int = 2024
-    #: Worker processes for the per-repeat fan-out (-1 = all cores).
-    #: Output is byte-identical for every value under a fixed seed.
-    n_jobs: int = 1
-    #: Shared scheduler handle (overrides ``n_jobs`` when set); see the
-    #: module docstring.
-    pool: WorkerPool | None = None
+    #: Scheduler handle for the work units and their inner fan-outs; see
+    #: the module docstring.
+    pool: WorkerPool = WorkerPool()
 
     def panel_name(self) -> str:
         """Panel label matching the paper's subfigure captions."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch import WorkUnit, mallows_sample_and_score, pool_for
+from repro.batch import WorkUnit, mallows_sample_and_score
 from repro.datasets.synthetic import engineered_ranking_with_ii
 from repro.experiments.config import Fig1Config
 from repro.fairness.constraints import FairnessConstraints
@@ -91,7 +91,7 @@ def _cell_unit(
         groups=groups,
         constraints=constraints,
         seed=rng,
-        n_jobs=config.n_jobs,
+        n_jobs=config.pool.n_jobs,
     )
     ci = bootstrap_ci(
         scored.infeasible_index.astype(float),
@@ -147,9 +147,8 @@ def collect_fig1(config: Fig1Config, results: dict) -> Fig1Result:
 def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
     """Run the Figure 1 experiment under ``config``.
 
-    The ``(target, θ)`` cells are scheduled through ``config.pool`` (or a
-    private view on the ``config.n_jobs``-sized shared pool); output is
-    byte-identical for every worker count.
+    The ``(target, θ)`` cells are scheduled through ``config.pool``, and a
+    cell that runs inline shards its rows over ``config.pool.n_jobs``
+    workers; output is byte-identical for every worker count.
     """
-    pool = pool_for(config.pool, config.n_jobs)
-    return collect_fig1(config, pool.run(fig1_units(config)))
+    return collect_fig1(config, config.pool.run(fig1_units(config)))

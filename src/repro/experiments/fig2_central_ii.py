@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch import WorkUnit, batch_infeasible_index, pool_for
+from repro.batch import WorkUnit, batch_infeasible_index
 from repro.datasets.synthetic import two_group_shifted_scores
 from repro.experiments.config import Fig2Config
 from repro.fairness.constraints import FairnessConstraints
@@ -71,9 +71,8 @@ def _delta_unit(
     trial_seq, bootstrap_seq = seed.spawn(2)
     # The trial block fans out through the same shared pool handle the unit
     # was scheduled by; inside a pool child it runs inline (no nesting).
-    pool = pool_for(config.pool, config.n_jobs)
     trial_orders = np.stack(
-        pool.run_trials(
+        config.pool.run_trials(
             _central_ranking_trial,
             config.n_trials,
             seed=trial_seq,
@@ -125,10 +124,8 @@ def collect_fig2(config: Fig2Config, results: dict) -> Fig2Result:
 def run_fig2(config: Fig2Config = Fig2Config()) -> Fig2Result:
     """Run the Figure 2 experiment under ``config``.
 
-    The per-δ units are scheduled through ``config.pool`` (or a private
-    view on the ``config.n_jobs``-sized shared pool); per-δ seed children
-    keep the result byte-identical for every worker count under a fixed
-    seed.
+    The per-δ units, and the trial block inside a δ that runs inline, are
+    scheduled through ``config.pool``; per-δ seed children keep the result
+    byte-identical for every worker count under a fixed seed.
     """
-    pool = pool_for(config.pool, config.n_jobs)
-    return collect_fig2(config, pool.run(fig2_units(config)))
+    return collect_fig2(config, config.pool.run(fig2_units(config)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch import WorkUnit, mallows_sample_and_score, pool_for
+from repro.batch import WorkUnit, mallows_sample_and_score
 from repro.datasets.synthetic import two_group_shifted_scores
 from repro.experiments.config import Fig34Config
 from repro.fairness.constraints import FairnessConstraints
@@ -110,7 +110,7 @@ def _delta_unit(
                 constraints=constraints,
                 scores=sample.scores,
                 seed=rng,
-                n_jobs=config.n_jobs,
+                n_jobs=config.pool.n_jobs,
             )
             ii_per_theta[theta].append(float(scored.infeasible_index.mean()))
             ndcg_per_theta[theta].append(float(scored.ndcg.mean()))
@@ -166,9 +166,8 @@ def collect_fig34(config: Fig34Config, results: dict) -> Fig34Result:
 def run_fig34(config: Fig34Config = Fig34Config()) -> Fig34Result:
     """Run the Figures 3–4 experiment under ``config``.
 
-    The per-δ units are scheduled through ``config.pool`` (or a private
-    view on the ``config.n_jobs``-sized shared pool); output is
-    byte-identical for every worker count.
+    The per-δ units are scheduled through ``config.pool``, and a δ that
+    runs inline shards its samples over ``config.pool.n_jobs`` workers;
+    output is byte-identical for every worker count.
     """
-    pool = pool_for(config.pool, config.n_jobs)
-    return collect_fig34(config, pool.run(fig34_units(config)))
+    return collect_fig34(config, config.pool.run(fig34_units(config)))

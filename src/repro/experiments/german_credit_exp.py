@@ -31,7 +31,6 @@ from repro.batch import (
     WorkUnit,
     batch_ndcg,
     batch_percent_fair,
-    pool_for,
 )
 from repro.engine.registry import make_algorithm
 from repro.datasets.german_credit import (
@@ -250,17 +249,15 @@ def run_german_credit(
     """Run one (θ, σ) panel of the Section V-C comparison.
 
     The ``(size, repeat)`` double loop flattens into one work unit per
-    repeat, scheduled through ``config.pool`` (or a private view on the
-    ``config.n_jobs``-sized shared pool): every repeat draws its stream
-    from its own seed child, so the panel is byte-identical for every
+    repeat, scheduled through ``config.pool``: every repeat draws its
+    stream from its own seed child, so the panel is byte-identical for every
     worker count under a fixed seed.  In a composite pipeline
     (:func:`~repro.experiments.runner.run_all`) the same units interleave
     with the other panels and figure experiments on one pool.
     """
     if data is None:
         data = load_german_credit(seed=config.seed)
-    pool = pool_for(config.pool, config.n_jobs)
-    results = pool.run(german_credit_units(config, data))
+    results = config.pool.run(german_credit_units(config, data))
     return collect_german_credit(config, results)
 
 

@@ -20,8 +20,7 @@ import hashlib
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.batch import WorkUnit, pool_for
-from repro.batch.schedule import WorkerPool
+from repro.batch import WorkerPool, WorkUnit
 from repro.engine.costs import DEFAULT_COSTS, CostModel
 
 if TYPE_CHECKING:
@@ -73,7 +72,6 @@ def run_all(
     fast: bool = False,
     progress: Callable[[str], None] | None = None,
     n_jobs: int = 1,
-    pool: WorkerPool | None = None,
     engine: "RankingEngine | None" = None,
     costs: CostModel | None = None,
 ) -> dict[str, str]:
@@ -89,21 +87,19 @@ def run_all(
         as the group's last work unit finishes (completion order when
         pooled, pipeline order when serial).
     n_jobs:
-        Worker processes (``-1`` = all cores).  Every experiment's work
-        units — figure cells, per-δ blocks, German Credit panel repeats —
-        are flattened into one task graph and interleaved through a single
-        shared pool, so the whole pipeline (not just each inner loop)
-        scales with the worker count.  Reports are byte-identical for
-        every value.
-    pool:
-        Optional pre-built :class:`~repro.batch.schedule.WorkerPool` handle
-        (overrides ``n_jobs``); the same handle is threaded through every
-        experiment config.
+        Worker processes (``-1`` = all cores) when no ``engine`` is given.
+        Every experiment's work units — figure cells, per-δ blocks, German
+        Credit panel repeats — are flattened into one task graph and
+        interleaved through a single shared pool, so the whole pipeline
+        (not just each inner loop) scales with the worker count.  Reports
+        are byte-identical for every value.
     engine:
-        Optional :class:`~repro.engine.RankingEngine` session: its pool
-        handle and cost model take the place of ``pool``/``costs`` — the
-        CLI builds one engine per invocation and runs everything through
-        it.
+        Optional :class:`~repro.engine.RankingEngine` session.  Its
+        :attr:`~repro.engine.RankingEngine.pool` handle (worker count,
+        retry policy and fault counters) replaces ``n_jobs`` and is
+        threaded through every experiment config; its cost model is the
+        default for ``costs``.  The CLI builds one engine per invocation
+        and runs everything through it.
     costs:
         The measured-cost table to schedule from and feed (defaults to the
         process-wide :data:`~repro.engine.costs.DEFAULT_COSTS`).  Units
@@ -114,35 +110,30 @@ def run_all(
         Weights shape only the dispatch order, never the reports.
     """
     say = progress or (lambda _msg: None)
-    if engine is not None:
-        pool = pool if pool is not None else engine.pool
-        costs = costs if costs is not None else engine.costs
-    pool = pool_for(pool, n_jobs)
-    costs = costs if costs is not None else DEFAULT_COSTS
+    pool = engine.pool if engine is not None else WorkerPool(n_jobs)
+    if costs is None:
+        costs = engine.costs if engine is not None else DEFAULT_COSTS
 
     fig1_cfg = (
-        Fig1Config(n_samples=50, n_bootstrap=200, n_jobs=pool.n_jobs, pool=pool)
+        Fig1Config(n_samples=50, n_bootstrap=200, pool=pool)
         if fast
-        else Fig1Config(n_jobs=pool.n_jobs, pool=pool)
+        else Fig1Config(pool=pool)
     )
     fig2_cfg = (
-        Fig2Config(n_trials=50, n_bootstrap=200, n_jobs=pool.n_jobs, pool=pool)
+        Fig2Config(n_trials=50, n_bootstrap=200, pool=pool)
         if fast
-        else Fig2Config(n_jobs=pool.n_jobs, pool=pool)
+        else Fig2Config(pool=pool)
     )
     fig34_cfg = (
         Fig34Config(
-            n_trials=10, samples_per_trial=10, n_bootstrap=200,
-            n_jobs=pool.n_jobs, pool=pool,
+            n_trials=10, samples_per_trial=10, n_bootstrap=200, pool=pool
         )
         if fast
-        else Fig34Config(n_jobs=pool.n_jobs, pool=pool)
+        else Fig34Config(pool=pool)
     )
     panel_cfgs = []
     for theta, sigma in PANELS:
-        cfg = GermanCreditConfig(
-            theta=theta, noise_sigma=sigma, n_jobs=pool.n_jobs, pool=pool
-        )
+        cfg = GermanCreditConfig(theta=theta, noise_sigma=sigma, pool=pool)
         if fast:
             cfg = GermanCreditConfig(
                 theta=theta,
@@ -150,7 +141,6 @@ def run_all(
                 sizes=(10, 30, 50),
                 n_repeats=5,
                 n_bootstrap=200,
-                n_jobs=pool.n_jobs,
                 pool=pool,
             )
         panel_cfgs.append(cfg)

@@ -181,6 +181,22 @@ def _evict_broken_pool(
     executor.shutdown(wait=False, cancel_futures=True)
 
 
+def clock_unit(
+    fn: Callable[..., Any], seed: Any, payload: tuple[Any, ...]
+) -> tuple[Any, float]:
+    """The unit clock: run ``fn(seed, *payload)`` in this process and
+    return ``(result, seconds)``.
+
+    Every measured unit time — pooled, inline, degraded, and
+    :meth:`repro.engine.RankingEngine.rank` — comes from here, so pool
+    queueing and pickling are never counted and the numbers compare
+    across paths.
+    """
+    t0 = time.perf_counter()
+    result = fn(seed, *payload)
+    return result, time.perf_counter() - t0
+
+
 def _execute_unit(
     fn: Callable[..., Any],
     seed: Any,
@@ -188,17 +204,14 @@ def _execute_unit(
     key: Hashable,
     attempt: int,
 ) -> tuple[Any, float]:
-    """Run one supervised unit in the executing process and clock it.
+    """Run one supervised unit in a worker process and clock it.
 
     The injection probe sees the deterministic ``(key, attempt)`` pair, so
-    a chaos plan fires on exactly the same unit/attempt every run.  The
-    timer excludes pool queueing and pickling, matching the unsupervised
-    scheduler's cost measurements.
+    a chaos plan fires on exactly the same unit/attempt every run; inline
+    and degraded units call :func:`clock_unit` directly and never reach it.
     """
     maybe_inject(key, attempt)
-    t0 = time.perf_counter()
-    result = fn(seed, *payload)
-    return result, time.perf_counter() - t0
+    return clock_unit(fn, seed, payload)
 
 
 def supervise_units(
@@ -326,9 +339,7 @@ def supervise_units(
                 tally.record(degraded_units=len(casualties))
             for index in casualties:
                 unit = units[index]
-                t0 = time.perf_counter()
-                result = unit.fn(unit.seed, *unit.payload)
-                seconds = time.perf_counter() - t0
+                result, seconds = clock_unit(unit.fn, unit.seed, unit.payload)
                 pending.discard(index)
                 yield index, result, seconds
         if survivors:

@@ -67,6 +67,8 @@ from repro.net.schemas import (
     error_body,
     loads,
 )
+from repro.serve.core import BREAKER_CLOSED
+from repro.serve.loadgen import pin_request_seeds
 from repro.serve.protocol import (
     DeadlineExceeded,
     ServeConfig,
@@ -75,9 +77,6 @@ from repro.serve.protocol import (
     ServerUnhealthy,
 )
 from repro.serve.server import AsyncRankingServer
-from repro.utils.rng import spawn_seed_sequences
-
-BREAKER_CLOSED = "closed"
 
 #: ``Retry-After`` hint (seconds) attached to overload rejections —
 #: overload has no intrinsic time base, unlike the breaker's cooldown.
@@ -125,6 +124,14 @@ class HttpRankingServer:
         self._connections: dict[int, _Connection] = {}
         self._conn_tasks: set[asyncio.Task[None]] = set()
         self._draining = False
+        self._routes: dict[
+            str, dict[str, Callable[[HttpRequest], Awaitable[Any]]]
+        ] = {
+            "/v1/rank": {"POST": self._rank},
+            "/v1/rank_many": {"POST": self._rank_many},
+            "/stats": {"GET": self._stats},
+            "/healthz": {"GET": self._healthz},
+        }
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -288,13 +295,7 @@ class HttpRankingServer:
     async def _dispatch(
         self, request: HttpRequest
     ) -> tuple[int, tuple[tuple[str, str], ...], dict[str, Any]]:
-        routes: dict[str, dict[str, Callable[[HttpRequest], Awaitable[Any]]]] = {
-            "/v1/rank": {"POST": self._rank},
-            "/v1/rank_many": {"POST": self._rank_many},
-            "/stats": {"GET": self._stats},
-            "/healthz": {"GET": self._healthz},
-        }
-        methods = routes.get(request.target.partition("?")[0])
+        methods = self._routes.get(request.target.partition("?")[0])
         if methods is None:
             return (
                 404,
@@ -397,13 +398,7 @@ class HttpRankingServer:
         self, http: HttpRequest
     ) -> tuple[int, tuple[tuple[str, str], ...], dict[str, Any]]:
         requests, seed, deadline = decode_rank_many_request(loads(http.body))
-        children = spawn_seed_sequences(seed, len(requests))
-        pinned = [
-            request
-            if request.seed is not None
-            else replace(request, seed=children[i])
-            for i, request in enumerate(requests)
-        ]
+        pinned = pin_request_seeds(requests, seed)
         results = await asyncio.gather(
             *(self._inner.submit(r, deadline=deadline) for r in pinned),
             return_exceptions=True,

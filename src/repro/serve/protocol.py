@@ -17,13 +17,17 @@ import numpy as np
 
 from repro.engine.core import RankingRequest, RankingResponse
 from repro.engine.costs import kind_label
-from repro.faults.policy import RetryPolicy
 from repro.utils.rng import SeedLike
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Every serving-tier knob in one place.
+
+    How a batch executes is not a serving knob: every dispatched batch
+    runs on the engine session's workers under the engine's retry bounds,
+    with ``on_exhausted="raise"`` (see
+    :attr:`repro.serve.AsyncRankingServer.retry_policy`).
 
     Attributes
     ----------
@@ -55,15 +59,6 @@ class ServeConfig:
         request pins its own — exactly the :meth:`rank_many` rule, which
         is what makes the served responses byte-identical to the serial
         loop over the same submissions.
-    n_jobs:
-        Worker override for each coalesced batch (``None`` = the engine
-        session's budget).
-    retry:
-        Crash-recovery budget for dispatched batches (``None`` derives a
-        serving policy from the engine's: same bounds, but
-        ``on_exhausted="raise"`` — a server sheds load through its
-        circuit breaker instead of dragging all traffic through one
-        inline thread).
     breaker_cooldown:
         Seconds the circuit breaker sheds new admissions with
         :class:`ServerUnhealthy` after pool recovery is exhausted, before
@@ -77,8 +72,6 @@ class ServeConfig:
     default_cost: float = 0.05
     default_deadline: float | None = None
     seed: SeedLike = 0
-    n_jobs: int | None = None
-    retry: "RetryPolicy | None" = None
     breaker_cooldown: float = 1.0
 
     def __post_init__(self) -> None:

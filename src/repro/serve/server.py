@@ -86,16 +86,12 @@ class AsyncRankingServer:
             config = replace(config, **overrides)
         self._engine = engine
         self._config = config
-        # Crash recovery for dispatched batches: the configured policy,
-        # or the engine's bounds with on_exhausted flipped to "raise" —
-        # a server must shed load through the core's circuit breaker
-        # when the pool is gone, not drag every batch through inline
-        # serial execution on its single drain thread.
-        self._retry: RetryPolicy = (
-            config.retry
-            if config.retry is not None
-            else replace(engine.retry_policy, on_exhausted=DEGRADE_RAISE)
-        )
+        # Crash recovery for dispatched batches: the engine's bounds with
+        # on_exhausted flipped to "raise" — a server must shed load
+        # through the core's circuit breaker when the pool is gone, not
+        # drag every batch through inline serial execution on its single
+        # drain thread.
+        self._retry = replace(engine.retry_policy, on_exhausted=DEGRADE_RAISE)
         self._core: ServerCore | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
@@ -115,7 +111,8 @@ class AsyncRankingServer:
 
     @property
     def retry_policy(self) -> RetryPolicy:
-        """The crash-recovery policy applied to dispatched batches."""
+        """The crash-recovery policy applied to dispatched batches: the
+        engine's, with ``on_exhausted="raise"``."""
         return self._retry
 
     @property
@@ -336,7 +333,6 @@ class AsyncRankingServer:
 
         self._engine.rank_many_submit(
             [ticket.request for ticket in batch],
-            n_jobs=self._config.n_jobs,
             on_response=deliver,
             on_error=fail,
             retry=self._retry,

@@ -12,8 +12,8 @@ transitions.  This module is the driver the serve tests share:
   (satisfies the :class:`~repro.serve.protocol.Waiter` protocol);
 * :class:`CoreDriver` — owns one core + clock, exposes ``submit`` /
   ``advance`` / ``tick`` / ``run`` and drains dispatched batches
-  *inline* through the real engine (``rank_many_submit`` at
-  ``n_jobs=1``), so every test exercises production code end to end
+  *inline* through the real engine (``rank_many_submit`` on an
+  ``n_jobs=1`` engine), so every test exercises production code end to end
   without a single real sleep;
 * :class:`DrainGate` — the asyncio suites' way to park requests: it
   holds an engine's first drain in the serve thread until released.
@@ -86,12 +86,13 @@ class CoreDriver:
     The driver is the test's event loop: ``submit`` hands the core a
     recording waiter, ``advance``/``tick`` move time and collect the
     batch the core wants dispatched, ``run`` drains a batch through the
-    engine synchronously (``n_jobs=1`` — worker-count independence is the
-    asyncio integration suite's job) and reports the drain done, and
-    ``drain`` loops tick-and-run until nothing is live.  The dispatched
-    batch stays unrun in ``pending`` until the test runs it, so a test
-    can interleave expiry, cancellation and new arrivals *while the batch
-    is in flight* — the race window that matters.
+    engine synchronously (the suites hand it an ``n_jobs=1`` engine —
+    worker-count independence is the asyncio integration suite's job)
+    and reports the drain done, and ``drain`` loops tick-and-run until
+    nothing is live.  The dispatched batch stays unrun in ``pending``
+    until the test runs it, so a test can interleave expiry,
+    cancellation and new arrivals *while the batch is in flight* — the
+    race window that matters.
     """
 
     def __init__(self, engine: RankingEngine, config: ServeConfig | None = None, **overrides):
@@ -133,7 +134,6 @@ class CoreDriver:
         then report the drain free."""
         self.engine.rank_many_submit(
             [ticket.request for ticket in batch],
-            n_jobs=1,
             on_response=lambda response: self.core.on_response(
                 batch[response.index], response, self.clock.now
             ),

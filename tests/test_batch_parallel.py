@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.batch import (
+    WorkerPool,
     effective_n_jobs,
     in_worker,
     mallows_sample_and_score,
@@ -340,8 +341,8 @@ class TestExperimentEquivalence:
             target_iis=(0, 8), thetas=(0.5,), n_samples=300,
             n_bootstrap=60, seed=11,
         )
-        a = run_fig1(Fig1Config(**base, n_jobs=1))
-        b = run_fig1(Fig1Config(**base, n_jobs=2))
+        a = run_fig1(Fig1Config(**base, pool=WorkerPool(1)))
+        b = run_fig1(Fig1Config(**base, pool=WorkerPool(2)))
         assert a.central_iis == b.central_iis
         for ii in a.mean_sample_ii:
             for theta in a.mean_sample_ii[ii]:
@@ -356,15 +357,17 @@ class TestExperimentEquivalence:
             deltas=(0.5,), thetas=(0.5,), n_trials=2,
             samples_per_trial=300, n_bootstrap=60, seed=11,
         )
-        a = run_fig34(Fig34Config(**base, n_jobs=1))
-        b = run_fig34(Fig34Config(**base, n_jobs=2))
+        a = run_fig34(Fig34Config(**base, pool=WorkerPool(1)))
+        b = run_fig34(Fig34Config(**base, pool=WorkerPool(2)))
         assert a.central_ii == b.central_ii
         assert a.to_text_fig3() == b.to_text_fig3()
         assert a.to_text_fig4() == b.to_text_fig4()
 
     def test_fig2_output_independent_of_njobs(self):
         base = dict(deltas=(0.0, 0.6, 1.0), n_trials=12, n_bootstrap=60, seed=11)
-        results = [run_fig2(Fig2Config(**base, n_jobs=j)) for j in (1, 2, 3)]
+        results = [
+            run_fig2(Fig2Config(**base, pool=WorkerPool(j))) for j in (1, 2, 3)
+        ]
         for other in results[1:]:
             assert other.to_text() == results[0].to_text()
             for delta in results[0].central_ii:
@@ -378,7 +381,9 @@ class TestExperimentEquivalence:
         data = synthesize_german_credit(seed=0)
         base = dict(sizes=(10, 20), n_repeats=5, n_bootstrap=60, seed=11)
         results = [
-            run_german_credit(GermanCreditConfig(**base, n_jobs=j), data=data)
+            run_german_credit(
+                GermanCreditConfig(**base, pool=WorkerPool(j)), data=data
+            )
             for j in (1, 2, 3)
         ]
         for other in results[1:]:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import FairRankingAlgorithm, FairRankingProblem
+from repro.batch import WorkerPool
 from repro.engine import (
     CostModel,
     EngineConfig,
@@ -27,6 +28,7 @@ from repro.engine import (
     responses_digest,
     unregister_algorithm,
 )
+from repro.faults import RetryPolicy
 from repro.groups.attributes import GroupAssignment
 
 
@@ -133,13 +135,13 @@ class TestEngineConfig:
     def test_invalid_knobs_raise(self):
         with pytest.raises(ValueError):
             EngineConfig(n_jobs=0)
-        with pytest.raises(ValueError):
-            EngineConfig(cache_max_entries=0)
 
     def test_overrides_compose(self):
-        engine = RankingEngine(EngineConfig(n_jobs=2), cache_max_entries=7)
+        retry = RetryPolicy(max_rebuilds=0)
+        engine = RankingEngine(EngineConfig(n_jobs=2), retry=retry)
         assert engine.config.n_jobs == 2
-        assert engine.config.cache_max_entries == 7
+        assert engine.config.retry is retry
+        assert engine.pool == WorkerPool(2, policy=retry)
 
 
 class TestRank:
@@ -387,7 +389,6 @@ class TestRankManySubmit:
             count = engine.rank_many_submit(
                 requests,
                 seed=0,
-                n_jobs=n_jobs,
                 on_response=responses.append,
                 on_error=lambda i, req, err: failures.append((i, req, err)),
             )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -399,15 +400,16 @@ class TestSupervisedShards:
         assert GLOBAL_FAULTS.rebuilds >= 1
 
     def test_one_cell_fig1_survives_crash_in_its_row_shards(self):
-        """A lone figure cell runs inline, so its row shards are the pooled
-        work the crash hits."""
+        """A lone figure cell runs inline, so its row shards — sharded over
+        the workers of the config's one pool handle — are the pooled work
+        the crash hits."""
         from repro.experiments.config import Fig1Config
         from repro.experiments.fig1_infeasible import run_fig1
 
         base = dict(target_iis=(8,), thetas=(0.5,), n_samples=512)
-        serial = run_fig1(Fig1Config(**base, n_jobs=1))
+        serial = run_fig1(Fig1Config(**base))
         with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            chaos = run_fig1(Fig1Config(**base, n_jobs=2))
+            chaos = run_fig1(Fig1Config(**base, pool=WorkerPool(2)))
         assert chaos.to_text() == serial.to_text()
         assert chaos.mean_sample_ii == serial.mean_sample_ii
         assert GLOBAL_FAULTS.crash_faults >= 1
@@ -607,6 +609,34 @@ class TestCircuitBreaker:
 class TestServedChaos:
     """Asyncio integration: real event loop, real worker deaths."""
 
+    def test_served_batches_run_under_the_engines_bounds_and_raise(self):
+        """The server has no retry knob of its own: every served batch
+        runs under the engine's bounds and sleep, with
+        ``on_exhausted="raise"`` so exhaustion trips the breaker."""
+        sleep = RecordingSleep()
+        engine_retry = RetryPolicy(max_rebuilds=0, sleep=sleep)
+        seen = []
+
+        async def scenario():
+            with RankingEngine(n_jobs=2, retry=engine_retry) as engine:
+                drain = engine.rank_many_submit
+
+                def recording(requests, **kwargs):
+                    seen.append(kwargs["retry"])
+                    return drain(requests, **kwargs)
+
+                engine.rank_many_submit = recording
+                async with AsyncRankingServer(engine, seed=SEED) as server:
+                    await server.submit(_requests(_problem(), 1)[0])
+                    return server.retry_policy
+
+        policy = asyncio.run(scenario())
+        assert seen == [policy]
+        assert policy == replace(engine_retry, on_exhausted=DEGRADE_RAISE)
+        assert policy.max_rebuilds == 0
+        assert policy.sleep is sleep
+        assert policy.on_exhausted == DEGRADE_RAISE
+
     def test_served_load_survives_injected_crash_byte_identically(self):
         """The serving acceptance criterion, recoverable half: a worker
         hard-exit under load is absorbed by the supervised scheduler and
@@ -617,10 +647,10 @@ class TestServedChaos:
             serial = responses_digest(
                 ref.rank_many(requests, seed=SEED, n_jobs=1)
             )
-        retry = RetryPolicy(on_exhausted=DEGRADE_RAISE, sleep=_no_sleep)
+        retry = RetryPolicy(sleep=_no_sleep)
 
         async def scenario():
-            with RankingEngine(n_jobs=2) as engine:
+            with RankingEngine(n_jobs=2, retry=retry) as engine:
                 async with AsyncRankingServer(
                     engine,
                     # The gathered submissions land in one tick, so they
@@ -628,8 +658,6 @@ class TestServedChaos:
                     # batch runs inline and would dodge the pool (and the
                     # fault).
                     seed=SEED,
-                    n_jobs=2,
-                    retry=retry,
                 ) as server:
                     responses = await asyncio.gather(
                         *(server.submit(r) for r in requests)
@@ -647,17 +675,13 @@ class TestServedChaos:
         gets ``PoolRecoveryExhausted``, the breaker sheds new admissions
         with Retry-After, and ``ServeStats`` tells the truth."""
         problem = _problem()
-        retry = RetryPolicy(
-            max_rebuilds=0, on_exhausted=DEGRADE_RAISE, sleep=_no_sleep
-        )
+        retry = RetryPolicy(max_rebuilds=0, sleep=_no_sleep)
 
         async def scenario():
-            with RankingEngine(n_jobs=2) as engine:
+            with RankingEngine(n_jobs=2, retry=retry) as engine:
                 async with AsyncRankingServer(
                     engine,
                     seed=SEED,
-                    n_jobs=2,
-                    retry=retry,
                     breaker_cooldown=30.0,
                 ) as server:
                     # Two coalesced requests: the batch is pooled (size

@@ -13,8 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.batch import WorkerPool, WorkUnit, iter_units, pool_for, run_units
-from repro.batch.schedule import _run_unit
+from repro.batch import WorkerPool, WorkUnit, iter_units, run_units
 from repro.experiments.runner import reports_digest, run_all
 
 
@@ -71,7 +70,7 @@ class TestRunUnits:
         units = _units(3)
         out = run_units(units, n_jobs=1)
         for u in units:
-            assert out[u.key] == _run_unit(u.fn, u.seed, u.payload)
+            assert out[u.key] == u.fn(u.seed, *u.payload)
 
     def test_seedless_units(self):
         units = [
@@ -195,11 +194,6 @@ class TestIterUnits:
 
 
 class TestWorkerPool:
-    def test_pool_for_resolution(self):
-        shared = WorkerPool(3)
-        assert pool_for(shared, 1) is shared
-        assert pool_for(None, 4) == WorkerPool(4)
-
     def test_handle_is_picklable_and_hashable(self):
         pool = WorkerPool(2)
         assert pickle.loads(pickle.dumps(pool)) == pool
@@ -229,11 +223,6 @@ class TestRunAllScheduler:
         digest = reports_digest(reports)
         for n_jobs in (2, 4):
             assert reports_digest(run_all(fast=True, n_jobs=n_jobs)) == digest
-
-    def test_run_all_accepts_shared_pool_handle(self):
-        serial = reports_digest(run_all(fast=True, n_jobs=1))
-        pooled = reports_digest(run_all(fast=True, pool=WorkerPool(2)))
-        assert pooled == serial
 
     def test_reports_digest_is_order_and_content_sensitive(self):
         a = {"x": "1", "y": "2"}

@@ -234,9 +234,7 @@ class TestServingContracts:
         async def scenario():
             baseline_tasks = asyncio.all_tasks()
             with RankingEngine(n_jobs=2) as engine:
-                async with AsyncRankingServer(
-                    engine, seed=SEED, n_jobs=2
-                ) as server:
+                async with AsyncRankingServer(engine, seed=SEED) as server:
                     report = await run_load(server, requests)
                     stats = server.stats()
                 assert report.served == 32, report.summary()
@@ -256,9 +254,7 @@ class TestServingContracts:
 
         async def scenario():
             with RankingEngine(n_jobs=n_jobs) as engine:
-                async with AsyncRankingServer(
-                    engine, seed=SEED, n_jobs=n_jobs
-                ) as server:
+                async with AsyncRankingServer(engine, seed=SEED) as server:
                     report = await run_load(server, requests)
             assert report.served == 16, report.summary()
             return report.digest()
