@@ -14,6 +14,8 @@ line 7 of Geyik et al.), modelling imperfect knowledge of group membership.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.algorithms.base import (
@@ -34,19 +36,25 @@ class DetConstSort(FairRankingAlgorithm):
         Standard deviation of the ``N(0, σ)`` noise added to each
         ``tempMinCounts`` entry; ``0`` (default) is the vanilla algorithm.
     target_proportions:
-        Per-group target rates ``p_g``; defaults to the problem's group
-        proportions (the paper's setting).
+        Per-group target rates ``p_g``, a 1-D vector of finite rates in
+        ``[0, 1]`` (``ValueError`` otherwise); defaults to the problem's
+        group proportions (the paper's setting).
     """
 
     def __init__(self, noise_sigma: float = 0.0, target_proportions: np.ndarray | None = None):
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
         self.noise_sigma = float(noise_sigma)
-        self.target_proportions = (
-            None
-            if target_proportions is None
-            else np.asarray(target_proportions, dtype=np.float64)
-        )
+        if target_proportions is not None:
+            target_proportions = np.asarray(target_proportions, dtype=np.float64)
+            if target_proportions.ndim != 1 or not np.all(
+                (target_proportions >= 0) & (target_proportions <= 1)
+            ):
+                raise ValueError(
+                    "target_proportions must be a 1-D vector of finite rates "
+                    f"in [0, 1], got {target_proportions.tolist()}"
+                )
+        self.target_proportions = target_proportions
         suffix = f", sigma={self.noise_sigma:g}" if self.noise_sigma else ""
         self.name = f"detconstsort{suffix}"
 
@@ -76,11 +84,12 @@ class DetConstSort(FairRankingAlgorithm):
             members = members[np.lexsort((base_pos[members], -scores[members]))]
             queues.append(members.tolist())
         heads = [0] * g
+        score_of = scores.tolist()
+        props_of = props.tolist()
 
         ranked: list[int] = []            # items in current partial ranking
         ranked_group: list[int] = []      # group of each placed item
         min_counts = np.zeros(g, dtype=np.float64)
-        counts = np.zeros(g, dtype=np.int64)
 
         k = 0
         while len(ranked) < n:
@@ -95,14 +104,14 @@ class DetConstSort(FairRankingAlgorithm):
             ]
             if changed:
                 # Insert the due groups' next candidates, best score first.
-                changed.sort(key=lambda gi: -scores[queues[gi][heads[gi]]])
+                changed.sort(key=lambda gi: -score_of[queues[gi][heads[gi]]])
                 for gi in changed:
                     item = queues[gi][heads[gi]]
                     heads[gi] += 1
                     ranked.append(item)
                     ranked_group.append(gi)
-                    counts[gi] += 1
-                    self._bubble_up(ranked, ranked_group, scores, props)
+                    # heads[gj] is also gj's count in `ranked`.
+                    self._bubble_up(ranked, ranked_group, heads, score_of, props_of)
             min_counts = np.maximum(min_counts, temp_min)
             if k > 4 * n + 10:
                 # Safety net: with noisy targets some group may never come
@@ -125,16 +134,19 @@ class DetConstSort(FairRankingAlgorithm):
     def _bubble_up(
         ranked: list[int],
         ranked_group: list[int],
-        scores: np.ndarray,
-        props: np.ndarray,
+        counts: list[int],
+        scores: list[float],
+        props: list[float],
     ) -> None:
         """Swap the just-appended item toward the top while its score beats
         its predecessor and the displaced item's group keeps its minimum
-        count at the vacated prefix."""
+        count at the vacated prefix.
+
+        ``counts`` holds each group's number of items in ``ranked``."""
         pos = len(ranked) - 1
-        # Prefix counts of each group up to any position are implicit in
-        # ranked_group; maintain a running count for the prefix ending just
-        # above `pos`.
+        # Per-group counts of the prefix above the moving item, ranked[:pos].
+        above = counts.copy()
+        above[ranked_group[pos]] -= 1
         while pos > 0:
             above_item = ranked[pos - 1]
             if scores[ranked[pos]] <= scores[above_item]:
@@ -144,17 +156,14 @@ class DetConstSort(FairRankingAlgorithm):
             # of length `pos` (indices 0..pos-1) loses one member of its
             # group.  The swap is legal iff that prefix still meets the
             # group's minimum count ⌊p_g · pos⌋.
-            count_in_prefix = sum(
-                1 for t in range(pos) if ranked_group[t] == above_group
-            )
-            required = int(np.floor(props[above_group] * pos + 1e-9))
-            if count_in_prefix - 1 < required:
+            if above[above_group] - 1 < math.floor(props[above_group] * pos + 1e-9):
                 break
             ranked[pos - 1], ranked[pos] = ranked[pos], ranked[pos - 1]
             ranked_group[pos - 1], ranked_group[pos] = (
                 ranked_group[pos],
                 ranked_group[pos - 1],
             )
+            above[above_group] -= 1
             pos -= 1
 
     @staticmethod

@@ -121,22 +121,34 @@ def solve_group_dp(
     ------
     InfeasibleProblemError
         If no count sequence satisfies the bounds.
+
+    Notes
+    -----
+    The DP runs on Python scalars: the scores, discounts and bound rows
+    are converted with ``.tolist()`` once.  On the paper's German Credit
+    inputs (4 groups, ``k <= 100``) a layer holds 6 states at ``σ = 0`` and
+    at most 28 at ``σ = 1``, too few to pay for a numpy call per step.
+    Python floats are the same IEEE doubles as ``float64``, so every value,
+    every strict ``>`` between states (in insertion order) and the final
+    ``max()`` resolve exactly as they would on arrays.
     """
     s = np.asarray(scores, dtype=np.float64)
     n = k if k is not None else s.size
     g = groups.n_groups
-    discounts = position_discounts(n)
+    discounts = position_discounts(n).tolist()
+    lower_rows = np.asarray(lower_m).tolist()
+    upper_rows = np.asarray(upper_m).tolist()
 
     # Members of each group in descending score order: the t-th placement of
     # a group always takes its t-th best member.
-    member_scores: list[np.ndarray] = []
-    member_items: list[np.ndarray] = []
+    member_scores: list[list[float]] = []
+    member_items: list[list[int]] = []
     for gi in range(g):
         members = np.flatnonzero(groups.indices == gi)
         members = members[np.argsort(-s[members], kind="stable")]
-        member_items.append(members)
-        member_scores.append(s[members])
-    sizes = np.array([m.size for m in member_items])
+        member_items.append(members.tolist())
+        member_scores.append(s[members].tolist())
+    sizes = [len(m) for m in member_items]
 
     # DP over states: counts tuple -> (value, parent_state, last_group).
     current: dict[tuple[int, ...], float] = {tuple([0] * g): 0.0}
@@ -144,8 +156,8 @@ def solve_group_dp(
 
     for pos in range(n):
         length = pos + 1
-        lower = lower_m[length - 1]
-        upper = upper_m[length - 1]
+        lower = lower_rows[length - 1]
+        upper = upper_rows[length - 1]
         nxt: dict[tuple[int, ...], float] = {}
         nxt_parent: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         disc = discounts[pos]

@@ -73,18 +73,20 @@ def feasible_position_intervals(
     for gi in range(groups.n_groups):
         members = np.flatnonzero(groups.indices == gi)
         members = members[np.argsort(base_pos[members], kind="stable")]
-        uppers = upper_m[:, gi]   # upper count bound for prefix length ℓ=j+1
-        lowers = lower_m[:, gi]
-        for t_minus_1, item in enumerate(members):
-            t = t_minus_1 + 1
-            ok_early = np.flatnonzero(uppers >= t)
-            if ok_early.size == 0:
-                raise InfeasibleProblemError(
-                    f"group {gi}: upper bounds never admit {t} members"
-                )
-            earliest[item] = ok_early[0]
-            due = np.flatnonzero(lowers >= t)
-            latest[item] = (due[0]) if due.size else (n - 1)
+        # Bounds never decrease with the prefix length ℓ = j+1, so the first
+        # j with upper >= t (resp. lower >= t) is a sorted search, for all
+        # t = 1..m at once; n means no prefix qualifies.
+        t = np.arange(1, members.size + 1)
+        first_admit = np.searchsorted(upper_m[:, gi], t, side="left")
+        never = np.flatnonzero(first_admit == n)
+        if never.size:
+            raise InfeasibleProblemError(
+                f"group {gi}: upper bounds never admit {int(t[never[0]])} members"
+            )
+        earliest[members] = first_admit
+        latest[members] = np.minimum(
+            np.searchsorted(lower_m[:, gi], t, side="left"), n - 1
+        )
     return earliest, latest
 
 

@@ -74,6 +74,28 @@ class TestVanilla:
         with pytest.raises(ValueError):
             alg.rank(balanced_problem, seed=0)
 
+    @pytest.mark.parametrize(
+        "props",
+        [
+            [-0.5, 0.5],
+            [0.5, 1.5],
+            [float("nan"), 0.5],
+            [float("inf"), 0.0],
+            [[0.5, 0.5]],
+            0.5,
+        ],
+    )
+    def test_invalid_target_proportions_rejected(self, props):
+        # Finite rates in [0, 1], the range FairnessConstraints enforces.
+        with pytest.raises(ValueError, match="target_proportions"):
+            DetConstSort(target_proportions=props)
+
+    def test_boundary_target_proportions_accepted(self, balanced_problem):
+        result = DetConstSort(target_proportions=[0.0, 1.0]).rank(
+            balanced_problem, seed=0
+        )
+        assert sorted(result.ranking.order.tolist()) == list(range(10))
+
     def test_requires_groups_and_scores(self):
         problem = FairRankingProblem.from_scores(np.ones(4))
         with pytest.raises(ValueError):

@@ -20,8 +20,10 @@ import signal
 import numpy as np
 import pytest
 
-from repro.engine import RankingEngine, responses_digest
+from repro.algorithms.base import FairRankingProblem
+from repro.engine import RankingEngine, RankingRequest, responses_digest
 from repro.exceptions import PoolRecoveryExhausted
+from repro.groups.attributes import GroupAssignment
 from repro.net import AsyncHttpClient, HttpLimits, HttpRankingServer
 from repro.net.client import HttpWireError
 from repro.net.protocol import ResponseParser, encode_request
@@ -194,6 +196,27 @@ class TestErrorSurface:
                 assert "version" in validate_error_body(body)["message"]
 
         run(scenario())
+
+    def test_invalid_detconstsort_proportions_are_400(self):
+        problem = FairRankingProblem.from_scores(
+            np.array([0.9, 0.7, 0.4, 0.2]),
+            GroupAssignment.from_indices([0, 1, 0, 1]),
+        )
+        request = RankingRequest(
+            "detconstsort", problem, params={"target_proportions": [-0.5, 0.5]}
+        )
+
+        async def scenario():
+            async with _Frontend(n_jobs=1) as (server, client):
+                return await client.request_json(
+                    "POST", "/v1/rank", encode_rank_request(request)
+                )
+
+        status, body = run(scenario())
+        assert status == 400
+        error = validate_error_body(body)
+        assert error["code"] == "bad_request"
+        assert "target_proportions" in error["message"]
 
     def test_unknown_route_404_and_wrong_method_405_with_allow(self):
         async def scenario():
