@@ -30,6 +30,7 @@ import pytest
 
 from repro.batch import (
     DEFAULT_CACHE,
+    WorkerPool,
     batch_cayley,
     batch_footrule,
     batch_hamming,
@@ -264,7 +265,7 @@ def test_parallel_pipeline_fanout(workload, fast_mode, report):
     t0 = time.perf_counter()
     single = mallows_sample_and_score(
         center, THETA, m, groups=groups, constraints=constraints,
-        seed=SEED, n_jobs=1,
+        seed=SEED, pool=WorkerPool(1),
     )
     single_s = time.perf_counter() - t0
 
@@ -273,7 +274,7 @@ def test_parallel_pipeline_fanout(workload, fast_mode, report):
         t0 = time.perf_counter()
         fanned = mallows_sample_and_score(
             center, THETA, m, groups=groups, constraints=constraints,
-            seed=SEED, n_jobs=n_jobs,
+            seed=SEED, pool=WorkerPool(n_jobs),
         )
         fanout_s = min(fanout_s, time.perf_counter() - t0)
 

@@ -19,7 +19,7 @@ from concurrent.futures import as_completed
 
 import numpy as np
 
-from repro.batch import WorkUnit, run_units
+from repro.batch import WorkerPool, WorkUnit
 from repro.faults import (
     FaultCounters,
     RetryPolicy,
@@ -67,7 +67,7 @@ def test_supervision_overhead_and_recovery_cost(fast_mode, report):
     units = _units(n_units, size)
     policy = RetryPolicy(backoff_base=0.0)  # measure recovery, not sleep
 
-    serial = run_units(units, n_jobs=1)
+    serial = WorkerPool().run(units)
 
     _unsupervised(units, N_JOBS)  # warm the shared pool out of the timings
     t0 = time.perf_counter()
@@ -76,9 +76,9 @@ def test_supervision_overhead_and_recovery_cost(fast_mode, report):
 
     clean_counters = FaultCounters()
     t0 = time.perf_counter()
-    supervised = run_units(
-        units, n_jobs=N_JOBS, policy=policy, counters=clean_counters
-    )
+    supervised = WorkerPool(
+        N_JOBS, policy=policy, counters=clean_counters
+    ).run(units)
     t_supervised = time.perf_counter() - t0
 
     chaos_counters = FaultCounters()
@@ -87,9 +87,9 @@ def test_supervision_overhead_and_recovery_cost(fast_mode, report):
         # cold fork *plus* the crash, the rebuild and the resubmission —
         # the full price of one worker death.
         t0 = time.perf_counter()
-        recovered = run_units(
-            units, n_jobs=N_JOBS, policy=policy, counters=chaos_counters
-        )
+        recovered = WorkerPool(
+            N_JOBS, policy=policy, counters=chaos_counters
+        ).run(units)
         t_chaos = time.perf_counter() - t0
 
     # Determinism under faults: all three schedules, same bytes.

@@ -11,8 +11,9 @@ on a single shared pool.  This file is the perf tripwire for that:
   build loudly;
 * ``run_all(fast=True, n_jobs=4)`` must be >= 2x faster than the serial
   pipeline on machines with at least 4 cores;
-* the ``n_trials < n_jobs`` clamp must keep a heavy few-repeat German
-  Credit loop parallel instead of silently running it inline.
+* the ``n_trials < n_jobs`` clamp of :meth:`WorkerPool.run_trials` must
+  keep a heavy few-repeat German Credit loop parallel instead of silently
+  running it inline.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.batch import run_trials
+from repro.batch import WorkerPool
 from repro.datasets.german_credit import synthesize_german_credit
 from repro.experiments.config import GermanCreditConfig
 from repro.experiments.german_credit_exp import _one_repeat
@@ -76,13 +77,13 @@ def test_run_all_scheduler_fanout(fast_mode, report):
 
 def _heavy_trial(trial_index, rng, data, size, config):
     """One German Credit repeat (subsample + all solvers) as a trial unit —
-    the heavy-trial shape the run_trials clamp exists for."""
+    the heavy-trial shape the WorkerPool.run_trials clamp exists for."""
     del trial_index
     return _one_repeat(data, size, config, rng)
 
 
 def test_heavy_trials_clamp_stays_parallel(fast_mode, report):
-    """The n_trials < n_jobs clamp in ``run_trials`` itself: five heavy
+    """The n_trials < n_jobs clamp in ``WorkerPool.run_trials``: five heavy
     German Credit repeats under n_jobs=8 must fan out on five workers of
     the shared pool (pre-clamp they fell back to the inline loop)."""
     cores = os.cpu_count() or 1
@@ -93,11 +94,15 @@ def test_heavy_trials_clamp_stays_parallel(fast_mode, report):
     payload = (data, size, config)
 
     t0 = time.perf_counter()
-    serial = run_trials(_heavy_trial, n_trials, seed=SEED, n_jobs=1, payload=payload)
+    serial = WorkerPool(1).run_trials(
+        _heavy_trial, n_trials, seed=SEED, payload=payload
+    )
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    clamped = run_trials(_heavy_trial, n_trials, seed=SEED, n_jobs=8, payload=payload)
+    clamped = WorkerPool(8).run_trials(
+        _heavy_trial, n_trials, seed=SEED, payload=payload
+    )
     clamp_s = time.perf_counter() - t0
 
     # The clamp must never change results: identical per-repeat metrics.

@@ -2,8 +2,8 @@
 
 The German Credit panels and Fig. 2 cannot use the row-range sharder (their
 batches are tiny — the unit of work is one subsample + solver run), so they
-parallelize per trial via :func:`repro.batch.run_trials`.  This file is the
-perf tripwire for that second sharding mode:
+parallelize per trial via :meth:`repro.batch.WorkerPool.run_trials`.  This
+file is the perf tripwire for that second sharding mode:
 
 * byte-identical panel output across worker counts is always asserted (the
   CI ``--fast`` smoke runs it at ``n_jobs=2``, so a seeding or sharding

@@ -10,8 +10,8 @@ module builds what the transitive rules (REP009–REP011) need instead:
   inspects;
 * a **project symbol table** mapping qualified names
   (``repro.serve.core.ServerCore.submit``) to definitions, following
-  package re-exports (``from repro.batch.schedule import run_trials``
-  makes ``repro.batch.run_trials`` an alias);
+  package re-exports (``from repro.batch.schedule import WorkerPool``
+  makes ``repro.batch.WorkerPool`` an alias);
 * the **call graph** (:class:`CallGraph`) over those symbols, with a
   ``dynamic`` edge target for anything the resolver cannot pin down
   (subscripts, calls on values of unknown type) — dynamic dispatch is
@@ -559,7 +559,7 @@ def build_call_graph(indexes: Sequence[ModuleIndex]) -> CallGraph:
     """Assemble the project graph from per-module indexes.
 
     Resolution follows package re-exports: a target
-    ``repro.batch.run_trials`` not in the symbol table is re-routed
+    ``repro.batch.WorkerPool.run`` not in the symbol table is re-routed
     through ``repro.batch``'s import map (bounded, so import cycles
     cannot loop the resolver).
     """

@@ -20,13 +20,14 @@ This subpackage provides the batched building blocks for that workload:
   independent jobs (figure experiments, German Credit panels, per-panel
   repeats, per-delta trial blocks) flattened into one task graph of
   :class:`~repro.batch.schedule.WorkUnit`\\ s and interleaved through the
-  single shared pool via a :class:`~repro.batch.schedule.WorkerPool`
-  handle, plus the two inner-loop fan-outs built on it — by *row range*
-  over an ``(m, n)`` sampling + scoring pipeline (Figs. 1/3/4,
-  :func:`~repro.batch.schedule.mallows_sample_and_score`) and by *trial*
-  over ``(trial_index, rng)`` experiment loops (Fig. 2,
-  :func:`~repro.batch.schedule.run_trials`); per-unit RNG streams keep
-  every ``n_jobs`` value byte-identical under a fixed seed;
+  single shared pool by a :class:`~repro.batch.schedule.WorkerPool`
+  handle — the only way to schedule work, carrying the run's worker
+  count, retry policy and fault tally — plus the two inner-loop fan-outs
+  on it: by *row range* over an ``(m, n)`` sampling + scoring pipeline
+  (Figs. 1/3/4, :func:`~repro.batch.schedule.mallows_sample_and_score`)
+  and by *trial* over ``(trial_index, rng)`` experiment loops (Fig. 2,
+  :meth:`~repro.batch.schedule.WorkerPool.run_trials`); per-unit RNG
+  streams keep every ``n_jobs`` value byte-identical under a fixed seed;
 * :mod:`repro.batch.parallel` — the clock-free worker side: the shared
   executor registry, ``n_jobs`` resolution and the shard bodies.
 
@@ -77,10 +78,7 @@ from repro.batch.schedule import (
     CompletedUnit,
     WorkerPool,
     WorkUnit,
-    iter_units,
     mallows_sample_and_score,
-    run_trials,
-    run_units,
 )
 
 __all__ = [
@@ -113,12 +111,9 @@ __all__ = [
     "batch_weighted_kendall_tau",
     "effective_n_jobs",
     "in_worker",
-    "iter_units",
     "kendall_tau_matrix",
     "mallows_sample_and_score",
     "resolve_n_jobs",
-    "run_trials",
-    "run_units",
     "shard_row_ranges",
     "shutdown_workers",
     "use_cache",

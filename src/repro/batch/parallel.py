@@ -2,7 +2,8 @@
 
 The fan-out entry points live in :mod:`repro.batch.schedule`: they cut a
 loop into :class:`~repro.batch.schedule.WorkUnit`\\ s and run them through
-the one supervised dispatch path (:func:`~repro.batch.schedule.run_units`).
+the one supervised dispatch path
+(:meth:`~repro.batch.schedule.WorkerPool.run`).
 This module holds what those units need and nothing that reads a clock:
 the per-``n_jobs`` executor registry, the worker initializer, the
 ``n_jobs`` resolution rules, and the shard bodies with their RNG plumbing.
@@ -29,8 +30,8 @@ generators whose ``advance`` does not count doubles (MT19937, SFC64,
 Philox) fall back to drawing the displacement matrix in the parent and
 shipping row slices — same outputs, slightly less parallel.
 
-Trial shards (:func:`repro.batch.schedule.run_trials`)
--------------------------------------------------------
+Trial shards (:meth:`repro.batch.schedule.WorkerPool.run_trials`)
+-------------------------------------------------------------------
 Heterogeneous ``(trial_index, rng)`` loops (Fig. 2, the German Credit
 panels) are cut into contiguous trial ranges; each trial's generator is
 built from its own ``SeedSequence`` child, so trial ``t`` sees the same

@@ -1,17 +1,18 @@
-"""Work scheduler: one task graph, one supervised dispatch path.
+"""Work scheduler: one task graph, one handle, one supervised dispatch path.
 
-Every pooled fan-out in the package is a list of units run by
-:func:`iter_units` (or :func:`run_units` on top of it).  Whole pipelines
-(``run_all``) are made of seven figure experiments, four German Credit
-panels and a table; run one loop at a time and the pipeline scales with
-the *widest inner loop*, not with the machine.  So the caller flattens its
-work into a graph of independent :class:`WorkUnit`\\ s — figure cells,
-panels, per-panel repeats, per-delta trial blocks — and all of them
-interleave through the one shared process pool.  The two inner-loop
-fan-outs are built the same way: :func:`mallows_sample_and_score` makes
-one unit per row range of a Mallows batch, :func:`run_trials` one unit per
-trial range of an experiment loop (their shard bodies and RNG plumbing
-live in the clock-free :mod:`repro.batch.parallel`).
+Every pooled fan-out in the package is a list of units run through a
+:class:`WorkerPool` handle (:meth:`WorkerPool.iter`, or
+:meth:`WorkerPool.run` on top of it).  Whole pipelines (``run_all``) are
+made of seven figure experiments, four German Credit panels and a table;
+run one loop at a time and the pipeline scales with the *widest inner
+loop*, not with the machine.  So the caller flattens its work into a graph
+of independent :class:`WorkUnit`\\ s — figure cells, panels, per-panel
+repeats, per-delta trial blocks — and all of them interleave through the
+one shared process pool.  The two inner-loop fan-outs are built the same
+way: :func:`mallows_sample_and_score` makes one unit per row range of a
+Mallows batch, :meth:`WorkerPool.run_trials` one unit per trial range of
+an experiment loop (their shard bodies and RNG plumbing live in the
+clock-free :mod:`repro.batch.parallel`).
 
 Task-graph / seed-tree contract
 -------------------------------
@@ -20,7 +21,7 @@ Task-graph / seed-tree contract
   tuple, a hashable ``key`` and a ``weight`` (a relative cost estimate).
   Units never depend on each other — anything sequential (bootstrap
   aggregation, report rendering) stays in the caller, downstream of
-  :func:`run_units`.
+  :meth:`WorkerPool.run`.
 * ``fn`` is invoked as ``fn(seed, *payload)`` with the unit's
   ``SeedSequence`` (or ``None``).  Randomness must come only from
   generators derived from that seed or carried in the payload (a row
@@ -34,9 +35,9 @@ Task-graph / seed-tree contract
   draw order, the flattening does not perturb any stream: byte-identical
   output for every ``n_jobs`` is inherited from the seed tree, not
   re-established per experiment.
-* :func:`run_units` returns ``{unit.key: result}`` in *input order*,
+* :meth:`WorkerPool.run` returns ``{unit.key: result}`` in *input order*,
   whatever order the pool finished in.  Keys must be unique per call.
-  :func:`iter_units` is the streaming variant: it yields each
+  :meth:`WorkerPool.iter` is the streaming variant: it yields each
   :class:`CompletedUnit` (result plus measured compute wall-time) **as it
   finishes**, so a consumer can overlap aggregation or response delivery
   with the tail of the schedule — the as-completed mode the serving engine
@@ -47,20 +48,22 @@ Task-graph / seed-tree contract
 * A lone unit, ``n_jobs=1`` and any call inside a pool child run inline.
   Everything else is supervised (:mod:`repro.faults`): worker crashes
   rebuild the executor and resubmit the unserved units with their original
-  seeds under a bounded :class:`~repro.faults.policy.RetryPolicy`, so one
-  OOM-killed worker never aborts a pipeline — and because every unit is a
-  pure function of ``(fn, seed, payload)``, recovery never changes a
+  seeds under the handle's :class:`~repro.faults.policy.RetryPolicy`, so
+  one OOM-killed worker never aborts a pipeline — and because every unit
+  is a pure function of ``(fn, seed, payload)``, recovery never changes a
   digest.
 * Pool children are barred from nesting pools
   (:func:`~repro.batch.parallel.effective_n_jobs` forces ``n_jobs=1``
-  inside workers) — a unit that internally calls :func:`run_trials` or
-  :func:`mallows_sample_and_score` simply runs that part inline.
+  inside workers) — a unit that internally calls
+  :meth:`WorkerPool.run_trials` or :func:`mallows_sample_and_score` simply
+  runs that part inline.
 
-:class:`WorkerPool` is the shareable handle for all of this, and the only
-place a run's worker count and retry policy are set: experiment configs
-carry one ``pool`` and every entry point (and every fan-out inside its
-units) reads it, so a composite pipeline funnels every unit into the same
-executor instead of each experiment spinning up its own fan-out.
+:class:`WorkerPool` is the only way to schedule work, and so the only
+place a run's worker count, retry policy and fault tally are set:
+experiment configs carry one ``pool`` and every entry point (and every
+fan-out inside its units) reads it, so a composite pipeline funnels every
+unit into the same executor, under the same bounds, instead of each
+experiment spinning up its own fan-out.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Generator,
     Hashable,
     Iterable,
-    Iterator,
     Sequence,
 )
 
@@ -87,7 +90,7 @@ from repro.batch.parallel import (
     effective_n_jobs,
     shard_row_ranges,
 )
-from repro.faults.policy import RetryPolicy
+from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.faults.supervisor import FaultCounters, clock_unit, supervise_units
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, spawn_seed_sequences
@@ -135,7 +138,7 @@ class WorkUnit:
 
 @dataclass(frozen=True)
 class CompletedUnit:
-    """One finished work unit, as yielded by :func:`iter_units`.
+    """One finished work unit, as yielded by :meth:`WorkerPool.iter`.
 
     ``seconds`` is the unit's measured compute wall-time — clocked inside
     the executing process around ``fn`` itself, so pool queueing and result
@@ -157,150 +160,114 @@ def _check_unique_keys(units: list[WorkUnit]) -> None:
         raise ValueError(f"duplicate work-unit key: {dup!r}")
 
 
-def iter_units(
-    units: Iterable[WorkUnit],
-    *,
-    n_jobs: int = 1,
-    policy: RetryPolicy | None = None,
-    counters: FaultCounters | None = None,
-) -> Iterator[CompletedUnit]:
-    """Run every unit through the shared ``n_jobs`` pool, yielding each as a
-    :class:`CompletedUnit` **as it finishes** — the streaming twin of
-    :func:`run_units`.
-
-    With ``n_jobs=1`` (or inside a pool child, or for a single unit) the
-    units run inline and are yielded in input order; pooled, they arrive in
-    completion order.  Either way the *set* of ``(key, result)`` pairs is
-    identical, because every unit's output is a pure function of
-    ``(fn, seed, payload)`` — consumers that need input order collect into a
-    mapping (exactly what :func:`run_units` does), consumers that can act on
-    partial results (streaming response loops, live report rendering)
-    overlap their downstream work with the tail of the schedule.
-
-    The pooled path is *supervised*: if a worker process dies
-    (``BrokenProcessPool`` — a crash fault), the executor is rebuilt and
-    the unserved units are resubmitted with their original seeds under
-    ``policy`` (default :data:`~repro.faults.policy.DEFAULT_RETRY_POLICY`),
-    which bounds attempts per unit and rebuilds per run and finally
-    degrades to inline execution (or raises
-    :class:`~repro.exceptions.PoolRecoveryExhausted`, per the policy).
-    Retries are digest-neutral — same ``(fn, seed, payload)``, same bytes.
-    Recovery activity is tallied into ``counters`` (when given) and the
-    process-wide :data:`~repro.faults.supervisor.GLOBAL_FAULTS`.
-
-    If a unit raises (an *application* fault), the failure propagates at
-    the point of iteration — never retried — and every not-yet-started
-    unit is cancelled.  Abandoning the iterator early
-    (``close()``/``break``) likewise cancels whatever has not started.
-    """
-    units = list(units)
-    _check_unique_keys(units)
-    n_jobs = effective_n_jobs(n_jobs)
-    if n_jobs == 1 or len(units) <= 1:
-        for u in units:
-            result, seconds = clock_unit(u.fn, u.seed, u.payload)
-            yield CompletedUnit(
-                key=u.key, result=result, seconds=seconds, kind=u.kind
-            )
-        return
-
-    for index, result, seconds in supervise_units(
-        units, n_jobs=n_jobs, policy=policy, counters=counters
-    ):
-        u = units[index]
-        yield CompletedUnit(
-            key=u.key, result=result, seconds=seconds, kind=u.kind
-        )
-
-
-def run_units(
-    units: Iterable[WorkUnit],
-    *,
-    n_jobs: int = 1,
-    on_unit_done: Callable[[Hashable, float], None] | None = None,
-    policy: RetryPolicy | None = None,
-    counters: FaultCounters | None = None,
-) -> dict[Hashable, Any]:
-    """Run every unit, interleaved through the shared ``n_jobs`` pool.
-
-    Returns ``{unit.key: result}`` ordered like the input units.  With
-    ``n_jobs=1`` (or inside a pool child, or for a single unit) the units
-    run inline in input order — the scheduled and inline paths produce
-    identical mappings because every unit's output is a pure function of
-    ``(fn, seed, payload)``.
-
-    ``on_unit_done`` (when given) is called in the parent with each unit's
-    key and measured compute wall-time (seconds, clocked in the executing
-    process) as that unit finishes — in completion order when pooled, in
-    input order inline — so callers can surface live progress and feed
-    measured costs back into dispatch weights (see
-    :mod:`repro.engine.costs`); it must not depend on results.  If any unit
-    raises, the first failure (in completion order) propagates and every
-    not-yet-started unit is cancelled rather than left running in the
-    shared pool.  Worker *crashes*, by contrast, are recovered under
-    ``policy`` (see :func:`iter_units`) and tallied into ``counters``.
-    """
-    units = list(units)
-    results: dict[Hashable, Any] = {}
-    for done in iter_units(
-        units, n_jobs=n_jobs, policy=policy, counters=counters
-    ):
-        results[done.key] = done.result
-        if on_unit_done is not None:
-            on_unit_done(done.key, done.seconds)
-    return {u.key: results[u.key] for u in units}
-
-
 @dataclass(frozen=True)
 class WorkerPool:
-    """Shareable handle on the scheduler: an ``n_jobs`` budget and a retry
-    policy plus the scheduling entry points — the one execution setting
-    of an experiment config or an engine session.
+    """The scheduler's only entry point: an ``n_jobs`` budget, a retry
+    policy and a fault tally, plus the methods that run work units under
+    them — the one execution setting of an experiment config or an engine
+    session.
 
     The handle is deliberately near-stateless (the executors themselves
     live in the process-wide registry of :mod:`repro.batch.parallel`,
     keyed by worker count), so it is cheap, picklable, and safe to embed
     in frozen config dataclasses: two configs built with the same handle
-    schedule onto the same pool.  ``policy`` selects the crash-recovery
-    budget for everything scheduled through the handle (``None`` = the
-    scheduler default); ``counters`` (excluded from equality/hashing)
-    optionally aims the recovery telemetry at a session-owned tally —
-    engine sessions thread theirs here so ``engine.stats()`` sees
-    pipeline-level recoveries too.
+    schedule onto the same pool.  ``policy`` is the crash-recovery budget
+    for everything scheduled through the handle; ``counters`` (excluded
+    from equality/hashing) is where that recovery is tallied — engine
+    sessions thread theirs here so ``engine.stats()`` sees pipeline-level
+    recoveries too.  A handle without counters records nowhere.
     """
 
     #: Worker processes (``-1`` = all cores); resolved at scheduling time.
     n_jobs: int = 1
-    #: Crash-recovery budget (``None`` = DEFAULT_RETRY_POLICY).
-    policy: RetryPolicy | None = None
-    #: Session tally for recovery telemetry (identity-free: not compared).
+    #: Crash-recovery budget for every pooled unit of this handle.
+    policy: RetryPolicy = DEFAULT_RETRY_POLICY
+    #: Recovery tally (identity-free: not compared).
     counters: FaultCounters | None = field(
         default=None, compare=False, repr=False
     )
+
+    def iter(
+        self, units: Iterable[WorkUnit]
+    ) -> Generator[CompletedUnit, None, None]:
+        """Run every unit through the shared ``n_jobs`` pool, yielding each
+        as a :class:`CompletedUnit` **as it finishes** — the streaming
+        twin of :meth:`run`.
+
+        With ``n_jobs=1`` (or inside a pool child, or for a single unit)
+        the units run inline and are yielded in input order; pooled, they
+        arrive in completion order.  Either way the *set* of ``(key,
+        result)`` pairs is identical, because every unit's output is a pure
+        function of ``(fn, seed, payload)`` — consumers that need input
+        order collect into a mapping (exactly what :meth:`run` does),
+        consumers that can act on partial results (streaming response
+        loops, live report rendering) overlap their downstream work with
+        the tail of the schedule.
+
+        The pooled path is *supervised*: if a worker process dies
+        (``BrokenProcessPool`` — a crash fault), the executor is rebuilt
+        and the unserved units are resubmitted with their original seeds
+        under :attr:`policy`, which bounds attempts per unit and rebuilds
+        per run and finally degrades to inline execution (or raises
+        :class:`~repro.exceptions.PoolRecoveryExhausted`, per the policy).
+        Retries are digest-neutral — same ``(fn, seed, payload)``, same
+        bytes.  Recovery activity is tallied into :attr:`counters`.
+
+        If a unit raises (an *application* fault), the failure propagates
+        at the point of iteration — never retried — and every
+        not-yet-started unit is cancelled.  Abandoning the iterator early
+        (``close()``/``break``) likewise cancels whatever has not started.
+        """
+        units = list(units)
+        _check_unique_keys(units)
+        n_jobs = effective_n_jobs(self.n_jobs)
+        if n_jobs == 1 or len(units) <= 1:
+            for u in units:
+                result, seconds = clock_unit(u.fn, u.seed, u.payload)
+                yield CompletedUnit(
+                    key=u.key, result=result, seconds=seconds, kind=u.kind
+                )
+            return
+
+        for index, result, seconds in supervise_units(
+            units, n_jobs=n_jobs, policy=self.policy, counters=self.counters
+        ):
+            u = units[index]
+            yield CompletedUnit(
+                key=u.key, result=result, seconds=seconds, kind=u.kind
+            )
 
     def run(
         self,
         units: Iterable[WorkUnit],
         on_unit_done: Callable[[Hashable, float], None] | None = None,
     ) -> dict[Hashable, Any]:
-        """Schedule ``units`` through this pool (see :func:`run_units`)."""
-        return run_units(
-            units,
-            n_jobs=self.n_jobs,
-            on_unit_done=on_unit_done,
-            policy=self.policy,
-            counters=self.counters,
-        )
+        """Run every unit, interleaved through the shared ``n_jobs`` pool.
 
-    def iter(self, units: Iterable[WorkUnit]) -> Iterator[CompletedUnit]:
-        """Stream ``units`` through this pool as they complete (see
-        :func:`iter_units`)."""
-        return iter_units(
-            units,
-            n_jobs=self.n_jobs,
-            policy=self.policy,
-            counters=self.counters,
-        )
+        Returns ``{unit.key: result}`` ordered like the input units.  With
+        ``n_jobs=1`` (or inside a pool child, or for a single unit) the
+        units run inline in input order — the scheduled and inline paths
+        produce identical mappings because every unit's output is a pure
+        function of ``(fn, seed, payload)``.
+
+        ``on_unit_done`` (when given) is called in the parent with each
+        unit's key and measured compute wall-time (seconds, clocked in the
+        executing process) as that unit finishes — in completion order
+        when pooled, in input order inline — so callers can surface live
+        progress and feed measured costs back into dispatch weights (see
+        :mod:`repro.engine.costs`); it must not depend on results.  If any
+        unit raises, the first failure (in completion order) propagates and
+        every not-yet-started unit is cancelled rather than left running in
+        the shared pool.  Worker *crashes*, by contrast, are recovered (see
+        :meth:`iter`).
+        """
+        units = list(units)
+        results: dict[Hashable, Any] = {}
+        for done in self.iter(units):
+            results[done.key] = done.result
+            if on_unit_done is not None:
+                on_unit_done(done.key, done.seconds)
+        return {u.key: results[u.key] for u in units}
 
     def run_trials(
         self,
@@ -310,8 +277,38 @@ class WorkerPool:
         seed: SeedLike = None,
         payload: tuple[Any, ...] = (),
     ) -> list[Any]:
-        """Trial-granular fan-out on this pool, under its retry policy and
-        into its counters (see :func:`run_trials`)."""
+        """Run ``trial_fn(trial_index, rng, *payload)`` for every trial,
+        fanned out across the handle's workers, returning results in trial
+        order.
+
+        This is the trial-granular twin of :func:`mallows_sample_and_score`:
+        it parallelizes experiment loops whose unit of work is one *repeat*
+        (a subsample + solver run, say) rather than one batch row.  Each
+        trial gets its own child :class:`~numpy.random.SeedSequence`
+        derived from ``seed``, so trial ``t``'s stream is a function of
+        ``(seed, t)`` only and the results are **byte-identical to the
+        serial loop for every** ``n_jobs``.  The trials are cut into
+        ``min(n_jobs, n_trials)`` contiguous work units, so heavy
+        few-repeat loops (German Credit at ``n_repeats=5`` under
+        ``--jobs -1``) still run fully parallel, and a single trial runs
+        inline.
+
+        Parameters
+        ----------
+        trial_fn:
+            Module-level callable (it is pickled to the workers) invoked as
+            ``trial_fn(trial_index, rng, *payload)``.  Its return value must
+            be picklable.
+        n_trials:
+            Number of trials to run.
+        seed:
+            Any :data:`~repro.utils.rng.SeedLike`; a passed-in generator is
+            consumed exactly as :func:`~repro.utils.rng.spawn_generators`
+            would consume it (one 63-bit draw).
+        payload:
+            Extra positional arguments shipped to every trial (pickled once
+            per unit, not once per trial).
+        """
         if n_trials < 0:
             raise ValueError(
                 f"trial count must be non-negative, got {n_trials}"
@@ -333,51 +330,6 @@ class WorkerPool:
         return [result for u in units for result in results[u.key]]
 
 
-def run_trials(
-    trial_fn: Callable[..., Any],
-    n_trials: int,
-    *,
-    seed: SeedLike = None,
-    n_jobs: int = 1,
-    payload: tuple[Any, ...] = (),
-) -> list[Any]:
-    """Run ``trial_fn(trial_index, rng, *payload)`` for every trial, fanned
-    out across ``n_jobs`` worker processes, returning results in trial order.
-
-    This is the trial-granular twin of :func:`mallows_sample_and_score`: it
-    parallelizes experiment loops whose unit of work is one *repeat* (a
-    subsample + solver run, say) rather than one batch row.  Each trial gets
-    its own child :class:`~numpy.random.SeedSequence` derived from ``seed``,
-    so trial ``t``'s stream is a function of ``(seed, t)`` only and the
-    results are **byte-identical to the serial loop for every** ``n_jobs``.
-
-    Parameters
-    ----------
-    trial_fn:
-        Module-level callable (it is pickled to the workers) invoked as
-        ``trial_fn(trial_index, rng, *payload)``.  Its return value must be
-        picklable.
-    n_trials:
-        Number of trials to run.
-    seed:
-        Any :data:`~repro.utils.rng.SeedLike`; a passed-in generator is
-        consumed exactly as :func:`~repro.utils.rng.spawn_generators` would
-        consume it (one 63-bit draw).
-    n_jobs:
-        Worker processes (``-1`` = all cores).  The trials are cut into
-        ``min(n_jobs, n_trials)`` contiguous work units, so heavy
-        few-repeat loops (German Credit at ``n_repeats=5`` under
-        ``--jobs -1``) still run fully parallel, and a single trial runs
-        inline.  Output is identical for every value.
-    payload:
-        Extra positional arguments shipped to every trial (pickled once per
-        unit, not once per trial).
-    """
-    return WorkerPool(n_jobs).run_trials(
-        trial_fn, n_trials, seed=seed, payload=payload
-    )
-
-
 def mallows_sample_and_score(
     center: Ranking,
     theta: float,
@@ -388,11 +340,11 @@ def mallows_sample_and_score(
     scores: Sequence[float] | np.ndarray | None = None,
     ndcg_k: int | None = None,
     seed: SeedLike = None,
-    n_jobs: int = 1,
+    pool: WorkerPool = WorkerPool(),
     return_orders: bool = False,
 ) -> MallowsBatchScores:
     """Draw ``m`` Mallows samples around ``center`` and score every row,
-    sharded by row range across ``n_jobs`` worker processes.
+    sharded by row range across the workers of ``pool``.
 
     Parameters
     ----------
@@ -405,11 +357,12 @@ def mallows_sample_and_score(
     seed:
         Any :data:`~repro.utils.rng.SeedLike`.  A passed-in generator is
         consumed exactly as the single-process path would consume it.
-    n_jobs:
-        Worker processes (``-1`` = all cores).  Output is byte-identical
-        for every value.  Each shard gets at least ``MIN_ROWS_PER_JOB``
-        rows, so batches under ``2 * MIN_ROWS_PER_JOB`` rows are one shard
-        and run inline (pool dispatch would cost more than the work).
+    pool:
+        The scheduler handle the row shards run on, under its retry
+        policy and into its counters.  Output is byte-identical for every
+        worker count.  Each shard gets at least ``MIN_ROWS_PER_JOB`` rows,
+        so batches under ``2 * MIN_ROWS_PER_JOB`` rows are one shard and
+        run inline (pool dispatch would cost more than the work).
     return_orders:
         Also return the ``(m, n)`` sample orders (costs inter-process
         transfer of the whole batch when sharded).
@@ -418,7 +371,7 @@ def mallows_sample_and_score(
         raise ValueError("groups and constraints must be supplied together")
     if theta < 0:
         raise ValueError(f"theta must be non-negative, got {theta}")
-    n_jobs = effective_n_jobs(n_jobs)
+    n_jobs = effective_n_jobs(pool.n_jobs)
     n = len(center)
     n_shards = min(n_jobs, max(1, m // MIN_ROWS_PER_JOB)) if n > 0 else 1
     # An empty batch is still one (empty) shard, so every output keeps
@@ -440,7 +393,7 @@ def mallows_sample_and_score(
             ranges, _shard_sources(seed, ranges, n, theta)
         )
     ]
-    results = run_units(units, n_jobs=n_jobs)
+    results = pool.run(units)
     parts = [results[u.key] for u in units]
     return MallowsBatchScores(
         infeasible_index=_concat([p.infeasible_index for p in parts]),

@@ -53,7 +53,7 @@ import numpy as np
 from repro.algorithms.base import FairRankingAlgorithm, FairRankingProblem
 from repro.batch.cache import CacheStats, KernelCache, use_cache
 from repro.batch.parallel import resolve_n_jobs
-from repro.batch.schedule import WorkerPool, WorkUnit, iter_units
+from repro.batch.schedule import WorkerPool, WorkUnit
 from repro.engine.costs import CostModel, load_bench_cost_tables
 from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.faults.supervisor import FaultCounters, _get_executor, clock_unit
@@ -74,14 +74,14 @@ class EngineConfig:
         experiment pipeline (``-1`` = all cores).  Output is byte-identical
         for every value.
     retry:
-        Crash-recovery budget for the session's pooled work (``None`` =
+        Crash-recovery budget for the session's pooled work (default
         :data:`~repro.faults.policy.DEFAULT_RETRY_POLICY`: bounded
         retries, then degrade inline).  Retries resubmit units with
         their original seeds, so recovery never changes a digest.
     """
 
     n_jobs: int = 1
-    retry: RetryPolicy | None = None
+    retry: RetryPolicy = DEFAULT_RETRY_POLICY
 
     def __post_init__(self) -> None:
         resolve_n_jobs(self.n_jobs)  # validate early (raises on 0, -2, …)
@@ -402,10 +402,8 @@ class RankingEngine:
 
     @property
     def retry_policy(self) -> RetryPolicy:
-        """The session's effective crash-recovery budget (the configured
-        one, or the scheduler default)."""
-        retry = self._config.retry
-        return DEFAULT_RETRY_POLICY if retry is None else retry
+        """The session's crash-recovery budget (its pool handle's)."""
+        return self._pool.policy
 
     @property
     def fault_counters(self) -> FaultCounters:
@@ -544,9 +542,10 @@ class RankingEngine:
         self._require_open()
         resolved = [_as_request(obj, i) for i, obj in enumerate(requests)]
         units = self._build_units(resolved, seed, fn=_rank_unit_guarded)
-        return _reraise_errors(
-            self._drain(resolved, units, n_jobs, self._config.retry)
-        )
+        pool = self._pool
+        if n_jobs is not None:
+            pool = replace(pool, n_jobs=n_jobs)
+        return _reraise_errors(self._drain(resolved, units, pool))
 
     def _build_units(
         self,
@@ -621,8 +620,10 @@ class RankingEngine:
         self._require_open()
         resolved = [_as_request(obj, i) for i, obj in enumerate(requests)]
         units = self._build_units(resolved, seed, fn=_rank_unit_guarded)
-        policy = self._config.retry if retry is None else retry
-        drain = self._drain(resolved, units, None, policy)
+        pool = self._pool
+        if retry is not None:
+            pool = replace(pool, policy=retry)
+        drain = self._drain(resolved, units, pool)
         delivered = 0
         with closing(drain):
             for index, request, outcome in drain:
@@ -665,21 +666,18 @@ class RankingEngine:
         self,
         requests: list[RankingRequest],
         units: list[WorkUnit],
-        n_jobs: int | None,
-        retry: RetryPolicy | None,
+        pool: WorkerPool,
     ) -> _Drain:
         """The one drain loop behind :meth:`rank_many` and
-        :meth:`rank_many_submit`: run the guarded units through the
-        supervised scheduler and yield ``(index, request, outcome)`` as
-        each completes, where ``outcome`` is the :class:`RankingResponse`
-        or the exception the request raised.  Closing it early cancels
-        whatever has not started."""
+        :meth:`rank_many_submit`: run the guarded units through ``pool``
+        (the session's handle, or a copy with a per-call override) and
+        yield ``(index, request, outcome)`` as each completes, where
+        ``outcome`` is the :class:`RankingResponse` or the exception the
+        request raised.  Closing it early cancels whatever has not
+        started."""
         self._batches_total += 1
-        jobs = self._config.n_jobs if n_jobs is None else n_jobs
         t0 = time.perf_counter()
-        stream = iter_units(
-            units, n_jobs=jobs, policy=retry, counters=self._faults
-        )
+        stream = pool.iter(units)
         try:
             while True:
                 # The session cache is installed only while the scheduler

@@ -5,7 +5,7 @@ longest-processing-time-first, but until a unit kind has actually run, its
 ``weight`` is a static guess (``n_samples`` here, subsample size there).
 :class:`CostModel` closes the loop: every completed unit reports its
 measured compute wall-time (clocked in the executing process by
-:func:`~repro.batch.schedule.iter_units`), the model folds it into an
+:meth:`~repro.batch.schedule.WorkerPool.iter`), the model folds it into an
 exponentially-weighted moving average per ``unit.kind``, and the next
 schedule of the same kinds is dispatched by *seconds observed* instead of
 by guesswork.

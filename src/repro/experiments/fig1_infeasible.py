@@ -91,7 +91,7 @@ def _cell_unit(
         groups=groups,
         constraints=constraints,
         seed=rng,
-        n_jobs=config.pool.n_jobs,
+        pool=config.pool,
     )
     ci = bootstrap_ci(
         scored.infeasible_index.astype(float),
@@ -148,7 +148,7 @@ def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
     """Run the Figure 1 experiment under ``config``.
 
     The ``(target, θ)`` cells are scheduled through ``config.pool``, and a
-    cell that runs inline shards its rows over ``config.pool.n_jobs``
-    workers; output is byte-identical for every worker count.
+    cell that runs inline shards its rows over the same handle, under its
+    retry policy; output is byte-identical for every worker count.
     """
     return collect_fig1(config, config.pool.run(fig1_units(config)))

@@ -110,7 +110,7 @@ def _delta_unit(
                 constraints=constraints,
                 scores=sample.scores,
                 seed=rng,
-                n_jobs=config.pool.n_jobs,
+                pool=config.pool,
             )
             ii_per_theta[theta].append(float(scored.infeasible_index.mean()))
             ndcg_per_theta[theta].append(float(scored.ndcg.mean()))
@@ -167,7 +167,7 @@ def run_fig34(config: Fig34Config = Fig34Config()) -> Fig34Result:
     """Run the Figures 3–4 experiment under ``config``.
 
     The per-δ units are scheduled through ``config.pool``, and a δ that
-    runs inline shards its samples over ``config.pool.n_jobs`` workers;
-    output is byte-identical for every worker count.
+    runs inline shards its samples over the same handle, under its retry
+    policy; output is byte-identical for every worker count.
     """
     return collect_fig34(config, config.pool.run(fig34_units(config)))

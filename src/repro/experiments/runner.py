@@ -98,8 +98,10 @@ def run_all(
         :attr:`~repro.engine.RankingEngine.pool` handle (worker count,
         retry policy and fault counters) replaces ``n_jobs`` and is
         threaded through every experiment config; its cost model is the
-        default for ``costs``.  The CLI builds one engine per invocation
-        and runs everything through it.
+        default for ``costs``.  The run's crash recoveries are read from
+        ``engine.fault_counters``; without an engine they are tallied
+        nowhere.  The CLI builds one engine per invocation and runs
+        everything through it.
     costs:
         The measured-cost table to schedule from and feed (defaults to the
         process-wide :data:`~repro.engine.costs.DEFAULT_COSTS`).  Units

@@ -3,9 +3,11 @@ deterministic chaos, and a supervised scheduler.
 
 Every pooled path is supervised: experiment units, the row shards of
 :func:`~repro.batch.mallows_sample_and_score`, the trial shards of
-:func:`~repro.batch.run_trials` and the engine's served requests all
-reach a worker through the one dispatch loop below.  The package splits
-into three small layers:
+:meth:`~repro.batch.WorkerPool.run_trials` and the engine's served
+requests all reach a worker through the one dispatch loop below, under
+the retry policy of the :class:`~repro.batch.WorkerPool` handle that
+scheduled them and into that handle's counters.  The package splits into
+three small layers:
 
 :mod:`repro.faults.policy`
     :class:`RetryPolicy` — the recovery budget (attempts per unit,
@@ -15,7 +17,8 @@ into three small layers:
     :func:`supervise_units` — the pooled dispatch loop that survives
     ``BrokenProcessPool`` by rebuilding the executor and resubmitting
     unserved units with their *original* seeds (digest-neutral by the
-    purity contract), plus :class:`FaultCounters` telemetry.
+    purity contract), plus the :class:`FaultCounters` a caller passes in
+    to see that recovery.
 :mod:`repro.faults.injection`
     :class:`InjectionPlan` / :class:`FaultSpec` — deterministic chaos,
     keyed by ``(unit key, attempt)`` and shipped to workers through the
@@ -24,12 +27,15 @@ into three small layers:
 
 Quickstart::
 
-    from repro.faults import RetryPolicy, inject_faults, parse_fault_specs
+    from repro.engine import RankingEngine
+    from repro.faults import inject_faults, parse_fault_specs
     from repro.experiments.runner import run_all, reports_digest
 
+    engine = RankingEngine(n_jobs=2)
     with inject_faults(parse_fault_specs("*:0:exit")):
-        reports = run_all(fast=True, n_jobs=2)   # first worker try dies…
+        reports = run_all(fast=True, engine=engine)  # first worker try dies…
     reports_digest(reports)  # …and the digest still matches the serial run
+    engine.fault_counters.crash_faults  # the run's own recovery tally
 """
 
 from repro.exceptions import (
@@ -57,12 +63,7 @@ from repro.faults.policy import (
     DEGRADE_RAISE,
     RetryPolicy,
 )
-from repro.faults.supervisor import (
-    GLOBAL_FAULTS,
-    FaultCounters,
-    reset_fault_counters,
-    supervise_units,
-)
+from repro.faults.supervisor import FaultCounters, supervise_units
 
 __all__ = [
     "ANY_KEY",
@@ -72,7 +73,6 @@ __all__ = [
     "FAULT_ENV_VAR",
     "FaultCounters",
     "FaultSpec",
-    "GLOBAL_FAULTS",
     "InjectedFault",
     "InjectionPlan",
     "PoolRecoveryExhausted",
@@ -86,6 +86,5 @@ __all__ = [
     "maybe_inject",
     "parse_fault_specs",
     "plan_from_env",
-    "reset_fault_counters",
     "supervise_units",
 ]

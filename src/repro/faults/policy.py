@@ -7,12 +7,12 @@ field so tests (and the deterministic serve harness) can substitute a
 recording fake and stay sleep-free — backoff *amounts* are still
 computed and counted, they just never block.
 
-Every pooled path runs under a policy.  A
-:class:`~repro.batch.schedule.WorkerPool` handle or an engine session
-passes its own, for experiment units, served requests and trial shards
-(``WorkerPool.run_trials``) alike; the fan-outs that take only
-``n_jobs`` (``mallows_sample_and_score``, module-level ``run_trials``)
-run under :data:`DEFAULT_RETRY_POLICY`.
+Every pooled path runs under the policy of the
+:class:`~repro.batch.schedule.WorkerPool` handle that scheduled it:
+experiment units, row shards (``mallows_sample_and_score(pool=)``), trial
+shards (``WorkerPool.run_trials``) and an engine session's served
+requests alike.  A handle built without one carries
+:data:`DEFAULT_RETRY_POLICY`.
 
 Only *crash* faults (worker process death, surfacing as
 ``BrokenProcessPool``) consume budget.  Application faults — the unit's

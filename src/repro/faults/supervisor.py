@@ -2,8 +2,8 @@
 
 :func:`supervise_units` is the one pooled dispatch loop: every unit that
 reaches a worker process — experiment cells, row and trial shards, served
-requests — arrives through :func:`repro.batch.schedule.iter_units` and is
-submitted here, to the shared per-``n_jobs`` executor built by
+requests — arrives through :meth:`repro.batch.schedule.WorkerPool.iter`
+and is submitted here, to the shared per-``n_jobs`` executor built by
 :func:`_get_executor` (longest-processing-time order, as-completed
 harvesting).  When the pool collapses (``BrokenProcessPool``: a worker
 was OOM-killed, segfaulted, or hard-exited by the fault-injection
@@ -32,13 +32,15 @@ The degradation ladder, in order:
    can trip its circuit breaker and shed load instead of dragging all
    traffic through one inline thread.
 
-Every recovery action is tallied in :class:`FaultCounters` — the
-process-wide :data:`GLOBAL_FAULTS` plus any caller-supplied counters
-(engine sessions pass their own, so ``engine.stats()`` stays truthful).
+Every recovery action is tallied in the caller's :class:`FaultCounters`
+and nowhere else: a run's recoveries are read from its own handle
+(``WorkerPool(counters=...)``, or ``engine.fault_counters`` for an engine
+session), so concurrent runs never share a tally.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
@@ -49,11 +51,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol, Sequen
 from repro.batch.parallel import _EXECUTORS, _init_worker
 from repro.exceptions import PoolRecoveryExhausted
 from repro.faults.injection import configured_plan, maybe_inject
-from repro.faults.policy import (
-    DEFAULT_RETRY_POLICY,
-    DEGRADE_RAISE,
-    RetryPolicy,
-)
+from repro.faults.policy import DEGRADE_RAISE, RetryPolicy
 
 
 class SupervisedUnit(Protocol):
@@ -78,8 +76,8 @@ class SupervisedUnit(Protocol):
 
 @dataclass
 class FaultCounters:
-    """Mutable tally of recovery activity (one per engine session, plus
-    the process-wide :data:`GLOBAL_FAULTS`).
+    """Mutable tally of recovery activity (one per engine session or
+    :class:`~repro.batch.schedule.WorkerPool` handle that asks for one).
 
     ``crash_faults`` counts pool collapses observed; ``rebuilds`` counts
     executor rebuilds actually performed; ``retried_units`` /
@@ -115,15 +113,6 @@ class FaultCounters:
         self.exhausted_units += exhausted_units
         self.backoff_seconds += backoff_seconds
 
-    def reset(self) -> None:
-        """Zero every counter (test hygiene; see the shared fixture)."""
-        self.crash_faults = 0
-        self.rebuilds = 0
-        self.retried_units = 0
-        self.degraded_units = 0
-        self.exhausted_units = 0
-        self.backoff_seconds = 0.0
-
     def snapshot(self) -> dict[str, int | float]:
         """A plain-dict copy (stats surfaces embed this)."""
         return {
@@ -139,28 +128,23 @@ class FaultCounters:
         return any(value != 0 for value in self.snapshot().values())
 
 
-#: Process-wide tally: every supervised run records here (in addition to
-#: any caller-supplied counters), so CLI runs and chaos lanes can assert
-#: that recovery actually happened.
-GLOBAL_FAULTS = FaultCounters()
-
-
-def reset_fault_counters() -> None:
-    """Zero :data:`GLOBAL_FAULTS` (used by the shared pytest fixture)."""
-    GLOBAL_FAULTS.reset()
+#: Makes each check-then-act on the executor registry atomic: a serving
+#: drain and a pipeline can rebuild or evict the same worker count at once.
+_REGISTRY_LOCK = threading.Lock()
 
 
 def _get_executor(n_jobs: int) -> ProcessPoolExecutor:
     """The shared ``n_jobs``-worker executor, built on first use; its
     workers carry the configured injection plan from birth."""
-    executor = _EXECUTORS.get(n_jobs)
-    if executor is None:
-        executor = ProcessPoolExecutor(
-            max_workers=n_jobs,
-            initializer=_init_worker,
-            initargs=(configured_plan(),),
-        )
-        _EXECUTORS[n_jobs] = executor
+    with _REGISTRY_LOCK:
+        executor = _EXECUTORS.get(n_jobs)
+        if executor is None:
+            executor = ProcessPoolExecutor(
+                max_workers=n_jobs,
+                initializer=_init_worker,
+                initargs=(configured_plan(),),
+            )
+            _EXECUTORS[n_jobs] = executor
     return executor
 
 
@@ -173,11 +157,16 @@ def _evict_broken_pool(
 
     Cancelling explicitly (not just via ``cancel_futures=True``) keeps
     behaviour uniform across executor implementations and marks the
-    futures cancelled *before* any caller inspects them.
+    futures cancelled *before* any caller inspects them.  The registry
+    entry is dropped only while it is still ``executor``: two threads
+    that saw one collapse (a serving drain and a pipeline, say) must not
+    let the later cleanup orphan the pool the earlier one just rebuilt.
     """
     for future in futures:
         future.cancel()
-    _EXECUTORS.pop(n_jobs, None)
+    with _REGISTRY_LOCK:
+        if _EXECUTORS.get(n_jobs) is executor:
+            del _EXECUTORS[n_jobs]
     executor.shutdown(wait=False, cancel_futures=True)
 
 
@@ -218,19 +207,18 @@ def supervise_units(
     units: Sequence[SupervisedUnit],
     *,
     n_jobs: int,
-    policy: RetryPolicy | None = None,
-    counters: FaultCounters | None = None,
+    policy: RetryPolicy,
+    counters: FaultCounters | None,
 ) -> Iterator[tuple[int, Any, float]]:
     """Pooled dispatch with crash-fault recovery: yield ``(index, result,
     seconds)`` for every unit, in completion order.
 
     ``n_jobs`` must already be resolved (> 1); the inline path belongs to
-    the caller.  See the module docstring for the recovery semantics.
+    the caller.  Recovery is tallied into ``counters`` only (``None``
+    records nowhere).  See the module docstring for the recovery
+    semantics.
     """
-    policy = DEFAULT_RETRY_POLICY if policy is None else policy
-    tallies = [GLOBAL_FAULTS]
-    if counters is not None:
-        tallies.append(counters)
+    tally = FaultCounters() if counters is None else counters
     pending = set(range(len(units)))
     attempts = [0] * len(units)
     rebuilds = 0
@@ -295,8 +283,7 @@ def supervise_units(
                 _evict_broken_pool(n_jobs, executor, futures)
                 raise error
         _evict_broken_pool(n_jobs, executor, futures)
-        for tally in tallies:
-            tally.record(crash_faults=1)
+        tally.record(crash_faults=1)
         # Every unit still unserved was caught in this collapse: charge
         # each one attempt (the killer cannot be identified, and charging
         # all keeps the bound deterministic).
@@ -314,17 +301,16 @@ def supervise_units(
             )
         if casualties:
             if policy.on_exhausted == DEGRADE_RAISE:
-                for tally in tallies:
-                    tally.record(exhausted_units=len(casualties))
+                tally.record(exhausted_units=len(casualties))
                 raise PoolRecoveryExhausted(
                     keys=tuple(units[i].key for i in casualties),
                     rebuilds=rebuilds,
                     max_rebuilds=policy.max_rebuilds,
                     max_attempts=policy.max_attempts,
                 ) from crash
-            # stacklevel 3 names the caller's loop over iter_units.  The
-            # text leaves out the unit count (degraded_units has it), so
-            # the default filter shows it once per call site.
+            # stacklevel 3 names the caller's loop over WorkerPool.iter.
+            # The text leaves out the unit count (degraded_units has it),
+            # so the default filter shows it once per call site.
             warnings.warn(
                 "worker-pool recovery budget exhausted "
                 f"(max_attempts={policy.max_attempts}, "
@@ -335,8 +321,7 @@ def supervise_units(
                 RuntimeWarning,
                 stacklevel=3,
             )
-            for tally in tallies:
-                tally.record(degraded_units=len(casualties))
+            tally.record(degraded_units=len(casualties))
             for index in casualties:
                 unit = units[index]
                 result, seconds = clock_unit(unit.fn, unit.seed, unit.payload)
@@ -345,11 +330,10 @@ def supervise_units(
         if survivors:
             rebuilds += 1
             delay = policy.backoff(rebuilds)
-            for tally in tallies:
-                tally.record(
-                    rebuilds=1,
-                    retried_units=len(survivors),
-                    backoff_seconds=delay,
-                )
+            tally.record(
+                rebuilds=1,
+                retried_units=len(survivors),
+                backoff_seconds=delay,
+            )
             if delay > 0.0:
                 policy.sleep(delay)

@@ -39,7 +39,7 @@ def spawn_seed_sequences(seed: SeedLike, n: int) -> list[np.random.SeedSequence]
     worker processes and construct the ``Generator`` there.  Constructing a
     generator from child ``i`` gives exactly the same stream in every
     process, which is what makes trial fan-out byte-identical to the serial
-    loop (see :func:`repro.batch.schedule.run_trials`).
+    loop (see :meth:`repro.batch.schedule.WorkerPool.run_trials`).
     """
     if n < 0:
         raise ValueError(f"number of generators must be non-negative, got {n}")

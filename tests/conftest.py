@@ -15,14 +15,11 @@ from repro.rankings.permutation import Ranking
 
 @pytest.fixture(autouse=True)
 def _reset_fault_state():
-    """Wipe the process-wide fault-recovery state before every test: the
-    :data:`~repro.faults.supervisor.GLOBAL_FAULTS` tally and any configured
-    fault-injection plan — a chaos test must never leak crashes into its
-    neighbours.
+    """Clear any configured fault-injection plan before and after every
+    test — a chaos test must never leak crashes into its neighbours.
     """
-    from repro.faults import clear_plan, reset_fault_counters
+    from repro.faults import clear_plan
 
-    reset_fault_counters()
     clear_plan()
     yield
     clear_plan()

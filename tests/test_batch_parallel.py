@@ -5,8 +5,9 @@ seed, every ``n_jobs`` value produces byte-identical samples and scores,
 and leaves a passed-in generator in exactly the state the single-process
 path would — so whole experiments are reproducible independently of the
 worker count.
-The same holds for the trial-granular pool (:func:`repro.batch.run_trials`)
-that covers the German Credit panels and Fig. 2.
+The same holds for the trial-granular pool
+(:meth:`repro.batch.WorkerPool.run_trials`) that covers the German Credit
+panels and Fig. 2.
 """
 
 import warnings
@@ -20,7 +21,6 @@ from repro.batch import (
     in_worker,
     mallows_sample_and_score,
     resolve_n_jobs,
-    run_trials,
     shard_row_ranges,
 )
 from repro.datasets.german_credit import synthesize_german_credit
@@ -118,7 +118,7 @@ class TestPipelineEquivalence:
                 constraints=constraints,
                 scores=scores,
                 seed=2024,
-                n_jobs=n_jobs,
+                pool=WorkerPool(n_jobs),
                 return_orders=True,
             )
             for n_jobs in (1, 2, 3)
@@ -141,7 +141,7 @@ class TestPipelineEquivalence:
             groups=groups,
             constraints=constraints,
             seed=99,
-            n_jobs=2,
+            pool=WorkerPool(2),
             return_orders=True,
         )
         assert np.array_equal(legacy, sharded.orders)
@@ -154,11 +154,11 @@ class TestPipelineEquivalence:
         g2 = np.random.default_rng(41)
         a = mallows_sample_and_score(
             center, THETA, M, groups=groups, constraints=constraints,
-            seed=g1, n_jobs=1,
+            seed=g1, pool=WorkerPool(1),
         )
         b = mallows_sample_and_score(
             center, THETA, M, groups=groups, constraints=constraints,
-            seed=g2, n_jobs=2,
+            seed=g2, pool=WorkerPool(2),
         )
         assert np.array_equal(a.infeasible_index, b.infeasible_index)
         assert np.array_equal(g1.random(20), g2.random(20))
@@ -169,12 +169,12 @@ class TestPipelineEquivalence:
         center, groups, constraints, _ = workload
         a = mallows_sample_and_score(
             center, THETA, M, groups=groups, constraints=constraints,
-            seed=np.random.Generator(np.random.MT19937(7)), n_jobs=1,
+            seed=np.random.Generator(np.random.MT19937(7)), pool=WorkerPool(1),
             return_orders=True,
         )
         b = mallows_sample_and_score(
             center, THETA, M, groups=groups, constraints=constraints,
-            seed=np.random.Generator(np.random.MT19937(7)), n_jobs=2,
+            seed=np.random.Generator(np.random.MT19937(7)), pool=WorkerPool(2),
             return_orders=True,
         )
         assert np.array_equal(a.orders, b.orders)
@@ -186,7 +186,7 @@ class TestPipelineEquivalence:
         center, _, _, _ = workload
         orders = [
             mallows_sample_and_score(
-                center, THETA, M, n_jobs=n_jobs, return_orders=True,
+                center, THETA, M, pool=WorkerPool(n_jobs), return_orders=True,
                 seed=np.random.Generator(np.random.Philox(7)),
             ).orders
             for n_jobs in (1, 2)
@@ -201,7 +201,9 @@ class TestPipelineEquivalence:
         for n_jobs in (1, 2):
             rng = np.random.default_rng(5)
             rng.integers(0, 10, dtype=np.uint32)
-            mallows_sample_and_score(center, THETA, M, seed=rng, n_jobs=n_jobs)
+            mallows_sample_and_score(
+                center, THETA, M, seed=rng, pool=WorkerPool(n_jobs)
+            )
             tails.append(rng.integers(0, 2**32, size=3, dtype=np.uint32))
         assert np.array_equal(tails[0], tails[1])
 
@@ -217,19 +219,19 @@ class TestPipelineEquivalence:
                 center, THETA, 50, constraints=constraints, seed=1
             )
 
-    def test_small_batch_warns_once_and_runs_inline(self, workload):
+    def test_small_batch_runs_inline(self, workload):
         """A batch under ``2 * MIN_ROWS_PER_JOB`` rows is one shard, which
-        runs inline (the name predates the removal of its advisory)."""
+        runs inline."""
         center, groups, constraints, _ = workload
         out = mallows_sample_and_score(
             center, THETA, 50, groups=groups, constraints=constraints,
-            seed=3, n_jobs=4,
+            seed=3, pool=WorkerPool(4),
         )
         assert out.infeasible_index.shape == (50,)
         # Identical to the plain single-process run.
         ref = mallows_sample_and_score(
             center, THETA, 50, groups=groups, constraints=constraints,
-            seed=3, n_jobs=1,
+            seed=3, pool=WorkerPool(1),
         )
         assert np.array_equal(out.infeasible_index, ref.infeasible_index)
 
@@ -237,7 +239,7 @@ class TestPipelineEquivalence:
         center, groups, constraints, scores = workload
         out = mallows_sample_and_score(
             center, THETA, 0, groups=groups, constraints=constraints,
-            scores=scores, seed=0, n_jobs=2, return_orders=True,
+            scores=scores, seed=0, pool=WorkerPool(2), return_orders=True,
         )
         assert out.orders.shape == (0, N)
         assert out.infeasible_index.shape == (0,)
@@ -269,12 +271,14 @@ def _process_probe_trial(trial_index, rng):
 
 class TestTrialPool:
     def test_results_in_trial_order_with_payload(self):
-        out = run_trials(_payload_trial, 5, seed=0, n_jobs=1, payload=(100.0, 10.0))
+        out = WorkerPool(1).run_trials(
+            _payload_trial, 5, seed=0, payload=(100.0, 10.0)
+        )
         assert [int(x) for x in out] == [100, 110, 120, 130, 140]
 
     def test_byte_identical_across_n_jobs(self):
         results = [
-            run_trials(_stream_probe_trial, 9, seed=42, n_jobs=n_jobs)
+            WorkerPool(n_jobs).run_trials(_stream_probe_trial, 9, seed=42)
             for n_jobs in (1, 2, 3)
         ]
         assert results[1] == results[0]
@@ -284,7 +288,7 @@ class TestTrialPool:
         """Trial t's stream is exactly spawn_generators(seed, n)[t]'s."""
         from repro.utils.rng import spawn_generators
 
-        out = run_trials(_stream_probe_trial, 4, seed=7, n_jobs=2)
+        out = WorkerPool(2).run_trials(_stream_probe_trial, 4, seed=7)
         expected = [g.random(3).tolist() for g in spawn_generators(7, 4)]
         assert out == expected
 
@@ -293,21 +297,21 @@ class TestTrialPool:
         so downstream draws from the same stream are unaffected."""
         g1 = np.random.default_rng(3)
         g2 = np.random.default_rng(3)
-        a = run_trials(_square_trial, 4, seed=g1, n_jobs=1)
-        b = run_trials(_square_trial, 4, seed=g2, n_jobs=2)
+        a = WorkerPool(1).run_trials(_square_trial, 4, seed=g1)
+        b = WorkerPool(2).run_trials(_square_trial, 4, seed=g2)
         assert a == b
         assert np.array_equal(g1.random(5), g2.random(5))
 
     def test_zero_trials(self):
-        assert run_trials(_square_trial, 0, seed=0, n_jobs=4) == []
+        assert WorkerPool(4).run_trials(_square_trial, 0, seed=0) == []
 
     def test_negative_trials_raises(self):
         with pytest.raises(ValueError):
-            run_trials(_square_trial, -1, seed=0)
+            WorkerPool().run_trials(_square_trial, -1, seed=0)
 
     def test_invalid_n_jobs_raises(self):
         with pytest.raises(ValueError):
-            run_trials(_square_trial, 3, seed=0, n_jobs=0)
+            WorkerPool(0).run_trials(_square_trial, 3, seed=0)
 
     def test_fewer_trials_than_workers_clamps_instead_of_inlining(self):
         """Regression for the inline fallback: n_trials < n_jobs must fan
@@ -315,7 +319,7 @@ class TestTrialPool:
         (heavy few-repeat loops were losing all parallelism)."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = run_trials(_process_probe_trial, 2, seed=5, n_jobs=3)
+            out = WorkerPool(3).run_trials(_process_probe_trial, 2, seed=5)
         import os
 
         pids = {pid for pid, _, _ in out}
@@ -324,15 +328,14 @@ class TestTrialPool:
         assert all(jobs == 1 for _, _, jobs in out)  # no nested pools
 
     def test_clamped_fanout_matches_serial_streams(self):
-        a = run_trials(_stream_probe_trial, 3, seed=5, n_jobs=8)
-        b = run_trials(_stream_probe_trial, 3, seed=5, n_jobs=1)
+        a = WorkerPool(8).run_trials(_stream_probe_trial, 3, seed=5)
+        b = WorkerPool(1).run_trials(_stream_probe_trial, 3, seed=5)
         assert a == b
 
-    def test_single_trial_warns_once_and_runs_inline(self):
-        """A single trial is one unit, which runs inline (the name
-        predates the removal of its advisory)."""
-        out = run_trials(_square_trial, 1, seed=5, n_jobs=8)
-        assert out == run_trials(_square_trial, 1, seed=5, n_jobs=1)
+    def test_single_trial_runs_inline(self):
+        """A single trial is one unit, which runs inline."""
+        out = WorkerPool(8).run_trials(_square_trial, 1, seed=5)
+        assert out == WorkerPool(1).run_trials(_square_trial, 1, seed=5)
 
 
 class TestExperimentEquivalence:

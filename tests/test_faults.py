@@ -19,19 +19,16 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.algorithms.base import FairRankingProblem
-from repro.batch import (
-    WorkUnit,
-    WorkerPool,
-    mallows_sample_and_score,
-    run_trials,
-    run_units,
-)
+from repro.batch import WorkUnit, WorkerPool, mallows_sample_and_score
 from repro.engine import RankingEngine, RankingRequest, responses_digest
 from repro.exceptions import (
     InjectedFault,
@@ -45,7 +42,6 @@ from repro.faults import (
     FAULT_ENV_VAR,
     FaultCounters,
     FaultSpec,
-    GLOBAL_FAULTS,
     InjectionPlan,
     RetryPolicy,
     clear_plan,
@@ -56,6 +52,7 @@ from repro.faults import (
     parse_fault_specs,
     plan_from_env,
 )
+from repro.faults import supervisor
 from repro.faults.injection import _install_worker_plan
 from repro.groups.attributes import GroupAssignment
 from repro.rankings.permutation import random_ranking
@@ -92,6 +89,16 @@ def _no_sleep(_seconds):
     pass
 
 
+class _StandInExecutor:
+    """Counts ``shutdown`` calls in place of a real process pool."""
+
+    def __init__(self):
+        self.shutdowns = 0
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns += 1
+
+
 def _policy(**overrides):
     """A supervised policy with a recording sleep (zero real sleeps)."""
     recorder = RecordingSleep()
@@ -121,6 +128,15 @@ def _units(n=6):
         )
         for i in range(n)
     ]
+
+
+def _no_rebuild_pool(counters):
+    """A two-worker handle whose first crash exhausts its budget."""
+    return WorkerPool(
+        2,
+        policy=RetryPolicy(max_rebuilds=0, on_exhausted=DEGRADE_RAISE),
+        counters=counters,
+    )
 
 
 def _problem():
@@ -275,13 +291,11 @@ class TestInjectionPlan:
 class TestSupervisedRecovery:
     def test_crash_is_recovered_with_original_seeds(self):
         units = _units()
-        inline = run_units(units, n_jobs=1)
+        inline = WorkerPool().run(units)
         policy, sleep = _policy()
         counters = FaultCounters()
         with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            pooled = run_units(
-                units, n_jobs=2, policy=policy, counters=counters
-            )
+            pooled = WorkerPool(2, policy=policy, counters=counters).run(units)
         assert pooled == inline
         assert counters.crash_faults >= 1
         assert counters.rebuilds >= 1
@@ -292,8 +306,6 @@ class TestSupervisedRecovery:
         assert sleep.calls == [pytest.approx(policy.backoff(r))
                                for r in range(1, counters.rebuilds + 1)]
         assert counters.backoff_seconds == pytest.approx(sum(sleep.calls))
-        # The process-wide tally saw the same recovery.
-        assert GLOBAL_FAULTS.crash_faults == counters.crash_faults
 
     def test_application_fault_is_not_retried(self):
         units = _units(4)
@@ -301,19 +313,19 @@ class TestSupervisedRecovery:
         counters = FaultCounters()
         with inject_faults(parse_fault_specs("('draw', 2):0:raise")):
             with pytest.raises(InjectedFault):
-                run_units(units, n_jobs=2, policy=policy, counters=counters)
+                WorkerPool(2, policy=policy, counters=counters).run(units)
         assert not counters  # no crash, no rebuild, no budget spent
 
     def test_exhausted_budget_degrades_to_inline_with_one_warning(self):
         units = _units()
-        inline = run_units(units, n_jobs=1)
+        inline = WorkerPool().run(units)
         policy, _ = _policy(max_rebuilds=1)
         counters = FaultCounters()
         with inject_faults(parse_fault_specs(CRASH_ALWAYS)):
             with pytest.warns(RuntimeWarning, match="inline"):
-                pooled = run_units(
-                    units, n_jobs=2, policy=policy, counters=counters
-                )
+                pooled = WorkerPool(
+                    2, policy=policy, counters=counters
+                ).run(units)
         # Same bytes — the stragglers re-ran serially with their original
         # seeds (the parent process never activates an injection plan).
         assert pooled == inline
@@ -327,7 +339,7 @@ class TestSupervisedRecovery:
         counters = FaultCounters()
         with inject_faults(parse_fault_specs(CRASH_ALWAYS)):
             with pytest.raises(PoolRecoveryExhausted) as exc_info:
-                run_units(units, n_jobs=2, policy=policy, counters=counters)
+                WorkerPool(2, policy=policy, counters=counters).run(units)
         err = exc_info.value
         assert isinstance(err, WorkerCrashError)
         assert err.rebuilds == 0
@@ -336,6 +348,53 @@ class TestSupervisedRecovery:
         assert len(err.keys) >= 1
         assert counters.exhausted_units == len(err.keys)
         assert counters.degraded_units == 0
+
+    def test_stale_eviction_keeps_the_rebuilt_pool(self, monkeypatch):
+        """Two threads that saw one collapse both clean it up: the later
+        cleanup must shut down only its own broken executor, never drop
+        the pool the earlier one has already rebuilt."""
+        stale, fresh = _StandInExecutor(), _StandInExecutor()
+        registry = {2: fresh}
+        monkeypatch.setattr(supervisor, "_EXECUTORS", registry)
+        supervisor._evict_broken_pool(2, stale, [])
+        assert registry == {2: fresh}
+        assert stale.shutdowns == 1
+        assert fresh.shutdowns == 0
+
+    def test_concurrent_rebuilds_build_one_pool(self, monkeypatch):
+        """Threads rebuilding after one collapse must all get the one
+        registered executor; a lost update would fork an orphaned pool."""
+        built = []
+
+        class SlowStandIn(_StandInExecutor):
+            def __init__(self, **_kwargs):
+                super().__init__()
+                time.sleep(0.001)  # widen the check-then-build window
+                built.append(self)
+
+        registry = {}
+        monkeypatch.setattr(supervisor, "_EXECUTORS", registry)
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", SlowStandIn)
+        got = []
+        threads = [
+            threading.Thread(
+                target=lambda: got.append(supervisor._get_executor(2))
+            )
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 1
+        assert registry == {2: built[0]}
+        assert got == built * 8
 
     def test_pool_recovery_exhausted_pickles(self):
         err = PoolRecoveryExhausted(
@@ -367,11 +426,12 @@ class TestSupervisedRecovery:
         from repro.experiments.runner import reports_digest, run_all
 
         serial = reports_digest(run_all(fast=True, n_jobs=1))
-        with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            chaos = reports_digest(run_all(fast=True, n_jobs=n_jobs))
+        with RankingEngine(n_jobs=n_jobs) as engine:
+            with inject_faults(parse_fault_specs(CRASH_ONCE)):
+                chaos = reports_digest(run_all(fast=True, engine=engine))
         assert chaos == serial
-        assert GLOBAL_FAULTS.crash_faults >= 1
-        assert GLOBAL_FAULTS.rebuilds >= 1
+        assert engine.fault_counters.crash_faults >= 1
+        assert engine.fault_counters.rebuilds >= 1
 
 
 class TestSupervisedShards:
@@ -382,22 +442,27 @@ class TestSupervisedShards:
     def test_row_shards_survive_worker_crash(self):
         center = random_ranking(15, seed=3)
         kwargs = dict(seed=2024, return_orders=True)
-        serial = mallows_sample_and_score(center, 0.7, 700, n_jobs=1, **kwargs)
+        serial = mallows_sample_and_score(center, 0.7, 700, **kwargs)
+        counters = FaultCounters()
         with inject_faults(parse_fault_specs(CRASH_ONCE)):
             chaos = mallows_sample_and_score(
-                center, 0.7, 700, n_jobs=2, **kwargs
+                center, 0.7, 700, pool=WorkerPool(2, counters=counters),
+                **kwargs,
             )
         assert chaos.orders.tobytes() == serial.orders.tobytes()
-        assert GLOBAL_FAULTS.crash_faults >= 1
-        assert GLOBAL_FAULTS.rebuilds >= 1
+        assert counters.crash_faults >= 1
+        assert counters.rebuilds >= 1
 
     def test_trial_shards_survive_worker_crash(self):
-        serial = run_trials(_draw_trial, 9, seed=SEED, n_jobs=1)
+        serial = WorkerPool().run_trials(_draw_trial, 9, seed=SEED)
+        counters = FaultCounters()
         with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            chaos = run_trials(_draw_trial, 9, seed=SEED, n_jobs=2)
+            chaos = WorkerPool(2, counters=counters).run_trials(
+                _draw_trial, 9, seed=SEED
+            )
         assert pickle.dumps(chaos) == pickle.dumps(serial)
-        assert GLOBAL_FAULTS.crash_faults >= 1
-        assert GLOBAL_FAULTS.rebuilds >= 1
+        assert counters.crash_faults >= 1
+        assert counters.rebuilds >= 1
 
     def test_one_cell_fig1_survives_crash_in_its_row_shards(self):
         """A lone figure cell runs inline, so its row shards — sharded over
@@ -408,12 +473,50 @@ class TestSupervisedShards:
 
         base = dict(target_iis=(8,), thetas=(0.5,), n_samples=512)
         serial = run_fig1(Fig1Config(**base))
+        counters = FaultCounters()
+        pool = WorkerPool(2, counters=counters)
         with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            chaos = run_fig1(Fig1Config(**base, pool=WorkerPool(2)))
+            chaos = run_fig1(Fig1Config(**base, pool=pool))
         assert chaos.to_text() == serial.to_text()
         assert chaos.mean_sample_ii == serial.mean_sample_ii
-        assert GLOBAL_FAULTS.crash_faults >= 1
-        assert GLOBAL_FAULTS.rebuilds >= 1
+        assert counters.crash_faults >= 1
+        assert counters.rebuilds >= 1
+
+    def test_one_cell_fig1_row_shards_obey_the_handles_policy(self):
+        """The row shards of a lone cell recover under the config's
+        handle — its policy and its counters — not a default of their
+        own: with no rebuild allowed, the injected crash exhausts the
+        budget and raises."""
+        from repro.experiments.config import Fig1Config
+        from repro.experiments.fig1_infeasible import run_fig1
+
+        counters = FaultCounters()
+        config = Fig1Config(
+            target_iis=(8,), thetas=(0.5,), n_samples=512,
+            pool=_no_rebuild_pool(counters),
+        )
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            with pytest.raises(PoolRecoveryExhausted):
+                run_fig1(config)
+        assert counters.crash_faults == 1
+        assert counters.exhausted_units >= 1
+
+    def test_one_delta_fig34_row_shards_obey_the_handles_policy(self):
+        """As for Fig. 1: a lone δ runs inline, and its per-θ sampling
+        shards over the config's handle under that handle's policy."""
+        from repro.experiments.config import Fig34Config
+        from repro.experiments.fig34_tradeoff import run_fig34
+
+        counters = FaultCounters()
+        config = Fig34Config(
+            deltas=(0.5,), thetas=(0.5,), n_trials=1, samples_per_trial=512,
+            pool=_no_rebuild_pool(counters),
+        )
+        with inject_faults(parse_fault_specs(CRASH_ONCE)):
+            with pytest.raises(PoolRecoveryExhausted):
+                run_fig34(config)
+        assert counters.crash_faults == 1
+        assert counters.exhausted_units >= 1
 
     def test_worker_pool_run_trials_spends_the_handles_budget(self):
         counters = FaultCounters()

@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.batch import WorkerPool, WorkUnit, iter_units, run_units
+from repro.batch import WorkerPool, WorkUnit
 from repro.experiments.runner import reports_digest, run_all
 
 
@@ -57,18 +57,18 @@ def _units(n=6):
 class TestRunUnits:
     def test_results_keyed_in_input_order(self):
         units = _units()
-        out = run_units(units, n_jobs=2)
+        out = WorkerPool(2).run(units)
         assert list(out) == [u.key for u in units]
 
     def test_pooled_matches_inline(self):
         units = _units()
-        inline = run_units(units, n_jobs=1)
+        inline = WorkerPool(1).run(units)
         for n_jobs in (2, 3):
-            assert run_units(units, n_jobs=n_jobs) == inline
+            assert WorkerPool(n_jobs).run(units) == inline
 
     def test_inline_matches_direct_invocation(self):
         units = _units(3)
-        out = run_units(units, n_jobs=1)
+        out = WorkerPool(1).run(units)
         for u in units:
             assert out[u.key] == u.fn(u.seed, *u.payload)
 
@@ -76,10 +76,10 @@ class TestRunUnits:
         units = [
             WorkUnit(key=i, fn=_const_unit, payload=(i * 10,)) for i in range(4)
         ]
-        assert run_units(units, n_jobs=2) == {0: 0, 1: 10, 2: 20, 3: 30}
+        assert WorkerPool(2).run(units) == {0: 0, 1: 10, 2: 20, 3: 30}
 
     def test_empty_graph(self):
-        assert run_units([], n_jobs=4) == {}
+        assert WorkerPool(4).run([]) == {}
 
     def test_duplicate_keys_rejected(self):
         units = [
@@ -87,18 +87,18 @@ class TestRunUnits:
             WorkUnit(key="same", fn=_const_unit, payload=(2,)),
         ]
         with pytest.raises(ValueError, match="duplicate work-unit key"):
-            run_units(units, n_jobs=1)
+            WorkerPool(1).run(units)
 
     def test_single_unit_runs_inline(self):
-        (result,) = run_units(
-            [WorkUnit(key="solo", fn=_pid_unit)], n_jobs=4
+        (result,) = WorkerPool(4).run(
+            [WorkUnit(key="solo", fn=_pid_unit)]
         ).values()
         pid, worker, jobs = result
         assert pid == os.getpid() and not worker
 
     def test_pooled_units_marked_as_workers_and_unnested(self):
-        out = run_units(
-            [WorkUnit(key=i, fn=_pid_unit) for i in range(4)], n_jobs=2
+        out = WorkerPool(2).run(
+            [WorkUnit(key=i, fn=_pid_unit) for i in range(4)]
         )
         for pid, worker, jobs in out.values():
             assert pid != os.getpid()
@@ -108,35 +108,31 @@ class TestRunUnits:
     def test_unit_error_propagates(self):
         units = [WorkUnit(key="boom", fn=_boom_unit)] + _units(2)
         with pytest.raises(RuntimeError, match="unit failure"):
-            run_units(units, n_jobs=2)
+            WorkerPool(2).run(units)
         with pytest.raises(RuntimeError, match="unit failure"):
-            run_units(units, n_jobs=1)
+            WorkerPool(1).run(units)
 
     def test_on_unit_done_reports_every_key_once(self):
         units = _units(5)
         for n_jobs in (1, 3):
             done = []
-            run_units(
-                units,
-                n_jobs=n_jobs,
-                on_unit_done=lambda key, seconds: done.append(key),
+            WorkerPool(n_jobs).run(
+                units, on_unit_done=lambda key, seconds: done.append(key)
             )
             assert sorted(done) == sorted(u.key for u in units)
 
     def test_on_unit_done_inline_fires_in_input_order(self):
         units = _units(4)
         done = []
-        run_units(
-            units,
-            n_jobs=1,
-            on_unit_done=lambda key, seconds: done.append(key),
+        WorkerPool(1).run(
+            units, on_unit_done=lambda key, seconds: done.append(key)
         )
         assert done == [u.key for u in units]
 
     def test_on_unit_done_reports_measured_seconds(self):
         units = _units(3)
         timings = {}
-        run_units(units, n_jobs=1, on_unit_done=timings.__setitem__)
+        WorkerPool(1).run(units, on_unit_done=timings.__setitem__)
         assert set(timings) == {u.key for u in units}
         assert all(s >= 0.0 for s in timings.values())
 
@@ -144,14 +140,14 @@ class TestRunUnits:
 class TestIterUnits:
     def test_streamed_set_matches_run_units_for_every_n_jobs(self):
         units = _units(6)
-        expected = run_units(units, n_jobs=1)
+        expected = WorkerPool(1).run(units)
         for n_jobs in (1, 2, 3):
-            completed = list(iter_units(units, n_jobs=n_jobs))
+            completed = list(WorkerPool(n_jobs).iter(units))
             assert {c.key: c.result for c in completed} == expected
 
     def test_inline_streams_in_input_order(self):
         units = _units(4)
-        keys = [c.key for c in iter_units(units, n_jobs=1)]
+        keys = [c.key for c in WorkerPool(1).iter(units)]
         assert keys == [u.key for u in units]
 
     def test_completed_units_carry_seconds_and_kind(self):
@@ -160,7 +156,7 @@ class TestIterUnits:
             for i in range(3)
         ]
         for n_jobs in (1, 2):
-            for c in iter_units(units, n_jobs=n_jobs):
+            for c in WorkerPool(n_jobs).iter(units):
                 assert c.seconds >= 0.0
                 assert c.kind == ("const",)
 
@@ -168,7 +164,7 @@ class TestIterUnits:
         units = [WorkUnit(key="boom", fn=_boom_unit)] + _units(2)
         for n_jobs in (1, 2):
             with pytest.raises(RuntimeError, match="unit failure"):
-                list(iter_units(units, n_jobs=n_jobs))
+                list(WorkerPool(n_jobs).iter(units))
 
     def test_duplicate_keys_rejected(self):
         units = [
@@ -176,21 +172,16 @@ class TestIterUnits:
             WorkUnit(key="same", fn=_const_unit, payload=(2,)),
         ]
         with pytest.raises(ValueError, match="duplicate work-unit key"):
-            list(iter_units(units, n_jobs=1))
+            list(WorkerPool(1).iter(units))
 
     def test_abandoning_the_stream_is_safe(self):
         units = _units(6)
-        stream = iter_units(units, n_jobs=2)
+        stream = WorkerPool(2).iter(units)
         first = next(stream)
         stream.close()
         assert first.key in {u.key for u in units}
         # The shared pool must stay usable after an early close.
-        assert run_units(units, n_jobs=2) == run_units(units, n_jobs=1)
-
-    def test_pool_handle_iter_delegates(self):
-        units = _units(4)
-        completed = {c.key: c.result for c in WorkerPool(2).iter(units)}
-        assert completed == run_units(units, n_jobs=1)
+        assert WorkerPool(2).run(units) == WorkerPool(1).run(units)
 
 
 class TestWorkerPool:
@@ -198,20 +189,6 @@ class TestWorkerPool:
         pool = WorkerPool(2)
         assert pickle.loads(pickle.dumps(pool)) == pool
         assert hash(WorkerPool(2)) == hash(pool)
-
-    def test_run_delegates_to_scheduler(self):
-        units = _units(4)
-        assert WorkerPool(2).run(units) == run_units(units, n_jobs=1)
-
-    def test_run_trials_delegates_to_trial_pool(self):
-        from repro.batch import run_trials
-
-        out = WorkerPool(2).run_trials(_trial_probe, 4, seed=9)
-        assert out == run_trials(_trial_probe, 4, seed=9, n_jobs=1)
-
-
-def _trial_probe(trial_index, rng):
-    return trial_index, rng.random(2).tolist()
 
 
 class TestRunAllScheduler:
@@ -244,9 +221,9 @@ def _marker_unit(seed, directory, name, dwell):
 
 
 class TestMidStreamFailure:
-    """PR-5 left the failure path of ``iter_units`` untested: a unit
-    raising mid-stream must cancel still-queued units (not grind the pool
-    through work nobody will consume) and leave the pool reusable."""
+    """The failure path of ``WorkerPool.iter``: a unit raising mid-stream
+    must cancel still-queued units (not grind the pool through work nobody
+    will consume) and leave the pool reusable."""
 
     def test_inline_failure_cancels_everything_after_it(self, tmp_path):
         units = [
@@ -257,7 +234,7 @@ class TestMidStreamFailure:
                      payload=(str(tmp_path), "after", 0.0)),
         ]
         with pytest.raises(RuntimeError, match="unit failure"):
-            list(iter_units(units, n_jobs=1))
+            list(WorkerPool(1).iter(units))
         # Inline order is input order: the unit before the failure ran,
         # the one behind it was cancelled before ever starting.
         assert (tmp_path / "before").exists()
@@ -279,7 +256,7 @@ class TestMidStreamFailure:
             for i in range(n_markers)
         ]
         with pytest.raises(RuntimeError, match="unit failure"):
-            list(iter_units(units, n_jobs=2))
+            list(WorkerPool(2).iter(units))
         ran = len(list(tmp_path.glob("m*")))
         assert ran < n_markers, (
             f"{ran}/{n_markers} queued units ran after the failure — "
@@ -287,9 +264,7 @@ class TestMidStreamFailure:
         )
         # The shared pool survives the abort and serves again.
         units_again = _units(4)
-        assert run_units(units_again, n_jobs=2) == run_units(
-            units_again, n_jobs=1
-        )
+        assert WorkerPool(2).run(units_again) == WorkerPool(1).run(units_again)
 
     def test_abandoned_stream_cancels_queued_units(self, tmp_path):
         n_markers = 40
@@ -301,7 +276,7 @@ class TestMidStreamFailure:
             )
             for i in range(n_markers)
         ]
-        stream = iter_units(units, n_jobs=2)
+        stream = WorkerPool(2).iter(units)
         next(stream)
         stream.close()
         assert len(list(tmp_path.glob("m*"))) < n_markers
