@@ -1,11 +1,18 @@
-"""Substrate micro-benchmarks: Mallows sampling throughput and the
-chunked-vs-Fenwick decode race.
+"""Substrate micro-benchmarks: Mallows sampling throughput and the races
+between the three RIM decodes.
 
-``test_fenwick_decode_wins_at_large_n`` is the perf tripwire for the
-sub-quadratic RIM decode: at ``n = 2000`` the Fenwick order-statistic path
-must beat the ``O(m·n²)`` chunked decode (bit-identical outputs are asserted
-before any timing claim counts), while ``test_small_n_stays_on_chunked_path``
-pins the dispatcher to the existing decode at paper scale (``n <= 500``).
+Two perf tripwires, each asserting bit-identical outputs before any timing
+claim counts:
+
+* ``test_fenwick_decode_wins_at_large_n``: at ``n = 2000`` the Fenwick
+  order-statistic path must beat the ``O(m·n²)`` chunked decode;
+* ``test_insertion_decode_wins_on_small_batches``: at the paper's
+  Algorithm 1 batch sizes (``m = 1`` and ``m = 15``, ``n = 100``) the
+  insertion decode must beat the chunked decode by a wide margin.
+
+``test_small_n_stays_on_chunked_path`` pins the dispatcher to the chunked
+decode for batches of at least ``CHUNKED_MIN_ROWS`` rows at paper-scale
+``n``, the serving shape (``m = 400``) among them.
 """
 
 import time
@@ -14,10 +21,11 @@ import numpy as np
 import pytest
 
 from repro.mallows.sampling import (
+    CHUNKED_MIN_ROWS,
     FENWICK_MIN_ITEMS,
+    _decode_method,
     _displacement_draws,
     _orders_from_displacements,
-    _use_fenwick_decode,
     sample_mallows_batch,
 )
 from repro.rankings.permutation import random_ranking
@@ -68,7 +76,7 @@ def test_fenwick_decode_wins_at_large_n(fast_mode, report):
     # The decodes must agree bit-for-bit before any speed claim counts, and
     # the auto dispatcher must route this shape to the Fenwick path.
     assert np.array_equal(chunked, fenwick)
-    assert _use_fenwick_decode(m, n)
+    assert _decode_method(m, n) == "fenwick"
 
     speedup = chunked_s / fenwick_s
     report(
@@ -90,15 +98,65 @@ def test_fenwick_decode_wins_at_large_n(fast_mode, report):
     )
 
 
+def test_insertion_decode_wins_on_small_batches(report):
+    """At the paper's Algorithm 1 batch sizes — ``m = 1`` and the best of
+    ``m = 15`` samples of ``n = 100`` items — replaying the insertions with
+    ``list.insert`` must beat the chunked decode, whose three NumPy calls
+    per item cannot amortize over so few rows (measured on a 2-core host:
+    39x at ``m = 1``, 3.4x at ``m = 15``)."""
+    n = 100
+    center = random_ranking(n, seed=1).order
+    lines, metrics, slow = [], {}, []
+    for m, threshold in ((1, 5.0), (15, 1.5)):
+        v = _displacement_draws(n, 1.0, m, np.random.default_rng(m))
+        # The decodes must agree bit-for-bit before any speed claim counts,
+        # and the auto dispatcher must route this shape to insertion.
+        chunked = _orders_from_displacements(center, v, method="chunked")
+        insertion = _orders_from_displacements(center, v, method="insertion")
+        assert np.array_equal(chunked, insertion)
+        assert _decode_method(m, n) == "insertion"
+
+        chunked_s = insertion_s = np.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(20):
+                _orders_from_displacements(center, v, method="chunked")
+            chunked_s = min(chunked_s, (time.perf_counter() - t0) / 20)
+            t0 = time.perf_counter()
+            for _ in range(20):
+                _orders_from_displacements(center, v, method="insertion")
+            insertion_s = min(insertion_s, (time.perf_counter() - t0) / 20)
+        speedup = chunked_s / insertion_s
+        lines.append(
+            f"m={m:2d}: chunked {chunked_s * 1e3:7.3f} ms, insertion "
+            f"{insertion_s * 1e3:7.3f} ms, {speedup:6.1f}x "
+            f"(required >= {threshold:g}x)"
+        )
+        metrics[f"m{m}"] = {
+            "chunked_s": chunked_s, "insertion_s": insertion_s,
+            "speedup": speedup, "required": threshold,
+        }
+        if speedup < threshold:
+            slow.append(f"{speedup:.2f}x at m={m} (required >= {threshold:g}x)")
+    report(
+        "RIM decode — chunked vs insertion on small batches",
+        f"n={n} items, insertion below m={CHUNKED_MIN_ROWS} rows\n" + "\n".join(lines),
+        metrics={"n": n, "chunked_min_rows": CHUNKED_MIN_ROWS, **metrics},
+    )
+    assert not slow, f"insertion decode vs the chunked decode at n={n}: " + ", ".join(slow)
+
+
 def test_small_n_stays_on_chunked_path():
-    """Paper-scale batches (n <= 500) must keep dispatching to the existing
-    chunked decode, and the Fenwick path must match it bit-for-bit there."""
+    """Batches of at least ``CHUNKED_MIN_ROWS`` rows at paper-scale ``n``
+    (``n <= 500``), the serving shape ``m = 400`` among them, must keep
+    dispatching to the chunked decode, and the other two decodes must
+    match it bit-for-bit there."""
     for n in (50, 500):
-        assert not _use_fenwick_decode(10_000, n)
+        for m in (CHUNKED_MIN_ROWS, 400, 10_000):
+            assert _decode_method(m, n) == "chunked"
         rng = np.random.default_rng(3)
         v = _displacement_draws(n, 0.5, 64, rng)
         center = random_ranking(n, seed=4).order
         auto = _orders_from_displacements(center, v)
-        assert np.array_equal(auto, _orders_from_displacements(center, v, method="chunked"))
-        assert np.array_equal(auto, _orders_from_displacements(center, v, method="fenwick"))
-
+        for method in ("chunked", "insertion", "fenwick"):
+            assert np.array_equal(auto, _orders_from_displacements(center, v, method=method))

@@ -131,6 +131,17 @@ def solve_group_dp(
     Python floats are the same IEEE doubles as ``float64``, so every value,
     every strict ``>`` between states (in insertion order) and the final
     ``max()`` resolve exactly as they would on arrays.
+
+    The prefix floors are checked once per state, not once per (state,
+    group).  Placing group ``gi`` raises only ``gi``'s count by one, so the
+    new prefix meets every floor exactly when every other group already
+    meets its floor and ``gi``'s count plus one meets ``gi``'s.  Hence a
+    state with two or more groups below their floors has no successor; with
+    exactly one, only that group may be placed, and only if one more member
+    reaches its floor; with none, every group passes.  That is the same set
+    of transitions as checking each ``(state, gi)`` pair, taken in the same
+    order (states in insertion order, then ascending ``gi``), so every tie
+    resolves as before.
     """
     s = np.asarray(scores, dtype=np.float64)
     n = k if k is not None else s.size
@@ -154,30 +165,36 @@ def solve_group_dp(
     current: dict[tuple[int, ...], float] = {tuple([0] * g): 0.0}
     parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], int]]] = []
 
+    all_groups = range(g)
+    neg_inf = -np.inf
     for pos in range(n):
         length = pos + 1
         lower = lower_rows[length - 1]
-        upper = upper_rows[length - 1]
+        # A group can take one more member while its count stays within
+        # both its size and its upper bound.
+        cap = [min(size, up) for size, up in zip(sizes, upper_rows[length - 1])]
         nxt: dict[tuple[int, ...], float] = {}
         nxt_parent: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         disc = discounts[pos]
+        nxt_get = nxt.get
         for state, value in current.items():
-            for gi in range(g):
+            # Every group but the one placed must already meet its floor, so
+            # at most one may be short, and then only it may be placed, if
+            # one more member reaches its floor (see Notes).  A plain loop:
+            # before CPython 3.12 a comprehension costs a call per state.
+            short: list[int] = []
+            for gj in all_groups:
+                if state[gj] < lower[gj]:
+                    short.append(gj)
+            if len(short) > 1 or (short and state[short[0]] + 1 < lower[short[0]]):
+                continue
+            for gi in short or all_groups:
                 c = state[gi]
-                if c >= sizes[gi] or c + 1 > upper[gi]:
+                if c + 1 > cap[gi]:
                     continue
                 new_state = state[:gi] + (c + 1,) + state[gi + 1 :]
-                # Lower bounds must hold for the *new* prefix; check all
-                # groups (cheap: g is small).
-                ok = True
-                for gj in range(g):
-                    if new_state[gj] < lower[gj]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
                 gain = value + member_scores[gi][c] * disc
-                if gain > nxt.get(new_state, -np.inf):
+                if gain > nxt_get(new_state, neg_inf):
                     nxt[new_state] = gain
                     nxt_parent[new_state] = (state, gi)
         if not nxt:

@@ -22,6 +22,7 @@ from repro.algorithms.criteria import MaxNdcgCriterion, SelectionCriterion
 from repro.mallows.generalized import GeneralizedMallowsModel
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_theta
 
 
 class GeneralizedMallowsFairRanking(FairRankingAlgorithm):
@@ -51,13 +52,14 @@ class GeneralizedMallowsFairRanking(FairRankingAlgorithm):
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         if np.isscalar(thetas):
-            if thetas < 0:
-                raise ValueError(f"theta must be non-negative, got {thetas}")
+            check_theta(thetas)
             self._thetas = float(thetas)
         else:
             arr = np.asarray(thetas, dtype=np.float64)
-            if arr.ndim != 1 or np.any(arr < 0):
-                raise ValueError("thetas must be a non-negative 1-D vector")
+            if arr.ndim != 1:
+                raise ValueError("thetas must be a 1-D vector")
+            for theta in arr.tolist():
+                check_theta(theta)
             self._thetas = arr
         self.n_samples = int(n_samples)
         self.criterion = criterion if criterion is not None else MaxNdcgCriterion()

@@ -18,6 +18,7 @@ from repro.algorithms.criteria import MaxNdcgCriterion, SelectionCriterion
 from repro.mallows.sampling import sample_mallows_batch
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_theta
 
 
 class MallowsFairRanking(FairRankingAlgorithm):
@@ -53,8 +54,7 @@ class MallowsFairRanking(FairRankingAlgorithm):
         n_samples: int = 1,
         criterion: SelectionCriterion | None = None,
     ):
-        if theta < 0:
-            raise ValueError(f"theta must be non-negative, got {theta}")
+        check_theta(theta)
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         self.theta = float(theta)

@@ -94,6 +94,7 @@ from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.faults.supervisor import FaultCounters, clock_unit, supervise_units
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, spawn_seed_sequences
+from repro.utils.validation import check_theta
 
 if TYPE_CHECKING:
     from repro.fairness.constraints import FairnessConstraints
@@ -369,8 +370,7 @@ def mallows_sample_and_score(
     """
     if (groups is None) != (constraints is None):
         raise ValueError("groups and constraints must be supplied together")
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
+    check_theta(theta)
     n_jobs = effective_n_jobs(pool.n_jobs)
     n = len(center)
     n_shards = min(n_jobs, max(1, m // MIN_ROWS_PER_JOB)) if n > 0 else 1

@@ -26,6 +26,7 @@ import numpy as np
 from repro.groups.attributes import GroupAssignment
 from repro.rankings.permutation import Ranking
 from repro.rankings.quality import idcg, position_discounts
+from repro.utils.validation import check_theta
 
 
 def position_marginals(n: int, theta: float) -> np.ndarray:
@@ -49,8 +50,7 @@ def _compute_position_marginals(n: int, theta: float) -> np.ndarray:
     """Uncached computation behind :func:`position_marginals`."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
+    check_theta(theta)
     if n == 0:
         return np.zeros((0, 0))
     q = math.exp(-theta) if theta > 0 else 1.0

@@ -24,6 +24,7 @@ import numpy as np
 from repro.batch.container import BatchRankings
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_theta
 
 DistanceFn = Callable[[Ranking, Ranking], float]
 
@@ -53,8 +54,7 @@ def sample_mallows_mcmc_batch(
     thin:
         Steps between collected samples (reduces autocorrelation).
     """
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
+    check_theta(theta)
     if m < 0:
         raise ValueError(f"sample count must be non-negative, got {m}")
     if burn_in < 0 or thin < 1:

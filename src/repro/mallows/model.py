@@ -20,6 +20,7 @@ import numpy as np
 from repro.rankings.distances import kendall_tau_distance, max_kendall_tau
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike
+from repro.utils.validation import check_theta
 
 
 def log_partition_function(n: int, theta: float) -> float:
@@ -29,8 +30,7 @@ def log_partition_function(n: int, theta: float) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
+    check_theta(theta)
     if n <= 1:
         return 0.0
     if theta == 0.0:
@@ -56,8 +56,7 @@ def expected_kendall_tau(n: int, theta: float) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
+    check_theta(theta)
     if n <= 1:
         return 0.0
     if theta == 0.0:
@@ -103,8 +102,7 @@ class MallowsModel:
     theta: float
 
     def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise ValueError(f"theta must be non-negative, got {self.theta}")
+        check_theta(self.theta)
 
     @property
     def n(self) -> int:

@@ -8,9 +8,11 @@ new discordant pairs, so drawing ``v`` from the truncated geometric
 Mallows-distributed.  All the ``v`` draws are independent, which lets us
 vectorize them across a whole batch with one inverse-CDF transform.
 
-Sample materialization is vectorized over the whole batch and dispatched
-between two bit-identical decodes:
+Sample materialization is dispatched between three bit-identical decodes:
 
+* the **insertion decode** (:func:`_decode_insertion`) replays each row's
+  insertions with ``list.insert`` on Python ints — ``O(m·n²)`` memmove
+  work but no NumPy call per item, so it wins on small batches;
 * the **chunked decode** (:func:`_decode_chunk`) accumulates the final
   position of every item column-by-column over the ``(m, n)`` displacement
   matrix — ``O(n)`` NumPy calls but ``O(m·n²)`` elementwise work;
@@ -20,11 +22,35 @@ between two bit-identical decodes:
   slot of the final order, an order-statistic select that the tree answers
   in ``O(log n)`` — ``O(m·n·log n)`` work overall.
 
-Both decodes replay the same insertion process exactly (integer arithmetic
+All three replay the same insertion process exactly (integer arithmetic
 only), so their outputs are bit-for-bit identical to each other and to the
 sequential insertion loop the test suite keeps as a private reference.  The
-dispatcher picks by batch shape; measured wall-clock on the development
-machine (``theta = 0.5``, ``m = 2048``):
+dispatcher picks by batch shape.
+
+The chunked decode costs about three NumPy calls per item whatever ``m``
+is, so a batch of a few rows pays that overhead with almost no work to
+amortize it over.  Medians on a 2-core host, in ms:
+
+======  =======  =====  ==============  ================
+rows m  items n  ``θ``  chunked decode  insertion decode
+======  =======  =====  ==============  ================
+     1      100    1.0           0.393             0.010
+    15      100    1.0           0.471             0.138
+    31      100      0           0.794             0.508
+    16     2000    0.5            38.7               5.3
+   400       40    0.7           0.338             2.662
+   400      200    0.7           3.507             7.700
+======  =======  =====  ==============  ================
+
+Over ``n = 10..500`` at ``θ = 0.7`` the insertion decode took 0.36–0.95 of
+the chunked decode's time at ``m = 32`` and 0.66–1.17 at ``m = 64``; below
+32 rows it won at every ``n`` tried (10 to 2000), ``θ = 0`` included.  So
+batches of fewer than ``CHUNKED_MIN_ROWS`` (32) rows decode by insertion at
+any ``n``: the paper's Algorithm 1 draws ``m = 1`` or ``m = 15`` samples per
+German Credit input.
+
+For larger batches the chunked decode is the default.  Measured wall-clock
+against the Fenwick decode (``θ = 0.5``, ``m = 2048``):
 
 ======  ==============  ==============
 ``n``   chunked decode  Fenwick decode
@@ -40,7 +66,7 @@ The constant factors favour the chunked decode up to ``n ≈ 1000`` (and for
 small batches, where the Fenwick per-call overhead cannot amortize), so the
 crossover is a fixed, conservative shape rule: Fenwick runs only when
 ``n >= 1024 and m >= 512``.  Paper-scale batches (``n <= 500``) never reach
-it, and because the two paths agree bit-for-bit, the dispatch point never
+it.  Because the three paths agree bit-for-bit, no dispatch point ever
 affects results.
 """
 
@@ -53,6 +79,12 @@ import numpy as np
 from repro.batch.container import BatchRankings
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_theta
+
+#: Batch rows at or above which the vectorized decodes take over; smaller
+#: batches decode by insertion (see the timing table in the module
+#: docstring: the crossover lies between 32 and 64 rows).
+CHUNKED_MIN_ROWS = 32
 
 #: Samples decoded per chunk: keeps the ``(n, chunk)`` position block and its
 #: comparison buffer resident in cache, which is worth ~2x at large ``m``.
@@ -88,12 +120,34 @@ def _displacement_draws(n: int, theta: float, m: int, rng: np.random.Generator) 
         # (indistinguishable from) uniform over {0..j}, and the geometric
         # inverse CDF below would divide by log(1) = 0.
         return np.floor(u * (j + 1.0)).astype(np.int64)
+    if q == 0.0:
+        # e^{-theta} underflows (theta > ~745): every draw is 0, so the
+        # sample is the centre.  ``u`` is still drawn above, so the
+        # generator advances exactly as for any other theta.
+        return np.zeros((m, n), dtype=np.int64)
     # CDF(v) = (1 − q^{v+1}) / (1 − q^{j+1});  inverse transform:
     #   v = floor( log(1 − u·(1 − q^{j+1})) / log q )
     tail = 1.0 - np.power(q, j + 1.0)
     v = np.floor(np.log1p(-u * tail) / math.log(q))
     v = np.clip(v, 0, j).astype(np.int64)
     return v
+
+
+def _decode_insertion(center_order: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Decode displacements ``v`` of ``shape (m, n)`` into the order rows
+    ``out`` by replaying each row's insertions: item ``center_order[j]``
+    goes to list index ``j − v[j]``.  Python ints and ``list.insert`` only,
+    so a row costs no NumPy call per item."""
+    center = center_order.tolist()
+    steps = range(len(center))
+    rows = []
+    for row in v.tolist():
+        current: list[int] = []
+        insert = current.insert
+        for j, d, item in zip(steps, row, center):
+            insert(j - d, item)
+        rows.append(current)
+    out[:] = rows
 
 
 def _decode_chunk(
@@ -188,34 +242,44 @@ def _decode_chunk_fenwick(
     )
 
 
-def _use_fenwick_decode(m: int, n: int) -> bool:
-    """Shape-based dispatch between the two bit-identical decodes."""
-    return n >= FENWICK_MIN_ITEMS and m >= FENWICK_MIN_ROWS
+def _decode_method(m: int, n: int) -> str:
+    """Shape-based dispatch between the three bit-identical decodes."""
+    if m < CHUNKED_MIN_ROWS:
+        return "insertion"
+    if n >= FENWICK_MIN_ITEMS and m >= FENWICK_MIN_ROWS:
+        return "fenwick"
+    return "chunked"
 
 
 def _orders_from_displacements(
     center_order: np.ndarray, v: np.ndarray, method: str = "auto"
 ) -> np.ndarray:
-    """Materialize sample orders from displacement draws, fully vectorized.
+    """Materialize sample orders from displacement draws.
 
     For each sample, item ``center_order[j]`` is inserted at list index
-    ``j − v[j]`` (i.e. ``v[j]`` slots before the current end).  Small-``n``
-    batches decode with the chunked position accumulator (``O(n)`` NumPy
-    calls, ``O(m·n²)`` elementwise work in a cache-sized dtype); past the
-    fixed crossover (see the module docstring) large-``n`` batches use
-    the Fenwick order-statistic decode (``O(m·n·log n)``).  Both are
-    bit-for-bit identical to the sequential insertion loop; ``method``
-    (``"auto"``/``"chunked"``/``"fenwick"``) forces a path for tests and
-    benchmarks.
+    ``j − v[j]`` (i.e. ``v[j]`` slots before the current end).  Batches of
+    fewer than ``CHUNKED_MIN_ROWS`` rows replay the insertions directly;
+    larger batches decode with the chunked position accumulator (``O(n)``
+    NumPy calls, ``O(m·n²)`` elementwise work in a cache-sized dtype), and
+    past the fixed crossover (see the module docstring) large-``n`` batches
+    use the Fenwick order-statistic decode (``O(m·n·log n)``).  All three
+    are bit-for-bit identical to the sequential insertion loop; ``method``
+    (``"auto"``/``"insertion"``/``"chunked"``/``"fenwick"``) forces a path
+    for tests and benchmarks.
     """
-    if method not in ("auto", "chunked", "fenwick"):
+    if method not in ("auto", "insertion", "chunked", "fenwick"):
         raise ValueError(f"unknown decode method {method!r}")
     m, n = v.shape
     out = np.empty((m, n), dtype=np.int64)
     if m == 0 or n == 0:
         return out
+    if method == "auto":
+        method = _decode_method(m, n)
+    if method == "insertion":
+        _decode_insertion(center_order, v, out)
+        return out
     vT = np.ascontiguousarray(v.T)
-    if method == "fenwick" or (method == "auto" and _use_fenwick_decode(m, n)):
+    if method == "fenwick":
         size = 1 << max(0, (n - 1).bit_length())
         chunk = max(32, _FENWICK_CHUNK_BYTES // (2 * (size + 1)))
         for lo in range(0, m, chunk):
@@ -244,8 +308,7 @@ def sample_mallows_batch(
     This is the fast path used by experiments; each row is the order view of
     one sampled ranking (item at each position, top first).
     """
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
+    check_theta(theta)
     if m < 0:
         raise ValueError(f"sample count must be non-negative, got {m}")
     n = len(center)
@@ -291,6 +354,7 @@ def sample_displacements_total(
     """Draw only the total KT distances of ``m`` Mallows samples (no
     permutation materialization) — handy for statistical tests of the
     sampler and for fast expected-distance estimation."""
+    check_theta(theta)
     rng = as_generator(seed)
     if m == 0 or n == 0:
         return np.zeros(m, dtype=np.int64)

@@ -23,7 +23,7 @@ contract as :mod:`repro.net.protocol`.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -449,10 +449,16 @@ def dumps(obj: Any) -> bytes:
     ).encode("utf-8")
 
 
+def _reject_constant(name: str) -> NoReturn:
+    """``parse_constant`` hook: ``dumps`` never emits ``NaN`` or
+    ``±Infinity``, so ``loads`` accepts none of them either."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def loads(data: bytes) -> Any:
     """Parse JSON bytes, mapping any failure to :class:`WireFormatError`."""
     try:
-        return json.loads(data)
+        return json.loads(data, parse_constant=_reject_constant)
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireFormatError(f"malformed JSON body: {exc}") from exc
 

@@ -7,6 +7,7 @@ error messages) in one place.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -59,3 +60,12 @@ def check_same_length(a: np.ndarray, b: np.ndarray, what: str = "inputs") -> Non
         raise LengthMismatchError(
             f"{what} must have the same length, got {len(a)} and {len(b)}"
         )
+
+
+def check_theta(theta: float) -> None:
+    """Raise :class:`ValueError` unless ``theta`` is a finite ``θ >= 0``.
+
+    Rejects NaN, which passes a bare ``theta < 0`` test, and ``±inf``.
+    """
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and non-negative, got {theta}")

@@ -1,11 +1,13 @@
-"""Bit-for-bit equivalence of the sub-quadratic Fenwick RIM decode.
+"""Bit-for-bit equivalence of the three RIM decodes.
 
 The contract (see the module docstring of :mod:`repro.mallows.sampling`):
-the Fenwick order-statistic decode and the chunked position-accumulator
-decode replay the same insertion process exactly, so for *any* displacement
-matrix they produce identical ``int64`` orders — the dispatch threshold can
-only ever change speed.  These tests pin that across random ``(m, n,
-theta)`` shapes, the crossover boundary itself, and the shape gate.
+the insertion decode, the chunked position-accumulator decode and the
+Fenwick order-statistic decode replay the same insertion process exactly,
+so for *any* displacement matrix they produce identical ``int64`` orders —
+the dispatch thresholds can only ever change speed.  These tests pin that
+across random ``(m, n, theta)`` shapes against the insertion loop kept
+here as the reference, the crossover boundaries themselves, and the shape
+gate.
 """
 
 import numpy as np
@@ -15,11 +17,12 @@ from hypothesis import strategies as st
 
 from repro.mallows import sampling
 from repro.mallows.sampling import (
+    CHUNKED_MIN_ROWS,
     FENWICK_MIN_ITEMS,
     FENWICK_MIN_ROWS,
+    _decode_method,
     _displacement_draws,
     _orders_from_displacements,
-    _use_fenwick_decode,
     sample_mallows_batch,
 )
 from repro.rankings.permutation import random_ranking
@@ -44,16 +47,19 @@ def _legacy_insertion_decode(center_order: np.ndarray, v: np.ndarray) -> np.ndar
 @given(
     n=st.integers(min_value=1, max_value=120),
     m=st.integers(min_value=1, max_value=80),
-    theta=st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+    theta=st.floats(min_value=0.0, max_value=6.0) | st.just(800.0),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_fenwick_matches_chunked_on_random_shapes(n, m, theta, seed):
+    """Every decode, forced or dispatched, equals the reference loop; ``m``
+    falls on both sides of the insertion decode's row limit."""
     rng = np.random.default_rng(seed)
     v = _displacement_draws(n, theta, m, rng)
     center = np.random.default_rng(seed + 1).permutation(n)
-    chunked = _orders_from_displacements(center, v, method="chunked")
-    fenwick = _orders_from_displacements(center, v, method="fenwick")
-    assert np.array_equal(chunked, fenwick)
+    expected = _legacy_insertion_decode(center, v)
+    for method in ("insertion", "chunked", "fenwick", "auto"):
+        got = _orders_from_displacements(center, v, method=method)
+        assert np.array_equal(got, expected), method
 
 
 @pytest.mark.parametrize("theta", (0.0, 0.5, 2.0))
@@ -122,13 +128,42 @@ def test_large_n_sampler_end_to_end():
     )
 
 
+def _routed_decodes(monkeypatch, m, n):
+    """The decodes ``_orders_from_displacements`` runs for an ``(m, n)``
+    batch, recorded by spies around the three decode functions."""
+    used = set()
+    for name, label in (
+        ("_decode_insertion", "insertion"),
+        ("_decode_chunk", "chunked"),
+        ("_decode_chunk_fenwick", "fenwick"),
+    ):
+        def spy(*args, _real=getattr(sampling, name), _label=label):
+            used.add(_label)
+            return _real(*args)
+
+        monkeypatch.setattr(sampling, name, spy)
+    v = _displacement_draws(n, 0.7, m, np.random.default_rng(m + n))
+    _orders_from_displacements(np.arange(n), v)
+    return used
+
+
 class TestDispatcher:
     def test_shape_gate(self):
-        assert _use_fenwick_decode(FENWICK_MIN_ROWS, FENWICK_MIN_ITEMS)
-        assert not _use_fenwick_decode(FENWICK_MIN_ROWS - 1, FENWICK_MIN_ITEMS)
-        assert not _use_fenwick_decode(FENWICK_MIN_ROWS, FENWICK_MIN_ITEMS - 1)
+        assert _decode_method(FENWICK_MIN_ROWS, FENWICK_MIN_ITEMS) == "fenwick"
+        assert _decode_method(FENWICK_MIN_ROWS - 1, FENWICK_MIN_ITEMS) == "chunked"
+        assert _decode_method(FENWICK_MIN_ROWS, FENWICK_MIN_ITEMS - 1) == "chunked"
         # Paper scale stays on the chunked path.
-        assert not _use_fenwick_decode(10_000, 500)
+        assert _decode_method(10_000, 500) == "chunked"
+
+    @pytest.mark.parametrize("n", (1, 100, 2000))
+    @pytest.mark.parametrize("m", (1, CHUNKED_MIN_ROWS - 1))
+    def test_small_batches_decode_by_insertion(self, monkeypatch, m, n):
+        assert _routed_decodes(monkeypatch, m, n) == {"insertion"}
+
+    @pytest.mark.parametrize("n", (40, 200))
+    @pytest.mark.parametrize("m", (CHUNKED_MIN_ROWS, 400))
+    def test_larger_batches_decode_chunked(self, monkeypatch, m, n):
+        assert _routed_decodes(monkeypatch, m, n) == {"chunked"}
 
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError):

@@ -53,8 +53,9 @@ class TestBasics:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             GeneralizedMallowsFairRanking(-1.0)
-        with pytest.raises(ValueError):
-            GeneralizedMallowsFairRanking(np.array([-1.0, 0.5]))
+        for thetas in ([-1.0, 0.5], [0.5, np.nan], [np.inf, 0.5]):
+            with pytest.raises(ValueError):
+                GeneralizedMallowsFairRanking(np.array(thetas))
         with pytest.raises(ValueError):
             GeneralizedMallowsFairRanking(1.0, n_samples=0)
 

@@ -47,8 +47,9 @@ class TestBasics:
         assert result.metadata["criterion"] == "first-sample"
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            MallowsFairRanking(-0.5)
+        for theta in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                MallowsFairRanking(theta)
         with pytest.raises(ValueError):
             MallowsFairRanking(1.0, 0)
 

@@ -39,8 +39,11 @@ class TestBatchShapeAndValidity:
         assert np.array_equal(a, b)
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            sample_mallows_batch(identity(3), -1.0, 2)
+        for theta in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                sample_mallows_batch(identity(3), theta, 2)
+            with pytest.raises(ValueError):
+                sample_displacements_total(10, theta, 5)
         with pytest.raises(ValueError):
             sample_mallows_batch(identity(3), 1.0, -2)
 
@@ -48,10 +51,16 @@ class TestBatchShapeAndValidity:
         samples = sample_mallows(identity(4), 1.0, 3, seed=0)
         assert all(isinstance(r, Ranking) for r in samples)
 
-    def test_huge_theta_returns_center(self):
+    @pytest.mark.parametrize("theta", (50.0, 800.0))
+    def test_huge_theta_returns_center(self, theta):
+        # At 800, e^{-theta} underflows to 0.0; the draws must still be the
+        # centre, and the generator must advance as at any other theta.
         center = random_ranking(10, seed=3)
-        orders = sample_mallows_batch(center, 50.0, 20, seed=0)
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        orders = sample_mallows_batch(center, theta, 20, seed=rng)
         assert np.all(orders == center.order[None, :])
+        sample_mallows_batch(center, 5.0, 20, seed=ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestStatisticalLaw:

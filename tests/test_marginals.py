@@ -61,8 +61,9 @@ class TestPositionMarginals:
     def test_validation(self):
         with pytest.raises(ValueError):
             position_marginals(-1, 1.0)
-        with pytest.raises(ValueError):
-            position_marginals(3, -1.0)
+        for theta in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                position_marginals(3, theta)
 
     def test_expected_positions_monotone(self):
         # Higher centre rank => larger expected final position.

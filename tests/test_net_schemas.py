@@ -277,6 +277,6 @@ class TestJsonPlumbing:
         assert a == b == b'{"a":[1,2],"b":1}'
 
     def test_loads_maps_all_failures_to_wire_format_error(self):
-        for bad in (b"{", b"\xff\xfe", b""):
+        for bad in (b"{", b"\xff\xfe", b"", b"NaN", b'{"a":Infinity}', b"[-Infinity]"):
             with pytest.raises(WireFormatError):
                 loads(bad)

@@ -14,6 +14,7 @@ to the outside world.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 
@@ -33,6 +34,7 @@ from repro.net.schemas import (
     loads,
     validate_error_body,
 )
+from repro.rankings.permutation import Ranking
 from repro.serve import (
     BREAKER_CLOSED,
     DeadlineExceeded,
@@ -217,6 +219,45 @@ class TestErrorSurface:
         error = validate_error_body(body)
         assert error["code"] == "bad_request"
         assert "target_proportions" in error["message"]
+
+    def test_non_finite_json_literal_is_400(self):
+        """``NaN`` is not JSON: a score sent as the literal is refused at
+        the wire instead of reaching the solver."""
+        problem = FairRankingProblem.from_scores(
+            np.linspace(1.0, 0.0, 12), GroupAssignment.from_indices([0, 1, 1] * 4)
+        )
+        payload = encode_rank_request(RankingRequest("dp", problem))
+        payload["problem"]["scores"][0] = float("nan")
+
+        async def scenario():
+            async with _Frontend(n_jobs=1) as (server, client):
+                return await client.request(
+                    "POST", "/v1/rank", json.dumps(payload).encode()
+                )
+
+        response = run(scenario())
+        assert response.status == 400
+        assert validate_error_body(loads(response.body))["code"] == "bad_request"
+
+    def test_theta_past_exp_underflow_serves_the_centre(self):
+        """At theta = 800, e^{-theta} underflows to 0.0; the sampler still
+        serves, and every sample is the centre."""
+        center = Ranking([3, 0, 5, 1, 4, 2])
+        problem = FairRankingProblem(
+            base_ranking=center,
+            scores=np.linspace(1.0, 0.0, 6),
+            groups=GroupAssignment.from_indices([0, 1] * 3),
+        )
+        request = RankingRequest(
+            "mallows", problem, params={"theta": 800.0, "n_samples": 5}
+        )
+
+        async def scenario():
+            async with _Frontend(n_jobs=1) as (server, client):
+                return await client.submit(request)
+
+        response = run(scenario())
+        assert response.ranking.order.tolist() == center.order.tolist()
 
     def test_unknown_route_404_and_wrong_method_405_with_allow(self):
         async def scenario():
