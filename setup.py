@@ -1,9 +1,9 @@
-"""Legacy setup shim.
+"""Placeholder setup script; it declares no package metadata.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so the
-package can be installed editable in offline environments that lack the
-``wheel`` package required by PEP 660 editable builds
-(``pip install -e . --no-use-pep517 --no-build-isolation``).
+The package is used from the source tree, not installed: put ``src`` on
+the path and run the CLI as a module, as the README and CI do::
+
+    PYTHONPATH=src python -m repro.cli all --fast
 """
 
 from setuptools import setup

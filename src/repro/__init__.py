@@ -98,7 +98,6 @@ The package layers:
 * :mod:`repro.mallows` — the Mallows model, exact sampling, learning;
 * :mod:`repro.algorithms` — the paper's Mallows post-processor and the
   DetConstSort / ApproxMultiValuedIPF / ILP baselines (+ noisy variants);
-* :mod:`repro.aggregation` — fair rank-aggregation pipeline;
 * :mod:`repro.datasets` — German Credit and the synthetic workloads;
 * :mod:`repro.experiments` — the harness regenerating every figure/table.
 """
@@ -158,7 +157,6 @@ from repro.algorithms import (
     MinInfeasibleIndexCriterion,
     CompositeCriterion,
 )
-from repro.aggregation import FairAggregationPipeline
 from repro.datasets import (
     load_german_credit,
     synthesize_german_credit,
@@ -223,7 +221,6 @@ __all__ = [
     "MinKendallTauCriterion",
     "MinInfeasibleIndexCriterion",
     "CompositeCriterion",
-    "FairAggregationPipeline",
     "EngineConfig",
     "RankingEngine",
     "RankingRequest",

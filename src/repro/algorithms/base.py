@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.exceptions import LengthMismatchError
+from repro.exceptions import InvalidConstraintError, LengthMismatchError
 from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
 from repro.rankings.permutation import Ranking
@@ -34,13 +34,13 @@ class FairRankingProblem:
         The ranking to post-process (the paper's central / initial ranking,
         typically score-sorted or weakly-p-fair).
     scores:
-        Relevance score per item, used by NDCG-driven methods; optional for
-        purely distance-driven ones.
+        Finite relevance score per item, used by NDCG-driven methods;
+        optional for purely distance-driven ones.
     groups:
         The *known* protected attribute.  ``None`` models the
         attribute-unavailable regime (only the Mallows method still works).
     constraints:
-        Two-sided P-fairness bounds on ``groups``.
+        Two-sided P-fairness bounds on ``groups``, one rate pair per group.
     """
 
     base_ranking: Ranking
@@ -56,11 +56,26 @@ class FairRankingProblem:
                 raise LengthMismatchError(
                     f"{scores.size} scores for a ranking of {n} items"
                 )
+            finite = np.isfinite(scores)
+            if not finite.all():
+                bad = int(np.flatnonzero(~finite)[0])
+                raise ValueError(
+                    f"scores must be finite, got {scores[bad]} at item {bad}"
+                )
             object.__setattr__(self, "scores", scores)
         if self.groups is not None and self.groups.n_items != n:
             raise LengthMismatchError(
                 f"group assignment covers {self.groups.n_items} items "
                 f"for a ranking of {n}"
+            )
+        if (
+            self.groups is not None
+            and self.constraints is not None
+            and self.constraints.n_groups != self.groups.n_groups
+        ):
+            raise InvalidConstraintError(
+                f"constraints for {self.constraints.n_groups} groups on an "
+                f"assignment of {self.groups.n_groups}"
             )
 
     @property

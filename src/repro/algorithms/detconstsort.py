@@ -25,6 +25,7 @@ from repro.algorithms.base import (
 )
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_finite_non_negative
 
 
 class DetConstSort(FairRankingAlgorithm):
@@ -42,8 +43,7 @@ class DetConstSort(FairRankingAlgorithm):
     """
 
     def __init__(self, noise_sigma: float = 0.0, target_proportions: np.ndarray | None = None):
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+        check_finite_non_negative(noise_sigma, "noise_sigma")
         self.noise_sigma = float(noise_sigma)
         if target_proportions is not None:
             target_proportions = np.asarray(target_proportions, dtype=np.float64)

@@ -28,6 +28,7 @@ from repro.exceptions import InfeasibleProblemError
 from repro.rankings.permutation import Ranking
 from repro.rankings.quality import position_discounts
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_finite_non_negative
 
 
 class DpFairRanking(FairRankingAlgorithm):
@@ -46,8 +47,7 @@ class DpFairRanking(FairRankingAlgorithm):
     """
 
     def __init__(self, noise_sigma: float = 0.0, top_k: int | None = None):
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+        check_finite_non_negative(noise_sigma, "noise_sigma")
         if top_k is not None and top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         self.noise_sigma = float(noise_sigma)

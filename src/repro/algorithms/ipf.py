@@ -33,6 +33,7 @@ from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_finite_non_negative
 
 #: Weight assigned to infeasible (item, position) pairs.  Large enough to
 #: never be chosen when a feasible perfect matching exists (max total
@@ -101,8 +102,7 @@ class ApproxMultiValuedIPF(FairRankingAlgorithm):
     """
 
     def __init__(self, noise_sigma: float = 0.0):
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+        check_finite_non_negative(noise_sigma, "noise_sigma")
         self.noise_sigma = float(noise_sigma)
         suffix = f", sigma={self.noise_sigma:g}" if self.noise_sigma else ""
         self.name = f"approx-multi-valued-ipf{suffix}"

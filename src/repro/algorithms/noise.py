@@ -17,6 +17,7 @@ import numpy as np
 from repro.batch.cache import active_cache
 from repro.fairness.constraints import FairnessConstraints
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_finite_non_negative
 
 
 def noisy_count_bounds(
@@ -32,8 +33,7 @@ def noisy_count_bounds(
     ``upper[ℓ-1, p] = ⌈α_p ℓ⌉ + |N(0, σ)|`` (independent draws per entry).
     With ``sigma = 0`` the exact integer bounds are returned as floats.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    check_finite_non_negative(sigma, "sigma")
     rng = as_generator(seed)
     lower_m, upper_m = active_cache().count_bounds(constraints, max_length)
     lower = lower_m.astype(np.float64)

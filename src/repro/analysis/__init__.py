@@ -10,7 +10,7 @@ digest mismatch hours later.  ``repro.analysis`` turns each one into an
 AST lint rule (stdlib :mod:`ast`, no dependencies) that fails at review
 time instead.
 
-Quick use (the CLI form is ``repro-fair-ranking lint src/``)::
+Quick use (the CLI form is ``python -m repro.cli lint src/``)::
 
     >>> from repro.analysis import lint_source
     >>> result = lint_source(

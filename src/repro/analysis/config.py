@@ -82,7 +82,6 @@ class LintConfig:
         "repro.net.protocol",
         "repro.net.schemas",
         "repro.algorithms",
-        "repro.aggregation",
         "repro.fairness",
         "repro.groups",
         "repro.mallows",

@@ -5,15 +5,15 @@ Examples
 --------
 ::
 
-    repro-fair-ranking fig1
-    repro-fair-ranking fig1 --jobs 4
-    repro-fair-ranking fig5 --theta 1 --sigma 1 --jobs 4
-    repro-fair-ranking all --fast --jobs -1
-    repro-fair-ranking rank --algorithm mallows --scores scores.csv \\
+    python -m repro.cli fig1
+    python -m repro.cli fig1 --jobs 4
+    python -m repro.cli fig5 --theta 1 --sigma 1 --jobs 4
+    python -m repro.cli all --fast --jobs -1
+    python -m repro.cli rank --algorithm mallows --scores scores.csv \\
         --groups groups.csv --param theta=1.0 --param n_samples=15
-    repro-fair-ranking rank --list-algorithms
-    repro-fair-ranking lint src/ --format json
-    repro-fair-ranking lint src/repro/serve --select REP002,REP003
+    python -m repro.cli rank --list-algorithms
+    python -m repro.cli lint src/ --format json
+    python -m repro.cli lint src/repro/serve --select REP002,REP003
 
 Every command runs through one :class:`~repro.engine.RankingEngine`
 session per invocation: ``--jobs`` sets the session's worker budget
@@ -60,7 +60,7 @@ from repro.experiments.runner import run_all
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-fair-ranking",
+        prog="python -m repro.cli",
         description=(
             "Reproduce the experiments of 'Fairness in Ranking: Robustness "
             "through Randomization without the Protected Attribute' "
@@ -446,7 +446,10 @@ def _cmd_rank(args, engine: RankingEngine) -> int:
     if args.repeat < 1:
         raise SystemExit(f"--repeat must be >= 1, got {args.repeat}")
 
-    problem = FairRankingProblem.from_scores(scores, groups)
+    try:
+        problem = FairRankingProblem.from_scores(scores, groups)
+    except ValueError as exc:
+        raise SystemExit(f"--scores: {exc}")
     params = _parse_params(args.param)
     requests = [
         RankingRequest(

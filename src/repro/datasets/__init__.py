@@ -12,11 +12,6 @@ from repro.datasets.synthetic import (
     multi_group_scores,
     two_group_shifted_scores,
 )
-from repro.datasets.csv_loader import (
-    RankingDataset,
-    load_ranking_csv,
-    save_ranking_csv,
-)
 
 __all__ = [
     "GERMAN_CREDIT_TABLE1",
@@ -27,7 +22,4 @@ __all__ = [
     "two_group_shifted_scores",
     "multi_group_scores",
     "engineered_ranking_with_ii",
-    "RankingDataset",
-    "load_ranking_csv",
-    "save_ranking_csv",
 ]

@@ -2,8 +2,8 @@
 
 Every fair-ranking algorithm in the package registers here under a short
 stable name, so serving surfaces — :class:`repro.engine.RankingEngine`,
-the ``repro-fair-ranking rank`` CLI, request payloads — can name algorithms
-as data instead of importing classes:
+the ``python -m repro.cli rank`` command, request payloads — can name
+algorithms as data instead of importing classes:
 
 >>> from repro.engine import algorithm_names, make_algorithm
 >>> sorted(algorithm_names())

@@ -1,6 +1,6 @@
 """Run every paper artefact end-to-end and collect the text reports.
 
-This is the engine behind the CLI (``repro-fair-ranking``) and a convenient
+This is the engine behind the CLI (``python -m repro.cli``) and a convenient
 one-call entry point for notebooks: :func:`run_all` returns an ordered
 mapping from artefact id to its rendered report.
 

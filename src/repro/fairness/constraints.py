@@ -62,7 +62,7 @@ class FairnessConstraints:
             )
         if alpha.size == 0:
             raise InvalidConstraintError("need at least one group")
-        if np.any(alpha < 0) or np.any(alpha > 1) or np.any(beta < 0) or np.any(beta > 1):
+        if not np.all((0 <= alpha) & (alpha <= 1) & (0 <= beta) & (beta <= 1)):
             raise InvalidConstraintError("alpha and beta rates must lie in [0, 1]")
         if np.any(beta > alpha):
             raise InvalidConstraintError(

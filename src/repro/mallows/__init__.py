@@ -38,7 +38,6 @@ from repro.mallows.marginals import (
     position_marginals,
     tune_theta_for_ndcg_exact,
 )
-from repro.mallows.plackett_luce import PlackettLuceModel, fit_plackett_luce
 
 __all__ = [
     "MallowsModel",
@@ -67,6 +66,4 @@ __all__ = [
     "exact_expected_ndcg",
     "exact_expected_exposure",
     "tune_theta_for_ndcg_exact",
-    "PlackettLuceModel",
-    "fit_plackett_luce",
 ]

@@ -28,6 +28,7 @@ import numpy as np
 from repro.exceptions import EstimationError
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_finite_non_negative
 
 _THETA_MAX = 50.0
 
@@ -38,8 +39,8 @@ def _check_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(
             f"need {n - 1} dispersions for {n} items, got shape {thetas.shape}"
         )
-    if np.any(thetas < 0):
-        raise ValueError("dispersions must be non-negative")
+    for theta in thetas.tolist():
+        check_finite_non_negative(theta, "dispersion")
     return thetas
 
 
@@ -264,8 +265,8 @@ def dispersion_profile(
         raise ValueError("n must be >= 1")
     if not 0 <= split <= n - 1:
         raise ValueError(f"split must be in [0, {n - 1}], got {split}")
-    if theta_head < 0 or theta_tail < 0:
-        raise ValueError("dispersions must be non-negative")
+    check_finite_non_negative(theta_head, "theta_head")
+    check_finite_non_negative(theta_tail, "theta_tail")
     thetas = np.full(n - 1, float(theta_tail))
     thetas[:split] = float(theta_head)
     return thetas

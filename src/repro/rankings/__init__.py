@@ -22,18 +22,8 @@ from repro.rankings.quality import (
     position_discounts,
 )
 from repro.rankings.sorting import rank_by_score, scores_in_rank_order
-from repro.rankings.topk import (
-    footrule_topk,
-    kendall_tau_topk,
-    overlap,
-    recall_at_k,
-)
 
 __all__ = [
-    "footrule_topk",
-    "kendall_tau_topk",
-    "overlap",
-    "recall_at_k",
     "Ranking",
     "identity",
     "random_ranking",

@@ -62,10 +62,15 @@ def check_same_length(a: np.ndarray, b: np.ndarray, what: str = "inputs") -> Non
         )
 
 
-def check_theta(theta: float) -> None:
-    """Raise :class:`ValueError` unless ``theta`` is a finite ``θ >= 0``.
+def check_finite_non_negative(value: float, name: str) -> None:
+    """Raise :class:`ValueError` unless ``value`` is finite and ``>= 0``.
 
-    Rejects NaN, which passes a bare ``theta < 0`` test, and ``±inf``.
+    Rejects NaN, which passes a bare ``value < 0`` test, and ``±inf``.
     """
-    if not 0.0 <= theta < math.inf:
-        raise ValueError(f"theta must be finite and non-negative, got {theta}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
+def check_theta(theta: float) -> None:
+    """Raise :class:`ValueError` unless ``theta`` is a finite ``θ >= 0``."""
+    check_finite_non_negative(theta, "theta")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import FairRankingProblem, FairRankingResult
-from repro.exceptions import LengthMismatchError
+from repro.exceptions import InvalidConstraintError, LengthMismatchError
 from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
 from repro.rankings.permutation import Ranking
@@ -37,6 +37,25 @@ class TestProblem:
         ga = GroupAssignment(["a", "b", "c"])
         with pytest.raises(LengthMismatchError):
             FairRankingProblem(base_ranking=Ranking([0, 1]), groups=ga)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FairRankingProblem(
+                base_ranking=Ranking([0, 1, 2]), scores=np.array([0.5, bad, 0.1])
+            )
+        with pytest.raises(ValueError, match="finite"):
+            FairRankingProblem.from_scores(np.array([bad, 0.8, 0.7, 0.6]))
+
+    def test_constraints_for_another_group_count_rejected(self):
+        ga = GroupAssignment(["a", "b", "c", "a", "b", "c"])
+        fc = FairnessConstraints.from_rates([0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(InvalidConstraintError, match="2 groups"):
+            FairRankingProblem(
+                base_ranking=Ranking(np.arange(6)), groups=ga, constraints=fc
+            )
+        with pytest.raises(InvalidConstraintError):
+            FairRankingProblem.from_scores(np.linspace(1, 0, 6), ga, fc)
 
     def test_require_scores(self):
         problem = FairRankingProblem(base_ranking=Ranking([0, 1]))

@@ -158,6 +158,13 @@ class TestRankCommand:
                 "--scores", "1.0,0.5", "--param", "theta",
             ])
 
+    def test_non_finite_scores_exit_with_a_message(self):
+        with pytest.raises(SystemExit, match="--scores: scores must be finite"):
+            main([
+                "rank", "--algorithm", "dp",
+                "--scores", "nan,0.8,0.7,0.6", "--groups", "a,b,a,b",
+            ])
+
 
 class TestLintCommand:
     """The static-analysis gate: shell-friendly exit codes (0 clean,

@@ -133,8 +133,9 @@ class TestNoisy:
             assert sorted(r.ranking.order.tolist()) == list(range(10))
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            DetConstSort(noise_sigma=-1.0)
+        for sigma in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                DetConstSort(noise_sigma=sigma)
 
     def test_name_reflects_noise(self):
         assert "sigma" in DetConstSort(noise_sigma=1.0).name

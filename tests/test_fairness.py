@@ -65,6 +65,11 @@ class TestConstraints:
             FairnessConstraints.from_rates([0.5], [0.6])  # beta > alpha
         with pytest.raises(InvalidConstraintError):
             FairnessConstraints.from_rates([1.5], [0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidConstraintError):
+                FairnessConstraints.from_rates([bad, 0.5], [0.1, 0.5])
+            with pytest.raises(InvalidConstraintError):
+                FairnessConstraints.from_rates([0.5, 0.5], [0.1, bad])
         with pytest.raises(InvalidConstraintError):
             FairnessConstraints.from_rates([0.5, 0.5], [0.5])
         with pytest.raises(InvalidConstraintError):

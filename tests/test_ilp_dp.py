@@ -150,7 +150,8 @@ class TestNoisyVariants:
         assert v_dp == pytest.approx(v_ilp, rel=1e-7)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            DpFairRanking(noise_sigma=-1)
-        with pytest.raises(ValueError):
-            IlpFairRanking(noise_sigma=-1)
+        for sigma in (-1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                DpFairRanking(noise_sigma=sigma)
+            with pytest.raises(ValueError):
+                IlpFairRanking(noise_sigma=sigma)

@@ -146,5 +146,6 @@ class TestNoisy:
         assert len(outputs) > 1
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            ApproxMultiValuedIPF(noise_sigma=-0.1)
+        for sigma in (-0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                ApproxMultiValuedIPF(noise_sigma=sigma)

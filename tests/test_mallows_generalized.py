@@ -85,8 +85,9 @@ class TestModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             GeneralizedMallowsModel(identity(4), thetas=np.array([0.5]))
-        with pytest.raises(ValueError):
-            GeneralizedMallowsModel(identity(3), thetas=np.array([-0.5, 0.1]))
+        for bad in (-0.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                GeneralizedMallowsModel(identity(3), thetas=np.array([bad, 0.1]))
 
 
 class TestSampling:
@@ -179,5 +180,8 @@ class TestDispersionProfile:
             dispersion_profile(0, 1.0, 1.0, 0)
         with pytest.raises(ValueError):
             dispersion_profile(5, 1.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            dispersion_profile(5, -1.0, 1.0, 2)
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                dispersion_profile(5, bad, 1.0, 2)
+            with pytest.raises(ValueError):
+                dispersion_profile(5, 1.0, bad, 2)

@@ -239,6 +239,59 @@ class TestErrorSurface:
         assert response.status == 400
         assert validate_error_body(loads(response.body))["code"] == "bad_request"
 
+    @staticmethod
+    def _post_rank(payloads):
+        """POST each raw JSON body to ``/v1/rank``: ``(status, body)`` pairs."""
+
+        async def scenario():
+            async with _Frontend(n_jobs=1) as (server, client):
+                return [
+                    await client.request("POST", "/v1/rank", body.encode())
+                    for body in payloads
+                ]
+
+        return [(response.status, loads(response.body)) for response in run(scenario())]
+
+    def test_overflowing_score_and_foreign_constraints_are_400(self):
+        """``1e999`` is valid JSON that parses to ``inf``; constraints sized
+        for two groups do not fit a three-group problem.  Both are refused
+        as bad requests before any solver runs."""
+        problem = FairRankingProblem.from_scores(
+            np.linspace(1.0, 0.0, 12), GroupAssignment.from_indices([0, 1, 2] * 4)
+        )
+        payload = encode_rank_request(RankingRequest("dp", problem))
+        bodies = []
+        for literal in ("-1e999", "1e999"):
+            payload["problem"]["scores"][0] = "SCORE"
+            bodies.append(json.dumps(payload).replace('"SCORE"', literal))
+        payload["problem"]["scores"][0] = 1.0
+        payload["problem"]["constraints"].update(alpha=[0.5, 0.5], beta=[0.5, 0.5])
+        bodies.append(json.dumps(payload))
+        results = self._post_rank(bodies)
+        assert [status for status, _ in results] == [400, 400, 400]
+        errors = [validate_error_body(body) for _, body in results]
+        assert all(error["code"] == "bad_request" for error in errors)
+        assert "finite" in errors[0]["message"]
+        assert "groups" in errors[2]["message"]
+
+    def test_overflowing_noise_sigma_is_400(self):
+        problem = FairRankingProblem.from_scores(
+            np.linspace(1.0, 0.0, 8), GroupAssignment.from_indices([0, 1] * 4)
+        )
+        bodies = [
+            json.dumps(
+                encode_rank_request(
+                    RankingRequest(name, problem, params={"noise_sigma": "SIGMA"})
+                )
+            ).replace('"SIGMA"', "1e999")
+            for name in ("detconstsort", "ipf", "ilp", "dp")
+        ]
+        for status, body in self._post_rank(bodies):
+            assert status == 400
+            error = validate_error_body(body)
+            assert error["code"] == "bad_request"
+            assert "noise_sigma must be finite" in error["message"]
+
     def test_theta_past_exp_underflow_serves_the_centre(self):
         """At theta = 800, e^{-theta} underflows to 0.0; the sampler still
         serves, and every sample is the centre."""

@@ -45,8 +45,9 @@ class TestNoisyBounds:
 
     def test_negative_sigma(self, ga10):
         fc = FairnessConstraints.proportional(ga10)
-        with pytest.raises(ValueError):
-            noisy_count_bounds(fc, 10, -1.0)
+        for sigma in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                noisy_count_bounds(fc, 10, sigma)
 
     def test_integer_bounds_tightest(self):
         lower = np.array([[0.3, -0.7]])
