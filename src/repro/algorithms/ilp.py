@@ -41,7 +41,8 @@ class IlpFairRanking(FairRankingAlgorithm):
         Standard deviation of the folded-normal constraint relaxation;
         ``0`` (default) solves the exact ILP.
     time_limit:
-        Optional solver wall-clock limit in seconds.
+        Optional solver wall-clock limit in seconds; ``inf`` means no
+        limit.  NaN and negative values raise :class:`ValueError`.
     top_k:
         When set, only ``k`` positions are filled (the paper's
         ``Σ_j x_ij ≤ 1`` item constraint becomes active); unselected items
@@ -55,6 +56,11 @@ class IlpFairRanking(FairRankingAlgorithm):
         top_k: int | None = None,
     ):
         check_finite_non_negative(noise_sigma, "noise_sigma")
+        # inf is HiGHS's own default (no limit); NaN fails `>= 0`.
+        if time_limit is not None and not time_limit >= 0.0:
+            raise ValueError(
+                f"time_limit must be non-negative or inf, got {time_limit}"
+            )
         if top_k is not None and top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         self.noise_sigma = float(noise_sigma)

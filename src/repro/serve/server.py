@@ -2,9 +2,9 @@
 
 The shell owns exactly the things the semantics core
 (:class:`~repro.serve.core.ServerCore`) refuses to: an event loop, one
-timer, and one worker thread that drains batches through the engine's
-blocking :meth:`~repro.engine.RankingEngine.rank_many_submit` hook.
-Every decision — admit/queue/reject, when a batch dispatches, deadline
+timer, and the place a batch runs through the engine's blocking
+:meth:`~repro.engine.RankingEngine.rank_many_submit` hook.  Every
+decision — admit/queue/reject, when a batch dispatches, deadline
 expiry, cancellation, budget accounting — is delegated to the core with
 the loop's clock, so the shell stays a thin, auditable adapter:
 
@@ -15,26 +15,40 @@ the loop's clock, so the shell stays a thin, auditable adapter:
   inline, so every submission landing in the same loop iteration rides
   in the same batch — and one ``call_later`` timer tracks
   ``core.next_event_at()`` (deadline expiries);
-* a batch that ``poll`` hands out runs in a private one-thread executor;
-  the core hands out the next one only after this one's done-callback
+* the core hands out the next batch only after this one's done-callback
   reports :meth:`~repro.serve.core.ServerCore.on_batch_done` (or
   :meth:`~repro.serve.core.ServerCore.on_batch_aborted`) — the engine
   session is a shared resource, and its internal ``n_jobs`` pool is the
   parallelism, not concurrent drains;
-* engine completions are marshalled back with
-  ``call_soon_threadsafe``, so core state is only ever touched from the
-  loop thread.
+* every delivery of a batch reaches the core before that done-callback,
+  and core state is only ever touched from the loop thread.
+
+Where a batch runs depends on the engine's resolved worker count:
+
+* **one worker** — on the loop thread itself, deliveries queued with
+  ``call_soon``.  Such a drain computes in this process and holds the
+  GIL throughout, so a second thread would buy the loop no concurrency:
+  it would only add two cross-thread hops per batch and make every
+  loop-thread syscall win the GIL back from the computing thread.  The
+  price is that a batch of up to ``max_batch_size`` requests blocks the
+  loop for its whole compute.  A thread would not lift that: the GIL
+  serialises a computing drain thread with the loop, apart from the
+  interpreter's 5 ms switch-interval slices;
+* **a pool** — in a private one-thread executor, deliveries marshalled
+  back with ``call_soon_threadsafe``.  That drain mostly waits on worker
+  processes with the GIL released, so the loop keeps reading, admitting
+  and writing meanwhile.
 
 Shutdown is leak-free by construction: ``stop()`` drains (or aborts)
-every ticket, waits out the batch in flight, and joins the executor —
-the CI smoke lane asserts no stray tasks or threads survive it.
+every ticket, waits out the batch in flight, and joins the executor if
+there is one — the CI smoke lane asserts no stray tasks or threads
+survive it.
 
 Example
 -------
 ::
 
     engine = RankingEngine(n_jobs=4)
-    engine.warm_start_costs("BENCH_PR6.json")   # price admission from day 0
     async with AsyncRankingServer(engine, max_batch_size=16) as server:
         response = await server.rank("mallows", problem, theta=1.0)
 """
@@ -45,9 +59,10 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 from repro.algorithms.base import FairRankingProblem
+from repro.batch.parallel import resolve_n_jobs
 from repro.engine.core import RankingEngine, RankingRequest, RankingResponse
 from repro.faults.policy import DEGRADE_RAISE, RetryPolicy
 from repro.serve.core import ServerCore
@@ -135,15 +150,16 @@ class AsyncRankingServer:
         return self._core.breaker_state
 
     async def start(self) -> "AsyncRankingServer":
-        """Bind to the running loop and start the drain thread's
-        executor."""
+        """Bind to the running loop and, for a pooled engine, start the
+        drain thread's executor."""
         if self._core is not None:
             raise RuntimeError("the server is already started")
         self._loop = asyncio.get_running_loop()
         self._core = ServerCore(self._engine, self._config)
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
-        )
+        if resolve_n_jobs(self._engine.n_jobs) > 1:
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve"
+            )
         self._idle = asyncio.Event()
         self._idle.set()
         return self
@@ -182,7 +198,8 @@ class AsyncRankingServer:
         if self._poll_handle is not None:
             self._poll_handle.cancel()
             self._poll_handle = None
-        self._executor.shutdown(wait=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
         self._core = None
         self._executor = None
         self._loop = None
@@ -256,9 +273,24 @@ class AsyncRankingServer:
             return
         batch = self._core.poll(self._loop.time())
         if batch:
-            drain = self._loop.run_in_executor(
-                self._executor, self._drain_batch, batch
-            )
+            if self._executor is None:
+                drain: asyncio.Future[None] = self._loop.create_future()
+                try:
+                    self._drain_batch(batch, self._loop.call_soon)
+                except Exception as error:
+                    drain.set_exception(error)
+                else:
+                    drain.set_result(None)
+            else:
+                drain = self._loop.run_in_executor(
+                    self._executor,
+                    self._drain_batch,
+                    batch,
+                    self._loop.call_soon_threadsafe,
+                )
+            # A finished future queues this callback behind the
+            # deliveries the inline drain queued, so they reach the core
+            # first on both paths.
             drain.add_done_callback(partial(self._on_drain_done, batch))
         self._update_idle()
         self._arm_timer()
@@ -312,24 +344,23 @@ class AsyncRankingServer:
         self._update_idle()
         self._schedule_poll()
 
-    def _drain_batch(self, batch: list[Ticket]) -> None:
-        """Blocking engine drain — runs in the serve worker thread.
+    def _drain_batch(
+        self, batch: list[Ticket], post: Callable[..., Any]
+    ) -> None:
+        """Blocking engine drain — runs on the loop thread or in the
+        serve thread, and queues each delivery onto the loop with
+        ``post`` (``call_soon`` or ``call_soon_threadsafe``).
 
         Every ticket's request carries its pinned per-submission seed, so
         the batch-level seed is irrelevant: the served rankings are the
         same however arrivals and the cap carved this particular batch.
         """
-        loop = self._loop
 
         def deliver(response: RankingResponse) -> None:
-            loop.call_soon_threadsafe(
-                self._on_engine_response, batch[response.index], response
-            )
+            post(self._on_engine_response, batch[response.index], response)
 
         def fail(index: int, request: RankingRequest, error: Exception) -> None:
-            loop.call_soon_threadsafe(
-                self._on_engine_error, batch[index], error
-            )
+            post(self._on_engine_error, batch[index], error)
 
         self._engine.rank_many_submit(
             [ticket.request for ticket in batch],

@@ -16,7 +16,8 @@ transitions.  This module is the driver the serve tests share:
   ``n_jobs=1`` engine), so every test exercises production code end to end
   without a single real sleep;
 * :class:`DrainGate` — the asyncio suites' way to park requests: it
-  holds an engine's first drain in the serve thread until released.
+  holds a pooled engine's first drain in the serve thread until
+  released.
 
 Not a test file itself — imported by the serve, net-server and fault
 suites.
@@ -172,6 +173,11 @@ class DrainGate:
     asyncio tests park work before dispatch.  ``drained`` records the
     request ids of every batch that reached the engine.  The hold is
     bounded by ``timeout``, so a failing test cannot hang the suite.
+
+    Only a pooled engine (``n_jobs > 1``) has a serve thread to park: a
+    one-worker engine's drain runs on the event loop, where the gate
+    would block the loop itself.  A lone request on a pooled engine
+    still computes inline in that thread, without forking workers.
     """
 
     def __init__(self, engine: RankingEngine, *, timeout: float = 10.0):

@@ -155,3 +155,18 @@ class TestNoisyVariants:
                 DpFairRanking(noise_sigma=sigma)
             with pytest.raises(ValueError):
                 IlpFairRanking(noise_sigma=sigma)
+
+    @pytest.mark.parametrize("time_limit", [np.nan, -1.0, np.inf])
+    def test_time_limit_rejects_nan_and_negative_accepts_inf(
+        self, time_limit, rng
+    ):
+        if not time_limit >= 0.0:
+            with pytest.raises(ValueError, match="time_limit"):
+                IlpFairRanking(time_limit=time_limit)
+            return
+        # inf is no limit: the solve reaches the exact optimum.
+        problem = make_problem(rng.random(6), GroupAssignment(["a", "b"] * 3))
+        result = IlpFairRanking(time_limit=time_limit).rank(problem)
+        assert result.metadata["dcg"] == pytest.approx(
+            DpFairRanking().rank(problem).metadata["dcg"], rel=1e-7
+        )

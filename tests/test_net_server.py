@@ -292,6 +292,21 @@ class TestErrorSurface:
             assert error["code"] == "bad_request"
             assert "noise_sigma must be finite" in error["message"]
 
+    def test_negative_ilp_time_limit_is_400(self):
+        problem = FairRankingProblem.from_scores(
+            np.linspace(1.0, 0.0, 8), GroupAssignment.from_indices([0, 1] * 4)
+        )
+        body = json.dumps(
+            encode_rank_request(
+                RankingRequest("ilp", problem, params={"time_limit": -1})
+            )
+        )
+        [(status, payload)] = self._post_rank([body])
+        assert status == 400
+        error = validate_error_body(payload)
+        assert error["code"] == "bad_request"
+        assert "time_limit" in error["message"]
+
     def test_theta_past_exp_underflow_serves_the_centre(self):
         """At theta = 800, e^{-theta} underflows to 0.0; the sampler still
         serves, and every sample is the centre."""
@@ -385,7 +400,7 @@ class TestServingTierExceptionsOverTheWire:
 
     def test_overload_raises_real_server_overloaded_with_details(self):
         async def scenario():
-            async with _Frontend(n_jobs=1, **self.OVERLOAD) as (server, client):
+            async with _Frontend(n_jobs=2, **self.OVERLOAD) as (server, client):
                 gate = DrainGate(server.inner.engine)
                 requests = _pinned(3)
                 inflight = [
@@ -425,7 +440,7 @@ class TestServingTierExceptionsOverTheWire:
 
     def test_deadline_expiry_raises_deadline_exceeded(self):
         async def scenario():
-            async with _Frontend(n_jobs=1) as (server, client):
+            async with _Frontend(n_jobs=2) as (server, client):
                 gate = DrainGate(server.inner.engine)
                 first, late = _pinned(2)
                 inflight = asyncio.ensure_future(client.submit(first))

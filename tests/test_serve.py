@@ -14,8 +14,10 @@ headline contracts on top:
 
 No test here asserts on ``time.sleep`` — waiting happens only on server
 futures and the loop's own timers.  Tests that need requests parked
-before dispatch hold the engine's first drain with
-:class:`serve_harness.DrainGate`, so later submissions wait behind it.
+before dispatch hold a two-worker engine's first drain in the serve
+thread with :class:`serve_harness.DrainGate`, so later submissions wait
+behind it (a one-worker engine drains on the loop, which the gate would
+block).
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class TestLifecycle:
 
     def test_stop_without_drain_fails_pending_with_server_closed(self):
         async def scenario():
-            engine = RankingEngine(n_jobs=1)
+            engine = RankingEngine(n_jobs=2)
             gate = DrainGate(engine)
             server = await AsyncRankingServer(engine, seed=SEED).start()
             first = await _in_flight(server, RankingRequest("dp", _problem()))
@@ -130,7 +132,7 @@ class TestLifecycle:
 
     def test_stop_with_drain_serves_parked_window(self):
         async def scenario():
-            engine = RankingEngine(n_jobs=1)
+            engine = RankingEngine(n_jobs=2)
             gate = DrainGate(engine)
             server = await AsyncRankingServer(engine, seed=SEED).start()
             first = await _in_flight(
@@ -193,7 +195,7 @@ class TestLifecycle:
         :class:`ServerClosed` instead of serving them."""
 
         async def scenario():
-            engine = RankingEngine(n_jobs=1)
+            engine = RankingEngine(n_jobs=2)
             gate = DrainGate(engine)
             server = await AsyncRankingServer(
                 engine,
@@ -261,6 +263,36 @@ class TestServingContracts:
 
         assert run(scenario()) == _serial_digest(requests, SEED)
 
+    def test_one_worker_server_drains_on_the_loop(self):
+        """A one-worker engine computes in this process, so its batches
+        run on the event loop: no serve thread exists while it serves,
+        and the served set still digests like the serial loop."""
+        requests = synthetic_requests(12, seed=13)
+
+        async def scenario():
+            threads_at_drain = []
+            with RankingEngine(n_jobs=1) as engine:
+                drain = engine.rank_many_submit
+
+                def spy(batch, **kwargs):
+                    threads_at_drain.append(_serve_threads())
+                    return drain(batch, **kwargs)
+
+                engine.rank_many_submit = spy
+                async with AsyncRankingServer(
+                    engine, max_batch_size=4, seed=SEED
+                ) as server:
+                    responses = await asyncio.gather(
+                        *(server.submit(r) for r in requests)
+                    )
+                    stats = server.stats()
+            assert stats.completed == len(requests)
+            assert stats.dispatched_batches == len(threads_at_drain) >= 2
+            assert threads_at_drain == [[]] * len(threads_at_drain)
+            return responses_digest(responses)
+
+        assert run(scenario()) == _serial_digest(requests, SEED)
+
     def test_pinned_seed_requests_do_not_shift_neighbours(self):
         """A request pinning its own seed must not change what its
         neighbours are served — the server spawns a child per submission
@@ -300,7 +332,7 @@ class TestServingContracts:
     def test_overload_rejection_is_structured_and_immediate(self):
         async def scenario():
             problem = _problem()
-            with RankingEngine(n_jobs=1) as engine:
+            with RankingEngine(n_jobs=2) as engine:
                 gate = DrainGate(engine)  # park the first request in flight
                 async with AsyncRankingServer(
                     engine,
@@ -329,7 +361,7 @@ class TestServingContracts:
     def test_client_cancellation_drops_request_and_server_lives_on(self):
         async def scenario():
             problem = _problem()
-            with RankingEngine(n_jobs=1) as engine:
+            with RankingEngine(n_jobs=2) as engine:
                 gate = DrainGate(engine)
                 async with AsyncRankingServer(engine, seed=SEED) as server:
                     first = await _in_flight(
@@ -361,7 +393,7 @@ class TestServingContracts:
     def test_deadline_expires_parked_request(self):
         async def scenario():
             problem = _problem()
-            with RankingEngine(n_jobs=1) as engine:
+            with RankingEngine(n_jobs=2) as engine:
                 gate = DrainGate(engine)
                 async with AsyncRankingServer(
                     engine, max_batch_size=16, seed=SEED
@@ -389,7 +421,7 @@ class TestServingContracts:
 
         async def scenario():
             problem = _problem()
-            with RankingEngine(n_jobs=1) as engine:
+            with RankingEngine(n_jobs=2) as engine:
                 gate = DrainGate(engine)
                 async with AsyncRankingServer(engine, seed=SEED) as server:
                     first = await _in_flight(
