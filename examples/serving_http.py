@@ -5,41 +5,52 @@ clients are on the other side of a socket.  An
 :class:`~repro.net.HttpRankingServer` wraps the
 :class:`~repro.serve.AsyncRankingServer` behind a stdlib HTTP/1.1 JSON
 listener (``POST /v1/rank``, ``POST /v1/rank_many``, ``GET /stats``,
-``GET /healthz``), and an :class:`~repro.net.AsyncHttpClient` swarm
-talks to it over keep-alive connections — same coalescing, same priced
-admission, same structured errors re-raised client-side.
+``GET /healthz``), and concurrent :class:`~repro.net.AsyncHttpClient`
+submissions talk to it over keep-alive connections — same coalescing,
+same priced admission, same structured errors re-raised client-side.
 
 Determinism is the interesting part: over a wire, arrival order is
 whatever the network makes it, so the in-process trick of deriving
 seeds from submission order does not survive.
 :func:`~repro.serve.pin_request_seeds` pins each request's
 ``SeedSequence`` child client-side, the children travel inside the JSON
-schema, and the served response set digests *byte-identically* to a
-serial loop over the same requests — any transport, any worker count.
+schema, and the served response set — re-indexed by list position,
+since the server numbers requests by arrival — digests
+*byte-identically* to a serial loop over the same requests, any
+transport, any worker count.
 
 Run:  python examples/serving_http.py [n_requests]
 """
 
 import asyncio
 import sys
+import time
+from dataclasses import replace
 
 from repro.engine import RankingEngine, responses_digest
 from repro.net import AsyncHttpClient, HttpRankingServer
-from repro.serve import pin_request_seeds, run_load, synthetic_requests
+from repro.serve import pin_request_seeds, synthetic_requests
 
 SEED = 11
 
 
 async def serve_and_query(requests):
-    """Stand up the frontend, fire the swarm over HTTP, return the report."""
+    """Stand up the frontend, submit every request concurrently over
+    HTTP, and return the responses, the wall time and the server stats."""
     with RankingEngine(n_jobs=2) as engine:
         async with HttpRankingServer(engine, seed=SEED) as server:
             async with AsyncHttpClient("127.0.0.1", server.port) as client:
                 healthy, body = await client.healthz()
                 print(f"healthz: {body['status']} (breaker {body['breaker']})")
-                report = await run_load(client, requests)
+                started = time.perf_counter()
+                responses = await asyncio.gather(
+                    *(client.submit(request) for request in requests)
+                )
+                elapsed = time.perf_counter() - started
                 stats = await client.stats()
-    return report, stats
+    # Re-index by list position: the server numbered them by arrival.
+    responses = [replace(r, index=i) for i, r in enumerate(responses)]
+    return responses, elapsed, stats
 
 
 def main() -> None:
@@ -48,11 +59,11 @@ def main() -> None:
     requests = pin_request_seeds(
         synthetic_requests(n_requests, seed=SEED), seed=SEED
     )
-    report, stats = asyncio.run(serve_and_query(requests))
+    responses, elapsed, stats = asyncio.run(serve_and_query(requests))
 
     print(
-        f"served {report.served}/{report.n_requests} HTTP clients "
-        f"in {report.elapsed:.3f}s ({report.throughput:.0f} req/s)"
+        f"served {len(responses)}/{len(requests)} HTTP clients "
+        f"in {elapsed:.3f}s ({len(responses) / elapsed:.0f} req/s)"
     )
     counters = stats["counters"]
     print(
@@ -65,7 +76,7 @@ def main() -> None:
     # to a serial loop over the very same (pinned) requests.
     with RankingEngine(n_jobs=1) as ref:
         serial = responses_digest(ref.rank_many(requests, n_jobs=1))
-    match = "ok" if report.digest() == serial else "MISMATCH"
+    match = "ok" if responses_digest(responses) == serial else "MISMATCH"
     print(f"digest byte-identical to the serial loop: {match}")
 
 

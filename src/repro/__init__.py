@@ -44,15 +44,13 @@ next ``rank_many`` dispatch, and prices admission with the session's
 learned per-kind cost model (queueing and then shedding load with a
 structured ``ServerOverloaded`` once the in-flight budget is spent).
 Responses stay byte-identical to the serial loop over the same
-submissions — see ``examples/serving_async.py`` and the ``repro serve``
-/ ``repro bench-client`` CLI commands.
+submissions — see ``examples/serving_async.py``.
 
 Remote clients reach the same tier over plain HTTP/1.1 + JSON through
 :mod:`repro.net` — a stdlib-only wire frontend (``HttpRankingServer`` /
 ``AsyncHttpClient``) whose request schemas carry pinned seeds so served
 digests stay byte-identical across the network too.  See
-``examples/serving_http.py`` and ``repro serve --http HOST:PORT`` /
-``repro bench-client --http URL``.
+``examples/serving_http.py`` and ``repro serve --http HOST:PORT``.
 
 Pooled scheduling is fault tolerant (:mod:`repro.faults`): a worker
 death mid-run is recovered by rebuilding the pool and resubmitting the

@@ -69,8 +69,8 @@ class LintConfig:
     #: the digest-feeding compute layers.  Wall-clock reads here are either
     #: bugs or timing-only measurements that must be suppressed with a
     #: justification.  Deliberately absent: ``repro.batch.schedule`` and
-    #: ``repro.engine.core`` (unit cost clocks), ``repro.serve.server`` and
-    #: ``repro.serve.loadgen`` (the asyncio/IO shells), and likewise
+    #: ``repro.engine.core`` (unit cost clocks), ``repro.serve.server``
+    #: (the asyncio shell), and likewise
     #: ``repro.net.server``/``repro.net.client`` (the socket shells) —
     #: but the sans-IO wire layers (``repro.net.protocol``,
     #: ``repro.net.schemas``) are pure bytes/JSON transforms and are held

@@ -12,6 +12,7 @@ Examples
     python -m repro.cli rank --algorithm mallows --scores scores.csv \\
         --groups groups.csv --param theta=1.0 --param n_samples=15
     python -m repro.cli rank --list-algorithms
+    python -m repro.cli serve --http 127.0.0.1:8123 --jobs 2
     python -m repro.cli lint src/ --format json
     python -m repro.cli lint src/repro/serve --select REP002,REP003
 
@@ -25,7 +26,9 @@ single pool, so the full pipeline scales with the core count rather than
 with its widest inner loop.  Reports are byte-identical for every value.
 ``rank`` serves the engine's algorithm registry directly: scores/groups
 from CSV files (or inline comma-separated values), algorithm parameters
-as ``--param key=value`` pairs, no Python required.  ``lint`` runs the
+as ``--param key=value`` pairs, no Python required.  ``serve`` puts the
+async serving tier behind the HTTP frontend (:mod:`repro.net`) until
+SIGTERM/SIGINT, then drains.  ``lint`` runs the
 repository's own static-analysis gate (:mod:`repro.analysis`) — the REP
 rules that keep the determinism, sans-IO, and cache contracts honest —
 with shell-friendly exit codes: 0 clean, 1 findings, 2 usage/parse error.
@@ -184,100 +187,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_flag(p_rank)
 
-    def _add_serve_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--requests", type=int, default=64, metavar="N",
-            help="synthetic mixed-kind requests to serve (default 64)",
-        )
-        p.add_argument(
-            "--max-batch", type=int, default=16, metavar="K",
-            help="cap per coalesced batch: requests that arrive while the "
-                 "engine drains a batch form the next one (default 16)",
-        )
-        p.add_argument(
-            "--budget", type=float, default=1.0, metavar="SECONDS",
-            help="in-flight admission budget in predicted seconds "
-                 "(default 1.0)",
-        )
-        p.add_argument(
-            "--queue-depth", type=int, default=128, metavar="N",
-            help="bounded admission queue; beyond it requests are rejected "
-                 "with ServerOverloaded (default 128)",
-        )
-        p.add_argument(
-            "--deadline", type=float, default=None, metavar="SECONDS",
-            help="per-request deadline (default: none)",
-        )
-        p.add_argument(
-            "--warm-start", action="append", default=[], metavar="JSON",
-            help="BENCH_*.json trajectory file to warm-start the cost "
-                 "model from (repeatable); admission is priced by measured "
-                 "EWMAs before the first response",
-        )
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="root of the server's seed tree (default 0)",
-        )
-        _add_jobs_flag(p)
-
     p_serve = sub.add_parser(
         "serve",
         help=(
-            "run the async serving tier over one engine session: an "
-            "in-process AsyncRankingServer under a swarm of concurrent "
-            "clients, with coalescing micro-batches and cost-priced "
-            "admission control"
+            "serve the async tier over HTTP/1.1 JSON (POST /v1/rank, "
+            "POST /v1/rank_many, GET /stats, GET /healthz) until "
+            "SIGTERM/SIGINT, then drain gracefully: coalescing batches and "
+            "cost-priced admission over one engine session"
         ),
     )
-    _add_serve_flags(p_serve)
     p_serve.add_argument(
-        "--verify-digest", action="store_true",
-        help="also run the same submissions through a serial loop and "
-             "assert the served responses digest byte-identically",
+        "--http", metavar="HOST:PORT", required=True,
+        help="address to listen on; PORT 0 binds an ephemeral port.  The "
+             "bound address is printed on stdout",
     )
     p_serve.add_argument(
-        "--http", metavar="HOST:PORT", default=None,
-        help="instead of the in-process client swarm, expose the server "
-             "over HTTP/1.1 JSON (POST /v1/rank, POST /v1/rank_many, "
-             "GET /stats, GET /healthz) until SIGTERM/SIGINT, then drain "
-             "gracefully.  PORT 0 binds an ephemeral port; the bound "
-             "address is printed on stdout",
+        "--max-batch", type=int, default=16, metavar="K",
+        help="cap per coalesced batch: requests that arrive while the "
+             "engine drains a batch form the next one (default 16)",
     )
-
-    p_client = sub.add_parser(
-        "bench-client",
-        help=(
-            "load-generate against an in-process server and report "
-            "throughput + per-kind latency percentiles (optionally "
-            "comparing coalescing on vs off)"
-        ),
+    p_serve.add_argument(
+        "--budget", type=float, default=1.0, metavar="SECONDS",
+        help="in-flight admission budget in predicted seconds "
+             "(default 1.0)",
     )
-    _add_serve_flags(p_client)
-    p_client.add_argument(
-        "--rate", type=float, default=None, metavar="REQ_PER_S",
-        help="open-loop arrival rate (default: one closed-loop burst)",
+    p_serve.add_argument(
+        "--queue-depth", type=int, default=128, metavar="N",
+        help="bounded admission queue; beyond it requests are rejected "
+             "with ServerOverloaded (default 128)",
     )
-    p_client.add_argument(
-        "--retries", type=int, default=0, metavar="K",
-        help="retry budget per request on ServerOverloaded (default 0)",
+    p_serve.add_argument(
+        "--deadline", type=float, default=None, metavar="SECONDS",
+        help="per-request deadline (default: none)",
     )
-    p_client.add_argument(
-        "--compare-coalescing", action="store_true",
-        help="run the same load twice — micro-batching on vs off "
-             "(max batch 1) — and print the throughput ratio",
+    p_serve.add_argument(
+        "--seed", type=int, default=0,
+        help="root of the server's seed tree (default 0)",
     )
-    p_client.add_argument(
-        "--http", metavar="URL", default=None,
-        help="drive a remote `repro serve --http` frontend at "
-             "http://HOST:PORT instead of an in-process server; "
-             "per-request seeds are pinned client-side so the served "
-             "digest stays comparable to the serial loop",
-    )
-    p_client.add_argument(
-        "--verify-digest", action="store_true",
-        help="assert the served responses digest byte-identically "
-             "against a serial rank_many over the same request stream",
-    )
+    _add_jobs_flag(p_serve)
 
     p_lint = sub.add_parser(
         "lint",
@@ -615,12 +562,21 @@ def _explain_finding(result, spec: tuple[str, str, int]) -> int:
     return 2
 
 
-def _serve_config(args):
-    """Shared ``serve``/``bench-client`` knobs → a ServeConfig."""
+def _cmd_serve(args, engine: RankingEngine) -> int:
+    """The ``serve`` subcommand: the HTTP frontend over one engine session,
+    until SIGTERM/SIGINT."""
+    import asyncio
+
+    from repro.net import HttpRankingServer
     from repro.serve import ServeConfig
 
+    host, sep, port_text = args.http.rpartition(":")
+    if not (sep and host and port_text.isdigit() and int(port_text) <= 65535):
+        raise SystemExit(
+            f"--http expects HOST:PORT with PORT in 0-65535, got {args.http!r}"
+        )
     try:
-        return ServeConfig(
+        config = ServeConfig(
             max_batch_size=args.max_batch,
             max_queue_depth=args.queue_depth,
             cost_budget=args.budget,
@@ -629,28 +585,6 @@ def _serve_config(args):
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
-
-
-def _print_load_report(report, stats, prefix: str = "") -> None:
-    print(f"{prefix}{report.summary()}")
-    print(f"{prefix}server: {stats.summary()}")
-    for label, summary in stats.latency_percentiles().items():
-        rendered = ", ".join(
-            f"{name}={value * 1000.0:.2f}ms"
-            for name, value in summary.items()
-        )
-        print(f"{prefix}  {label}: {rendered}")
-
-
-def _serve_http(args, engine: RankingEngine, config) -> int:
-    """``serve --http``: expose the tier over HTTP until SIGTERM/SIGINT."""
-    import asyncio
-
-    from repro.net import HttpRankingServer
-
-    host, sep, port_text = args.http.rpartition(":")
-    if not sep or not host or not port_text.isdigit():
-        raise SystemExit(f"--http expects HOST:PORT, got {args.http!r}")
 
     async def session():
         server = HttpRankingServer(engine, config, host=host, port=int(port_text))
@@ -666,144 +600,6 @@ def _serve_http(args, engine: RankingEngine, config) -> int:
 
     stats = asyncio.run(session())
     print(f"drained: {stats.summary()}")
-    return 0
-
-
-def _cmd_serve(args, engine: RankingEngine) -> int:
-    """The ``serve`` subcommand: an in-process serving-tier session, or
-    an HTTP frontend over it (``--http``)."""
-    import asyncio
-
-    from repro.serve import AsyncRankingServer, run_load, synthetic_requests
-
-    if args.requests < 1:
-        raise SystemExit(f"--requests must be >= 1, got {args.requests}")
-    config = _serve_config(args)
-    for path in args.warm_start:
-        imported = engine.warm_start_costs(path)
-        print(f"# warm-started {imported} cost kinds from {path}",
-              file=sys.stderr)
-    if args.http is not None:
-        return _serve_http(args, engine, config)
-    requests = synthetic_requests(args.requests, seed=args.seed)
-
-    async def session():
-        async with AsyncRankingServer(engine, config) as server:
-            report = await run_load(server, requests)
-            return report, server.stats()
-
-    report, stats = asyncio.run(session())
-    _print_load_report(report, stats)
-    if args.verify_digest:
-        _verify_serial_digest(report, requests, args.seed)
-    return 0
-
-
-def _verify_serial_digest(report, requests, seed) -> None:
-    """Assert a load report's digest equals a serial ``rank_many``."""
-    from repro.engine import responses_digest
-
-    if report.served != len(requests):
-        raise SystemExit(
-            "digest verification needs every request served — relax "
-            "--budget/--queue-depth/--deadline"
-        )
-    with RankingEngine(n_jobs=1) as ref:
-        serial = responses_digest(ref.rank_many(requests, seed=seed, n_jobs=1))
-    if report.digest() != serial:
-        raise SystemExit("digest mismatch: served != serial loop")
-    print(f"digest ok: {serial[:16]}… matches the serial loop")
-
-
-def _bench_client_http(args) -> int:
-    """``bench-client --http``: drive a remote frontend over the wire."""
-    import asyncio
-
-    from repro.net import AsyncHttpClient
-    from repro.serve import pin_request_seeds, run_load, synthetic_requests
-
-    if args.compare_coalescing:
-        raise SystemExit(
-            "--compare-coalescing needs an in-process server; it cannot "
-            "reconfigure a remote one"
-        )
-    requests = synthetic_requests(args.requests, seed=args.seed)
-    # Over the wire, arrival order is not submission order: pin each
-    # request's SeedSequence child by its client-side ordinal so the
-    # served digest stays byte-identical to the serial loop.
-    pinned = pin_request_seeds(requests, args.seed)
-
-    async def session():
-        async with AsyncHttpClient.from_url(args.http) as client:
-            report = await run_load(
-                client,
-                pinned,
-                arrival_rate=args.rate,
-                deadline=args.deadline,
-                max_retries=args.retries,
-            )
-            stats = await client.stats()
-            return report, stats
-
-    report, stats = asyncio.run(session())
-    print(report.summary())
-    print(
-        f"server: breaker={stats['breaker']} "
-        f"completed={stats['counters']['completed']} "
-        f"coalescing={stats['coalescing']:.2f} requests/batch"
-    )
-    for label, summary in report.latency_percentiles().items():
-        rendered = ", ".join(
-            f"{name}={value * 1000.0:.2f}ms" for name, value in summary.items()
-        )
-        print(f"  {label}: {rendered}")
-    if args.verify_digest:
-        _verify_serial_digest(report, requests, args.seed)
-    return 0
-
-
-def _cmd_bench_client(args, engine: RankingEngine) -> int:
-    """The ``bench-client`` subcommand: a load generator against an
-    in-process server, or a remote HTTP frontend (``--http``)."""
-    import asyncio
-    from dataclasses import replace as _replace
-
-    from repro.serve import AsyncRankingServer, run_load, synthetic_requests
-
-    if args.requests < 1:
-        raise SystemExit(f"--requests must be >= 1, got {args.requests}")
-    if args.http is not None:
-        return _bench_client_http(args)
-    config = _serve_config(args)
-    for path in args.warm_start:
-        engine.warm_start_costs(path)
-    requests = synthetic_requests(args.requests, seed=args.seed)
-
-    def run_once(cfg):
-        async def session():
-            async with AsyncRankingServer(engine, cfg) as server:
-                report = await run_load(
-                    server,
-                    requests,
-                    arrival_rate=args.rate,
-                    max_retries=args.retries,
-                )
-                return report, server.stats()
-
-        return asyncio.run(session())
-
-    report, stats = run_once(config)
-    _print_load_report(report, stats)
-    if args.verify_digest:
-        _verify_serial_digest(report, requests, args.seed)
-    if args.compare_coalescing:
-        solo = _replace(config, max_batch_size=1)
-        solo_report, solo_stats = run_once(solo)
-        _print_load_report(solo_report, solo_stats, prefix="[no-coalescing] ")
-        if solo_report.throughput > 0.0:
-            ratio = report.throughput / solo_report.throughput
-            print(f"coalescing speedup: {ratio:.2f}x "
-                  f"({stats.coalescing:.2f} requests/batch vs 1.00)")
     return 0
 
 
@@ -832,7 +628,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --inject-fault: {exc}", file=sys.stderr)
             return 2
         print(f"# fault injection active: {fault_spec}", file=sys.stderr)
-    engine = RankingEngine(n_jobs=getattr(args, "jobs", 1))
+    try:
+        engine = RankingEngine(n_jobs=getattr(args, "jobs", 1))
+    except ValueError as exc:
+        raise SystemExit(f"--jobs: {exc}")
     pool = engine.pool
 
     if args.command == "rank":
@@ -840,9 +639,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         with engine:
             return _cmd_serve(args, engine)
-    if args.command == "bench-client":
-        with engine:
-            return _cmd_bench_client(args, engine)
     if args.command == "fig1":
         print(run_fig1(Fig1Config(pool=pool)).to_text())
     elif args.command == "fig2":
@@ -854,6 +650,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "table1":
         print(run_table1())
     elif args.command in ("fig5", "fig6", "fig7"):
+        if args.repeats < 1:
+            raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
         config = GermanCreditConfig(
             theta=args.theta,
             noise_sigma=args.sigma,

@@ -54,9 +54,7 @@ from repro.engine.core import (
 from repro.engine.costs import (
     DEFAULT_COSTS,
     CostModel,
-    kind_from_label,
     kind_label,
-    load_bench_cost_tables,
 )
 from repro.engine.registry import (
     AlgorithmSpec,
@@ -80,9 +78,7 @@ __all__ = [
     "algorithm_names",
     "algorithm_spec",
     "iter_algorithm_specs",
-    "kind_from_label",
     "kind_label",
-    "load_bench_cost_tables",
     "make_algorithm",
     "register_algorithm",
     "responses_digest",

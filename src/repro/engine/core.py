@@ -54,7 +54,7 @@ from repro.algorithms.base import FairRankingAlgorithm, FairRankingProblem
 from repro.batch.cache import CacheStats, KernelCache, use_cache
 from repro.batch.parallel import resolve_n_jobs
 from repro.batch.schedule import WorkerPool, WorkUnit
-from repro.engine.costs import CostModel, load_bench_cost_tables
+from repro.engine.costs import CostModel
 from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.faults.supervisor import FaultCounters, _get_executor, clock_unit
 from repro.engine.registry import algorithm_spec, make_algorithm
@@ -556,7 +556,7 @@ class RankingEngine:
     ) -> list[WorkUnit]:
         """One :class:`WorkUnit` per resolved request: seed child by
         submission index, dispatch weight from the session's cost model
-        (so a warm-started table shapes the very first batch)."""
+        (what the session has measured so far, else a uniform 1.0)."""
         children = spawn_seed_sequences(seed, len(resolved))
         units: list[WorkUnit] = []
         for i, request in enumerate(resolved):
@@ -588,8 +588,13 @@ class RankingEngine:
         retry: RetryPolicy | None = None,
     ) -> int:
         """Blocking callback drain of a batch — the async-friendly twin of
-        :meth:`rank_many`, built for a serving tier that runs the drain in
-        a worker thread and marshals each delivery onto its event loop.
+        :meth:`rank_many`, built for a serving tier whose callbacks queue
+        each delivery onto its event loop.
+        :class:`~repro.serve.AsyncRankingServer` calls it on the loop
+        thread itself when this session computes in-process (one worker),
+        queueing deliveries with ``call_soon``; a pooled session's drain
+        runs in the server's one serve thread instead, with
+        ``call_soon_threadsafe``.
 
         Two differences from iterating :meth:`rank_many`:
 
@@ -635,32 +640,6 @@ class RankingEngine:
                 else:
                     on_error(index, request, outcome)
         return delivered
-
-    def warm_start_costs(
-        self,
-        source: "Mapping[str, Mapping[str, float]] | str | Iterable[str]",
-    ) -> int:
-        """Seed the session's cost model from a persisted table; returns
-        the number of kinds imported.
-
-        ``source`` may be a jsonable cost table (the
-        :meth:`~repro.engine.costs.CostModel.to_jsonable` rendering), one
-        ``BENCH_*.json`` trajectory path, or an iterable of such paths
-        (see :func:`~repro.engine.costs.load_bench_cost_tables`).  Kinds
-        this session has already measured are never clobbered.  With a
-        warm table, the *first* ``rank_many`` batch dispatches by
-        measured seconds instead of uniform guesses, and the serving
-        tier's admission control prices requests realistically before a
-        single response has been observed.
-        """
-        self._require_open()
-        if isinstance(source, Mapping):
-            table = source
-        elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            table = load_bench_cost_tables(source)
-        else:
-            table = load_bench_cost_tables(*source)
-        return self._costs.merge_jsonable(table)
 
     def _drain(
         self,

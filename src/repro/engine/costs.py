@@ -20,10 +20,8 @@ Three consumers:
   schedules from the first run's measurements, and benchmark runs persist
   the table into the ``BENCH_*.json`` perf trajectory;
 * the async serving tier (:mod:`repro.serve`) *prices admission* by the
-  same table: a request's predicted cost is its kind's EWMA seconds, so a
-  warm-started model (see :func:`load_bench_cost_tables` and
-  :meth:`CostModel.merge_jsonable`) shapes both dispatch order and
-  admit/queue/reject decisions from the very first batch.
+  same table: a request's predicted cost is its kind's EWMA seconds, as
+  measured by the session itself.
 
 Weights only shape the dispatch order, never the results: whatever the
 model has (or has not) learned, output stays byte-identical.
@@ -31,12 +29,9 @@ model has (or has not) learned, output stays byte-identical.
 
 from __future__ import annotations
 
-import json
-import math
-import os
 import threading
 from dataclasses import replace
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 from repro.batch.schedule import WorkUnit
 
@@ -129,56 +124,6 @@ class CostModel:
             )
         }
 
-    def merge(self, table: Mapping[Hashable, tuple[float, int]]) -> int:
-        """Seed the model from a prior :meth:`snapshot` (e.g. a persisted
-        trajectory); returns the number of kinds imported.
-
-        A *learned* entry always wins over an import: merging never
-        clobbers an EWMA this model has measured itself.  Entries that
-        carry no usable measurement are skipped rather than imported —
-        a non-positive observation count (a zero-count entry is a row
-        without a single measurement behind it, so averaging against it
-        would be a divide-by-zero in disguise), or a negative/non-finite
-        EWMA.
-        """
-        imported = 0
-        with self._lock:
-            # Sorted by label so the table's insertion order (visible in
-            # snapshot/to_jsonable renderings) is input-order independent.
-            for kind, (seconds, count) in sorted(
-                table.items(), key=lambda item: kind_label(item[0])
-            ):
-                seconds = float(seconds)
-                count = int(count)
-                if count <= 0 or not math.isfinite(seconds) or seconds < 0.0:
-                    continue
-                if kind in self._seconds:
-                    continue
-                self._seconds[kind] = seconds
-                self._observations[kind] = count
-                imported += 1
-        return imported
-
-    def merge_jsonable(self, table: Mapping[str, Mapping[str, float]]) -> int:
-        """Seed the model from a :meth:`to_jsonable` rendering (the format
-        persisted into ``BENCH_*.json``); returns the kinds imported.
-
-        String keys are parsed back into tuple kinds via
-        :func:`kind_from_label`, so a table round-trips:
-        ``model.merge_jsonable(model.to_jsonable())`` restores every tuple
-        kind exactly.  Rows missing ``ewma_seconds``/``observations`` (or
-        carrying junk) are skipped by the same rules as :meth:`merge`.
-        """
-        parsed: dict[Hashable, tuple[float, int]] = {}
-        for label, entry in sorted(table.items()):
-            try:
-                seconds = float(entry["ewma_seconds"])
-                count = int(entry["observations"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            parsed[kind_from_label(label)] = (seconds, count)
-        return self.merge(parsed)
-
     def clear(self) -> None:
         """Forget every observation."""
         with self._lock:
@@ -196,59 +141,6 @@ def kind_label(kind: Hashable) -> str:
     if isinstance(kind, tuple):
         return ":".join(str(part) for part in kind)
     return str(kind)
-
-
-def kind_from_label(label: str) -> Hashable:
-    """Inverse of :func:`kind_label` for tuple kinds: ``"rank:dp:150"`` →
-    ``("rank", "dp", 150)``.
-
-    Every label parses to a tuple (a single token becomes a 1-tuple),
-    because all the kinds the engine and the experiment pipeline emit are
-    tuples; all-digit parts come back as ``int`` so the engine's
-    ``("rank", name, n_items)`` kinds round-trip exactly.  Non-tuple
-    string kinds do not round-trip — they were never emitted by this
-    package.
-    """
-    return tuple(
-        int(part) if part.isdigit() else part for part in label.split(":")
-    )
-
-
-def load_bench_cost_tables(*paths: "str | os.PathLike[str]") -> dict[str, dict[str, float]]:
-    """Collect every persisted ``cost_table`` from ``BENCH_*.json``
-    trajectory files into one jsonable table.
-
-    The trajectory files are the ``--json`` dumps of the benchmark suite:
-    a list of ``reports`` whose ``metrics`` mappings may carry a
-    ``cost_table`` (the :meth:`CostModel.to_jsonable` rendering recorded
-    by the engine/scheduler benchmarks).  When several files (or several
-    reports) price the same kind, the entry with the most observations
-    wins — the better-estimated EWMA.  Missing files raise
-    ``FileNotFoundError``; files without any cost table contribute
-    nothing.  Feed the result to :meth:`CostModel.merge_jsonable` (or
-    :meth:`repro.engine.RankingEngine.warm_start_costs`) to warm-start a
-    model before its first batch.
-    """
-    merged: dict[str, dict[str, float]] = {}
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        for report in payload.get("reports", []) or []:
-            metrics = report.get("metrics") or {}
-            table = metrics.get("cost_table")
-            if not isinstance(table, Mapping):
-                continue
-            for label, entry in sorted(table.items()):
-                if not isinstance(entry, Mapping):
-                    continue
-                current = merged.get(label)
-                if (
-                    current is None
-                    or entry.get("observations", 0)
-                    > current.get("observations", 0)
-                ):
-                    merged[label] = dict(entry)
-    return merged
 
 
 #: Process-wide cost table the experiment pipeline feeds (engine sessions

@@ -6,7 +6,7 @@ clock), versioned JSON schemas (:mod:`repro.net.schemas` — requests,
 responses, seeds, and the shared structured error body), a thin
 ``asyncio.start_server`` shell (:mod:`repro.net.server`), and the
 matching keep-alive client (:mod:`repro.net.client`) whose ``submit``
-drops into :func:`repro.serve.loadgen.run_load` as a transport.
+raises the same exceptions as the in-process server's.
 
 Quick start::
 

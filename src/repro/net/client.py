@@ -7,10 +7,9 @@ sans-IO protocol (:func:`~repro.net.protocol.encode_request` out,
 keep-alive ``asyncio`` stream connections, and re-raises the server's
 structured error bodies as the *real* serving-tier exceptions —
 ``ServerOverloaded``, ``ServerUnhealthy``, ``DeadlineExceeded``,
-``ServerClosed``.  That makes :meth:`AsyncHttpClient.submit` a drop-in
-transport for :func:`repro.serve.loadgen.run_load`: the same client
-swarm that load-tests the in-process tier races it over the wire, with
-the same rejected/expired/failed accounting.
+``ServerClosed``.  So :meth:`AsyncHttpClient.submit` stands in for
+:meth:`AsyncRankingServer.submit <repro.serve.AsyncRankingServer.submit>`,
+and code written against the in-process tier runs over the wire.
 
 Determinism note: HTTP arrival order is whatever the network makes it,
 so the in-process trick of deriving seeds from submission order does
@@ -79,9 +78,8 @@ def raise_for_error(status: int, payload: Any) -> None:
     2xx payloads pass through; anything else raises.  Bodies that fit
     the shared error schema map ``overloaded``/``unhealthy``/
     ``deadline_exceeded``/``server_closed`` codes back to the exact
-    exception types :func:`repro.serve.loadgen.run_load` already
-    handles; everything else (including malformed bodies) becomes
-    :class:`HttpWireError`.
+    exception types the in-process server raises; everything else
+    (including malformed bodies) becomes :class:`HttpWireError`.
     """
     if 200 <= status < 300:
         return
@@ -145,8 +143,8 @@ class AsyncHttpClient:
 
     One connection serves one request at a time; concurrent callers
     each draw their own connection from the pool (or dial a new one),
-    so a ``run_load`` swarm fans out over as many sockets as it has
-    in-flight requests.
+    so gathered ``submit`` calls fan out over as many sockets as there
+    are requests in flight.
     """
 
     def __init__(
@@ -272,8 +270,8 @@ class AsyncHttpClient:
         """``POST /v1/rank`` — the wire twin of
         :meth:`AsyncRankingServer.submit`, raising the same exceptions.
 
-        Compatible with :func:`repro.serve.loadgen.run_load` as a
-        transport; pin per-request seeds first if digests matter.
+        Pin per-request seeds first if digests matter
+        (:func:`repro.serve.loadgen.pin_request_seeds`).
         """
         status, payload = await self.request_json(
             "POST", "/v1/rank", encode_rank_request(request, deadline=deadline)

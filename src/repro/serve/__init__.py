@@ -21,7 +21,7 @@ Layering (deterministic testability is the design driver):
   that sheds admissions with :class:`ServerUnhealthy` after an exhausted
   pool recovery;
 * :mod:`repro.serve.server` — the asyncio shell;
-* :mod:`repro.serve.loadgen` — synthetic request streams + client swarm.
+* :mod:`repro.serve.loadgen` — synthetic request streams and seed pinning.
 """
 
 from repro.serve.admission import AdmissionPolicy, Decision
@@ -32,10 +32,7 @@ from repro.serve.core import (
     ServerCore,
 )
 from repro.serve.loadgen import (
-    LoadReport,
-    RankingTransport,
     pin_request_seeds,
-    run_load,
     synthetic_problems,
     synthetic_requests,
 )
@@ -61,11 +58,8 @@ __all__ = [
     "BREAKER_OPEN",
     "Decision",
     "DeadlineExceeded",
-    "LoadReport",
     "percentile_summary",
     "pin_request_seeds",
-    "RankingTransport",
-    "run_load",
     "ServeConfig",
     "ServeError",
     "ServeStats",

@@ -12,8 +12,7 @@ with three outcomes per submission — **admit** (within budget), **queue**
 single request is always admitted when nothing is in flight, so one
 request pricier than the whole budget cannot wedge the server; and because
 predictions come from the same model the engine feeds with measured
-wall-times, the policy sharpens with traffic — or instantly, when the
-model is warm-started from a persisted ``BENCH_*.json`` table.
+wall-times, the policy sharpens with traffic.
 
 Pricing never touches results: it decides *whether and when* a request
 reaches the engine, not what the engine computes.
@@ -72,7 +71,7 @@ class AdmissionPolicy:
 
     def predict(self, kind: Hashable) -> float:
         """Predicted seconds for one request of ``kind``: the model's EWMA
-        when observed (or warm-started), else the configured default."""
+        when observed, else the configured default."""
         return self._costs.weight(kind, default=self.default_cost)
 
     @property

@@ -1,49 +1,31 @@
-"""Synthetic load generation for the serving tier.
+"""Synthetic request streams for the serving tier.
 
-Two pieces, shared by ``repro bench-client``, ``benchmarks/bench_serve.py``
-and the serving tests:
+Three pieces, shared by perfbench's HTTP workloads, the HTTP frontend
+(:mod:`repro.net.server`), the examples and the serving tests:
 
+* :func:`synthetic_problems` — small random instances with proportional
+  constraints;
 * :func:`synthetic_requests` — a reproducible mixed-kind request stream
-  (per-problem Mallows / DP / IPF / DetConstSort over small weakly-fair
-  instances), sized so a load test exercises heterogeneous cost kinds
-  without dominating wall-time;
-* :func:`run_load` — an asyncio client swarm: every request becomes one
-  concurrent client task against an :class:`AsyncRankingServer`, with an
-  optional open-loop arrival rate; outcomes (served / rejected / expired)
-  are folded into a :class:`LoadReport` with per-kind latency percentiles
-  and the response digest, so callers can assert the determinism contract
-  straight off a load run.
+  (Mallows / DP / IPF / DetConstSort over those instances), sized so a
+  load test exercises heterogeneous cost kinds without dominating
+  wall-time;
+* :func:`pin_request_seeds` — pins each request's seed child to its list
+  position, so a request computes the same ranking whatever order it
+  reaches a server in (re-index the responses by list position before
+  :func:`~repro.engine.responses_digest` to compare with the serial
+  loop).
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from repro.algorithms.base import FairRankingProblem, GroupAssignment
-from repro.engine.core import RankingRequest, RankingResponse, responses_digest
-from repro.serve.protocol import (
-    DeadlineExceeded,
-    ServerOverloaded,
-    percentile_summary,
-)
+from repro.engine.core import RankingRequest
 from repro.utils.rng import SeedLike, spawn_seed_sequences
-
-
-class RankingTransport(Protocol):
-    """Anything :func:`run_load` can fire a swarm at.
-
-    Both :class:`~repro.serve.server.AsyncRankingServer` (in-process)
-    and :class:`~repro.net.client.AsyncHttpClient` (over the wire)
-    satisfy it, which is what lets one load harness race the two.
-    """
-
-    async def submit(
-        self, request: RankingRequest, *, deadline: float | None = None
-    ) -> RankingResponse: ...
 
 
 def pin_request_seeds(
@@ -126,138 +108,8 @@ def synthetic_requests(
     return requests
 
 
-@dataclass
-class LoadReport:
-    """Outcome of one :func:`run_load` swarm."""
-
-    n_requests: int
-    elapsed: float
-    responses: list[RankingResponse] = field(default_factory=list)
-    rejected: int = 0
-    expired: int = 0
-    failed: int = 0
-    errors: list[BaseException] = field(default_factory=list)
-
-    @property
-    def served(self) -> int:
-        return len(self.responses)
-
-    @property
-    def throughput(self) -> float:
-        """Served requests per wall second."""
-        return self.served / self.elapsed if self.elapsed > 0.0 else 0.0
-
-    def digest(self) -> str:
-        """Order-independent digest of the served responses — comparable
-        against a serial ``rank_many`` over the same request stream."""
-        return responses_digest(self.responses)
-
-    def latency_percentiles(self) -> dict[str, dict[str, float]]:
-        """Per-algorithm client-side latency percentiles (seconds)."""
-        samples: dict[str, list[float]] = {}
-        for response in self.responses:
-            samples.setdefault(response.algorithm, []).append(
-                response.metadata.get("serve_latency", float("nan"))
-            )
-        return {
-            name: percentile_summary(vals)
-            for name, vals in sorted(samples.items())
-            if not np.isnan(vals).any()
-        }
-
-    def summary(self) -> str:
-        return (
-            f"{self.served}/{self.n_requests} served in {self.elapsed:.3f}s "
-            f"({self.throughput:.1f} req/s), {self.rejected} rejected, "
-            f"{self.expired} expired, {self.failed} failed"
-        )
-
-
-async def run_load(
-    server: RankingTransport,
-    requests: Sequence[RankingRequest],
-    *,
-    arrival_rate: float | None = None,
-    deadline: float | None = None,
-    max_retries: int = 0,
-    retry_backoff: float = 0.01,
-) -> LoadReport:
-    """Fire ``requests`` at ``server`` as one concurrent client swarm.
-
-    ``server`` is any :class:`RankingTransport` — the in-process
-    :class:`~repro.serve.server.AsyncRankingServer` or an
-    :class:`~repro.net.client.AsyncHttpClient` pointed at a remote
-    frontend.  ``arrival_rate`` (requests/second) paces submissions
-    open-loop; ``None`` releases the whole swarm at once (closed-loop
-    burst).  :class:`ServerOverloaded` rejections retry up to
-    ``max_retries`` times with linear backoff, then count as rejected;
-    deadline expiries and engine-side failures are counted, never
-    raised — a load run reports, it does not crash.
-
-    Served responses are re-indexed by their position in ``requests``
-    (the client-side ordinal): in process that is the submission index
-    already, and over the wire it replaces server-side submission
-    indices that are meaningless to this client — so
-    :meth:`LoadReport.digest` compares against the serial loop either
-    way.
-    """
-    loop = asyncio.get_running_loop()
-    report = LoadReport(n_requests=len(requests), elapsed=0.0)
-    lock = asyncio.Lock()
-
-    async def one_client(ordinal: int, request: RankingRequest, delay: float) -> None:
-        if delay > 0.0:
-            await asyncio.sleep(delay)
-        attempt = 0
-        while True:
-            sent_at = loop.time()
-            try:
-                response = await server.submit(request, deadline=deadline)
-            except ServerOverloaded:
-                attempt += 1
-                if attempt > max_retries:
-                    async with lock:
-                        report.rejected += 1
-                    return
-                await asyncio.sleep(retry_backoff * attempt)
-                continue
-            except DeadlineExceeded:
-                async with lock:
-                    report.expired += 1
-                return
-            except Exception as exc:
-                async with lock:
-                    report.failed += 1
-                    report.errors.append(exc)
-                return
-            if response.index != ordinal:
-                response = replace(response, index=ordinal)
-            response.metadata["serve_latency"] = loop.time() - sent_at
-            async with lock:
-                report.responses.append(response)
-            return
-
-    started = loop.time()
-    clients = [
-        asyncio.ensure_future(
-            one_client(
-                i,
-                request,
-                0.0 if arrival_rate is None else i / arrival_rate,
-            )
-        )
-        for i, request in enumerate(requests)
-    ]
-    await asyncio.gather(*clients)
-    report.elapsed = loop.time() - started
-    return report
-
-
 __all__ = [
-    "LoadReport",
-    "RankingTransport",
     "pin_request_seeds",
-    "run_load",
     "synthetic_problems",
     "synthetic_requests",
 ]

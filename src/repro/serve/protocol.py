@@ -46,10 +46,9 @@ class ServeConfig:
         admitted when nothing is in flight, so a single request pricier
         than the whole budget cannot deadlock the server.
     default_cost:
-        Predicted seconds for a request kind the cost model has never
-        observed (warm-starting the model replaces this guess with
-        measured EWMAs — see
-        :meth:`repro.engine.RankingEngine.warm_start_costs`).
+        Predicted seconds for a request kind the engine session's cost
+        model has not yet observed; once the session has served that
+        kind, its measured EWMA replaces this guess.
     default_deadline:
         Deadline in seconds applied to submissions that do not carry
         their own (``None`` = no deadline).

@@ -17,15 +17,19 @@ transitions.  This module is the driver the serve tests share:
   without a single real sleep;
 * :class:`DrainGate` — the asyncio suites' way to park requests: it
   holds a pooled engine's first drain in the serve thread until
-  released.
+  released;
+* :func:`submit_all` — concurrent submissions over the wire, re-indexed
+  so their digest compares with the serial loop.
 
-Not a test file itself — imported by the serve, net-server and fault
-suites.
+Not a test file itself — imported by the serve, net-server, CLI and
+fault suites.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
+from dataclasses import replace
 
 from repro.engine.core import RankingEngine, RankingRequest, RankingResponse
 from repro.serve.core import ServerCore
@@ -195,3 +199,11 @@ class DrainGate:
 
     def release(self) -> None:
         self._released.set()
+
+
+async def submit_all(client, requests):
+    """Submit ``requests`` concurrently through ``client`` and return the
+    responses indexed by list position: the server numbers requests by
+    arrival, so only re-indexed responses digest like the serial loop."""
+    responses = await asyncio.gather(*(client.submit(r) for r in requests))
+    return [replace(r, index=i) for i, r in enumerate(responses)]

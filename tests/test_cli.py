@@ -1,8 +1,30 @@
 """Tests for the command-line interface (against fast paths only)."""
 
+import asyncio
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _build_parser, main
+from repro.engine import RankingEngine, responses_digest
+from repro.net import AsyncHttpClient
+from repro.serve import pin_request_seeds, synthetic_requests
+
+from serve_harness import submit_all
+
+#: This tree's sources, for CLI runs in a child process.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+async def _submit_over_http(url, requests):
+    async with AsyncHttpClient.from_url(url) as client:
+        return await submit_all(client, requests)
 
 
 class TestParser:
@@ -66,6 +88,21 @@ class TestMain:
         out = capsys.readouterr().out
         assert "Fig.7" in out
         assert "NDCG" in out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fig1", "--jobs", "0"], "--jobs"),
+            (["serve", "--http", "127.0.0.1:0", "--jobs", "-3"], "--jobs"),
+            (["serve", "--http", "127.0.0.1:99999"], "--http"),
+            (["fig5", "--repeats", "0"], "--repeats"),
+        ],
+        ids=["fig1-jobs-0", "serve-jobs-minus-3", "serve-port-99999",
+             "fig5-repeats-0"],
+    )
+    def test_bad_numbers_exit_with_a_message(self, argv, flag):
+        with pytest.raises(SystemExit, match=flag):
+            main(argv)
 
 
 class TestRankCommand:
@@ -348,55 +385,59 @@ class TestLintCommand:
 
 class TestServeCommand:
     def test_parser_defaults(self):
-        args = _build_parser().parse_args(["serve"])
+        args = _build_parser().parse_args(["serve", "--http", "127.0.0.1:0"])
         assert args.command == "serve"
-        assert args.requests == 64
+        assert args.http == "127.0.0.1:0"
         assert args.max_batch == 16
-        assert args.verify_digest is False
+        assert args.jobs == 1
 
-    def test_serve_verifies_digest(self, capsys):
-        assert main(
-            ["serve", "--requests", "12", "--verify-digest", "--seed", "7"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "12/12 served" in out
-        assert "digest ok" in out
-        assert "coalescing" in out
-
-    def test_serve_warm_start(self, tmp_path, capsys):
-        import json as _json
-
-        bench = tmp_path / "BENCH_X.json"
-        bench.write_text(_json.dumps({
-            "reports": [{"name": "b", "metrics": {"cost_table": {
-                "rank:dp:24": {"ewma_seconds": 0.01, "observations": 2},
-            }}}],
-        }))
-        assert main(
-            ["serve", "--requests", "8", "--warm-start", str(bench)]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "warm-started 1 cost kinds" in err
+    def test_serve_without_http_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve"])
+        assert exc_info.value.code == 2
+        assert "--http" in capsys.readouterr().err
 
     def test_serve_rejects_bad_knobs(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--requests", "0"])
-        with pytest.raises(SystemExit):
-            main(["serve", "--max-batch", "0"])
+        with pytest.raises(SystemExit, match="max_batch_size"):
+            main(["serve", "--http", "127.0.0.1:0", "--max-batch", "0"])
+        with pytest.raises(SystemExit, match="cost_budget"):
+            main(["serve", "--http", "127.0.0.1:0", "--budget", "0"])
 
-    def test_bench_client_compare_coalescing(self, capsys):
-        assert main([
-            "bench-client", "--requests", "12", "--compare-coalescing",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "[no-coalescing]" in out
-        assert "coalescing speedup" in out
-        assert "p50" in out
-
-    def test_bench_client_paced_with_retries(self, capsys):
-        assert main([
-            "bench-client", "--requests", "8", "--rate", "500",
-            "--retries", "3", "--budget", "0.2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "served" in out
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_http_server_process_digest_and_sigterm_drain(self, jobs):
+        """The real CLI server in its own process: concurrent ``/v1/rank``
+        requests over the wire digest like the serial loop, and SIGTERM
+        drains it to a clean exit."""
+        requests = pin_request_seeds(synthetic_requests(32, seed=0), seed=0)
+        with RankingEngine(n_jobs=1) as ref:
+            serial = responses_digest(ref.rank_many(requests, n_jobs=1))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")])
+        )
+        command = [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--http", "127.0.0.1:0", "--jobs", str(jobs),
+        ]
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env,
+        ) as proc:
+            watchdog = threading.Timer(60.0, proc.kill)
+            watchdog.start()
+            try:
+                url = re.match(r"serving on (http://\S+)", proc.stdout.readline())
+                if url is not None:
+                    responses = asyncio.run(_submit_over_http(url[1], requests))
+                    proc.send_signal(signal.SIGTERM)
+                else:
+                    proc.kill()
+                out, err = proc.communicate()
+            finally:
+                watchdog.cancel()
+                if proc.poll() is None:
+                    proc.kill()
+        assert url is not None, err
+        assert responses_digest(responses) == serial
+        assert proc.returncode == 0, err
+        assert "drained:" in out

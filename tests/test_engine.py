@@ -9,8 +9,6 @@ measured-cost model feeds scheduler weights.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -331,6 +329,25 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel().observe("k", -1.0)
 
+    def test_observed_cost_reaches_next_batch_unit_weight(self, problem):
+        """A cost the session has measured must reach the next batch's
+        WorkUnit weights; a cold session dispatches by the uniform 1.0."""
+        from repro.engine.core import _rank_unit
+
+        kind = ("rank", "dp", problem.n_items)
+        with RankingEngine(n_jobs=1) as engine:
+            engine.costs.observe(kind, 0.33)
+            units = engine._build_units(
+                [RankingRequest("dp", problem)], seed=0, fn=_rank_unit
+            )
+            assert units[0].weight == pytest.approx(0.33)
+            assert units[0].kind == kind
+        with RankingEngine(n_jobs=1) as cold:
+            units = cold._build_units(
+                [RankingRequest("dp", problem)], seed=0, fn=_rank_unit
+            )
+            assert units[0].weight == 1.0
+
 
 class TestRunAllCostFeedback:
     def test_second_run_schedules_from_measured_costs(self):
@@ -467,135 +484,3 @@ class TestRankManySubmit:
             assert not engine.costs.known(
                 ("rank", "mallows", problem.n_items)
             )
-
-
-class TestCostModelMerge:
-    """The (previously dead) merge path and its JSON round-trip (PR 6)."""
-
-    def test_snapshot_merge_round_trip(self):
-        source = CostModel()
-        source.observe(("rank", "dp", 150), 0.25)
-        source.observe(("rank", "mallows", 40), 1.5)
-        target = CostModel()
-        assert target.merge(source.snapshot()) == 2
-        assert target.weight(("rank", "dp", 150)) == pytest.approx(0.25)
-        assert target.snapshot() == source.snapshot()
-
-    def test_jsonable_round_trip_restores_tuple_kinds(self):
-        import json as _json
-
-        source = CostModel()
-        source.observe(("rank", "dp", 150), 0.25)
-        source.observe(("rank", "gmm", 40), 0.75)
-        wire = _json.loads(_json.dumps(source.to_jsonable()))  # real JSON
-        target = CostModel()
-        assert target.merge_jsonable(wire) == 2
-        # Kinds come back as the original tuples, ints included.
-        assert target.known(("rank", "dp", 150))
-        assert target.weight(("rank", "gmm", 40)) == pytest.approx(0.75)
-
-    def test_zero_count_entry_is_skipped_not_divided(self):
-        target = CostModel()
-        imported = target.merge(
-            {
-                ("rank", "dp", 6): (0.5, 0),       # no measurement behind it
-                ("rank", "ipf", 6): (0.2, 3),      # fine
-                ("rank", "gmm", 6): (float("nan"), 2),   # junk EWMA
-                ("rank", "mallows", 6): (-1.0, 2),       # negative EWMA
-            }
-        )
-        assert imported == 1
-        assert target.known(("rank", "ipf", 6))
-        assert not target.known(("rank", "dp", 6))
-        assert len(target) == 1
-
-    def test_merge_never_clobbers_learned_ewma(self):
-        target = CostModel()
-        target.observe(("rank", "dp", 6), 0.1)
-        assert target.merge({("rank", "dp", 6): (9.9, 100)}) == 0
-        assert target.weight(("rank", "dp", 6)) == pytest.approx(0.1)
-
-    def test_merge_jsonable_skips_malformed_rows(self):
-        target = CostModel()
-        imported = target.merge_jsonable(
-            {
-                "rank:dp:6": {"ewma_seconds": 0.3, "observations": 2},
-                "rank:ipf:6": {"observations": 2},          # missing EWMA
-                "rank:gmm:6": {"ewma_seconds": "junk", "observations": 2},
-            }
-        )
-        assert imported == 1
-        assert target.known(("rank", "dp", 6))
-
-    def test_kind_label_round_trip(self):
-        from repro.engine import kind_from_label, kind_label
-
-        for kind in [("rank", "dp", 150), ("table1",), ("fig1", "cell")]:
-            assert kind_from_label(kind_label(kind)) == kind
-
-    def test_load_bench_cost_tables_most_observations_wins(self, tmp_path):
-        from repro.engine import load_bench_cost_tables
-
-        a = tmp_path / "BENCH_A.json"
-        b = tmp_path / "BENCH_B.json"
-        a.write_text(json.dumps({
-            "reports": [{"name": "x", "metrics": {"cost_table": {
-                "rank:dp:6": {"ewma_seconds": 0.1, "observations": 2},
-                "rank:ipf:6": {"ewma_seconds": 0.4, "observations": 7},
-            }}}],
-        }))
-        b.write_text(json.dumps({
-            "reports": [
-                {"name": "y", "metrics": {"cost_table": {
-                    "rank:dp:6": {"ewma_seconds": 0.3, "observations": 9},
-                }}},
-                {"name": "z", "metrics": {}},  # no table: contributes nothing
-            ],
-        }))
-        table = load_bench_cost_tables(a, b)
-        assert table["rank:dp:6"]["ewma_seconds"] == pytest.approx(0.3)
-        assert table["rank:ipf:6"]["observations"] == 7
-        with pytest.raises(FileNotFoundError):
-            load_bench_cost_tables(tmp_path / "missing.json")
-
-    def test_warm_start_shapes_first_batch_dispatch_weights(self, problem):
-        """A warm-started table must reach the *first* batch's WorkUnit
-        weights — previously the merge existed but nothing called it."""
-        from repro.engine.core import _rank_unit
-
-        kind = ("rank", "dp", problem.n_items)
-        table = {"rank:dp:6": {"ewma_seconds": 0.33, "observations": 4}}
-        with RankingEngine(n_jobs=1) as engine:
-            assert engine.warm_start_costs(table) == 1
-            units = engine._build_units(
-                [RankingRequest("dp", problem)], seed=0, fn=_rank_unit
-            )
-            assert units[0].weight == pytest.approx(0.33)
-            assert units[0].kind == kind
-        with RankingEngine(n_jobs=1) as cold:
-            units = cold._build_units(
-                [RankingRequest("dp", problem)], seed=0, fn=_rank_unit
-            )
-            assert units[0].weight == 1.0  # static guess without warmth
-
-    def test_warm_start_from_path_and_iterable(self, tmp_path):
-        payload = {"reports": [{"name": "x", "metrics": {"cost_table": {
-            "rank:dp:6": {"ewma_seconds": 0.2, "observations": 3},
-        }}}]}
-        path = tmp_path / "BENCH_T.json"
-        path.write_text(json.dumps(payload))
-        with RankingEngine(n_jobs=1) as engine:
-            assert engine.warm_start_costs(path) == 1
-        with RankingEngine(n_jobs=1) as engine:
-            assert engine.warm_start_costs([str(path), str(path)]) == 1
-
-    def test_warm_start_never_overrides_measured_session(self, problem):
-        with RankingEngine(n_jobs=1) as engine:
-            list(engine.rank_many([("dp", problem)], seed=0))
-            measured = engine.costs.weight(("rank", "dp", problem.n_items))
-            assert engine.warm_start_costs(
-                {"rank:dp:6": {"ewma_seconds": 99.0, "observations": 1}}
-            ) == 0
-            assert engine.costs.weight(
-                ("rank", "dp", problem.n_items)
-            ) == pytest.approx(measured)

@@ -153,6 +153,21 @@ class TestGermanCredit:
         )
         assert wins == len(FAST_GC.sizes)
 
+    def test_mallows_competitive_on_unknown_attribute(self, result):
+        # Fig. 6: no method sees Housing, and the attribute-blind Mallows
+        # method stays within 12 points of the best attribute-aware
+        # baseline, averaged over sizes.
+        def mean_over_sizes(alg):
+            return np.mean(
+                [result.ppfair_unknown[alg][s].estimate for s in FAST_GC.sizes]
+            )
+
+        best_baseline = max(
+            mean_over_sizes(alg)
+            for alg in ("DetConstSort", "ApproxMultiValuedIPF", "ILP")
+        )
+        assert mean_over_sizes("Mallows (best of m)") >= best_baseline - 12.0
+
     def test_reports_render(self, result):
         assert "Fig.5" in result.to_text_fig5()
         assert "Fig.6" in result.to_text_fig6()

@@ -43,11 +43,10 @@ from repro.serve import (
     ServerOverloaded,
     ServerUnhealthy,
     pin_request_seeds,
-    run_load,
     synthetic_requests,
 )
 
-from serve_harness import DrainGate
+from serve_harness import DrainGate, submit_all
 
 SEED = 20260807
 
@@ -101,16 +100,15 @@ class TestDigestParity:
     """The headline contract: HTTP-served == serial loop, any n_jobs."""
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    def test_run_load_digest_matches_serial(self, n_jobs):
+    def test_concurrent_submits_digest_matches_serial(self, n_jobs):
         requests = _pinned(16)
         expected = _serial_digest(requests)
 
         async def scenario():
             async with _Frontend(n_jobs=n_jobs, seed=SEED) as (server, client):
-                report = await run_load(client, requests)
-                assert report.served == len(requests)
-                assert report.failed == report.rejected == report.expired == 0
-                return report.digest()
+                responses = await submit_all(client, requests)
+                assert len(responses) == len(requests)
+                return responses_digest(responses)
 
         assert run(scenario()) == expected
 
@@ -159,7 +157,7 @@ class TestOperationalEndpoints:
                 healthy, body = await client.healthz()
                 assert healthy and body["status"] == "ok"
                 assert body["breaker"] == BREAKER_CLOSED
-                await run_load(client, requests)
+                await submit_all(client, requests)
                 stats = await client.stats()
                 return stats
 

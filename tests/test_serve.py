@@ -23,7 +23,6 @@ block).
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 
 import numpy as np
@@ -38,7 +37,6 @@ from repro.serve import (
     ServeConfig,
     ServerClosed,
     ServerOverloaded,
-    run_load,
     synthetic_requests,
 )
 
@@ -229,21 +227,25 @@ class TestServingContracts:
     def test_ci_smoke_concurrent_digest_and_clean_shutdown(self):
         """The CI serving smoke lane: an in-process server under >= 32
         concurrent mixed-kind clients at two workers must (a) serve every
-        request, (b) digest byte-identically to the serial loop, and
-        (c) shut down with zero leaked tasks or serve threads."""
+        request, (b) coalesce the burst into fewer batches than requests,
+        (c) digest byte-identically to the serial loop, and (d) shut down
+        with zero leaked tasks or serve threads."""
         requests = synthetic_requests(32, seed=5)
 
         async def scenario():
             baseline_tasks = asyncio.all_tasks()
             with RankingEngine(n_jobs=2) as engine:
                 async with AsyncRankingServer(engine, seed=SEED) as server:
-                    report = await run_load(server, requests)
+                    responses = await asyncio.gather(
+                        *(server.submit(r) for r in requests)
+                    )
                     stats = server.stats()
-                assert report.served == 32, report.summary()
+                assert len(responses) == 32
                 assert stats.completed == 32
                 assert stats.dispatched_batches >= 1
+                assert stats.coalescing > 1.0
             leaked = asyncio.all_tasks() - baseline_tasks
-            return report.digest(), leaked
+            return responses_digest(responses), leaked
 
         digest, leaked = run(scenario())
         assert digest == _serial_digest(requests, SEED)
@@ -257,9 +259,11 @@ class TestServingContracts:
         async def scenario():
             with RankingEngine(n_jobs=n_jobs) as engine:
                 async with AsyncRankingServer(engine, seed=SEED) as server:
-                    report = await run_load(server, requests)
-            assert report.served == 16, report.summary()
-            return report.digest()
+                    responses = await asyncio.gather(
+                        *(server.submit(r) for r in requests)
+                    )
+            assert len(responses) == 16
+            return responses_digest(responses)
 
         assert run(scenario()) == _serial_digest(requests, SEED)
 
@@ -484,58 +488,6 @@ class TestServingContracts:
 
         run(scenario())
 
-    def test_warm_started_costs_price_admission_from_first_request(
-        self, tmp_path
-    ):
-        """The dead-code-no-more path: a persisted BENCH cost table merged
-        at startup changes the very first admission decisions."""
-        problem = _problem()
-        kind_label = f"rank:dp:{problem.n_items}"
-        bench = {
-            "reports": [
-                {
-                    "name": "bench_engine.py::test_x",
-                    "metrics": {
-                        "cost_table": {
-                            kind_label: {
-                                "ewma_seconds": 0.4,
-                                "observations": 5,
-                            }
-                        }
-                    },
-                }
-            ]
-        }
-        path = tmp_path / "BENCH_WARM.json"
-        path.write_text(json.dumps(bench))
-
-        async def queued_after_two(warm):
-            with RankingEngine(n_jobs=1) as engine:
-                if warm:
-                    assert engine.warm_start_costs(path) == 1
-                async with AsyncRankingServer(
-                    engine,
-                    cost_budget=0.5,
-                    default_cost=0.01,
-                    max_queue_depth=8,
-                    seed=SEED,
-                ) as server:
-                    a = asyncio.ensure_future(
-                        server.submit(RankingRequest("dp", problem))
-                    )
-                    b = asyncio.ensure_future(
-                        server.submit(RankingRequest("dp", problem))
-                    )
-                    await asyncio.sleep(0)
-                    queued = server.stats().queued
-                await asyncio.gather(a, b)  # draining stop serves both
-                return queued
-
-        # Cold model: both dp requests fit the 0.5s budget at 0.01 each.
-        assert run(queued_after_two(False)) == 0
-        # Warm model: 0.4 + 0.4 > 0.5, so the second must queue.
-        assert run(queued_after_two(True)) == 1
-
 
 class TestStatsAndLoadgen:
     def test_stats_latency_percentiles_per_kind(self):
@@ -544,11 +496,13 @@ class TestStatsAndLoadgen:
         async def scenario():
             with RankingEngine(n_jobs=1) as engine:
                 async with AsyncRankingServer(engine, seed=SEED) as server:
-                    report = await run_load(server, requests)
+                    responses = await asyncio.gather(
+                        *(server.submit(r) for r in requests)
+                    )
                     stats = server.stats()
                     assert stats.coalescing >= 1.0
                     percentiles = stats.latency_percentiles()
-            assert report.served == 12
+            assert len(responses) == 12
             assert percentiles  # at least one kind observed
             for label, summary in percentiles.items():
                 assert label.startswith("rank:")
@@ -566,41 +520,3 @@ class TestStatsAndLoadgen:
         assert len({r.problem.n_items for r in a}) == 2
         for x, y in zip(a, b):
             assert np.array_equal(x.problem.scores, y.problem.scores)
-
-    def test_load_report_counts_outcomes_without_raising(self):
-        requests = synthetic_requests(6, seed=4)
-
-        async def scenario():
-            with RankingEngine(n_jobs=1) as engine:
-                async with AsyncRankingServer(
-                    engine,
-                    cost_budget=0.05,
-                    default_cost=0.05,
-                    max_queue_depth=1,
-                    seed=SEED,
-                ) as server:
-                    return await run_load(server, requests)
-
-        report = run(scenario())
-        assert report.served + report.rejected == report.n_requests
-        assert report.failed == 0
-        assert "served" in report.summary()
-
-    def test_load_retries_recover_rejections(self):
-        requests = synthetic_requests(6, seed=4)
-
-        async def scenario():
-            with RankingEngine(n_jobs=1) as engine:
-                async with AsyncRankingServer(
-                    engine,
-                    cost_budget=0.05,
-                    default_cost=0.05,
-                    max_queue_depth=1,
-                    seed=SEED,
-                ) as server:
-                    return await run_load(
-                        server, requests, max_retries=50, retry_backoff=0.005
-                    )
-
-        report = run(scenario())
-        assert report.served == report.n_requests, report.summary()
