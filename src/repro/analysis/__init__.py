@@ -45,15 +45,13 @@ REP009–REP011 are *interprocedural*: pass 1
 graph, pass 2 (:mod:`repro.analysis.effects`) propagates per-function
 effect sets over it to an SCC-aware fixpoint, and the rules consume the
 propagated facts — so ``helper()`` → ``time.time()`` is caught with a
-witness chain.  Whole-project runs are made cheap by the incremental
-cache (:mod:`repro.analysis.cache`).
+witness chain.
 
 Findings are suppressible per line with ``# repro: noqa[REP002]`` plus a
 justification; stale suppressions are themselves findings, so the
 suppression inventory can only shrink.
 """
 
-from repro.analysis.cache import DEFAULT_CACHE_PATH, LintCache
 from repro.analysis.callgraph import (
     CallGraph,
     ModuleIndex,
@@ -65,7 +63,6 @@ from repro.analysis.config import DEFAULT_CONFIG, LintConfig, module_matches
 from repro.analysis.effects import (
     ModuleSummary,
     ProjectEffects,
-    analyze_project,
     propagate_effects,
     summarize_module,
     summarize_source,
@@ -97,10 +94,8 @@ from repro.analysis import rules as _rules  # noqa: F401
 
 __all__ = [
     "CallGraph",
-    "DEFAULT_CACHE_PATH",
     "DEFAULT_CONFIG",
     "Finding",
-    "LintCache",
     "LintConfig",
     "LintEngine",
     "LintError",
@@ -113,7 +108,6 @@ __all__ = [
     "STALE_RULE_ID",
     "Suppression",
     "SuppressionSyntaxError",
-    "analyze_project",
     "build_call_graph",
     "find_suppressions",
     "get_rule",

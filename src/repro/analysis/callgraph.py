@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 #: Call-site target recorded when resolution fails (a subscript in the
 #: chain, a call on an arbitrary value, ...).
@@ -525,8 +525,6 @@ class CallGraph:
     ``edges`` maps each caller qname to its outgoing resolved edges (in
     source order); ``dynamic_calls`` counts the call sites per caller
     that resolution had to give up on — the conservative escape hatch.
-    ``module_deps`` is the module-level dependency graph the incremental
-    cache invalidates through.
     """
 
     symbols: dict[str, FunctionInfo] = field(default_factory=dict)
@@ -535,7 +533,6 @@ class CallGraph:
     #: Unresolved non-dynamic targets per caller (stdlib/external dotted
     #: names) — the raw material base-effect extraction matches on.
     external_calls: dict[str, list[CallSite]] = field(default_factory=dict)
-    module_deps: dict[str, set[str]] = field(default_factory=dict)
     modules: dict[str, ModuleIndex] = field(default_factory=dict)
 
     def callees(self, qname: str) -> list[CallEdge]:
@@ -596,11 +593,6 @@ def build_call_graph(indexes: Sequence[ModuleIndex]) -> CallGraph:
         return None
 
     for index in indexes:
-        deps = graph.module_deps.setdefault(index.module, set())
-        for _, origin in index.imports:
-            split = _longest_module_prefix(origin, module_names)
-            if split is not None and split[0] != index.module:
-                deps.add(split[0])
         for call in index.calls:
             caller = call.caller if call.caller is not None else index.module
             if call.target == DYNAMIC:
@@ -622,9 +614,6 @@ def build_call_graph(indexes: Sequence[ModuleIndex]) -> CallGraph:
                     in_async=call.in_async,
                 )
             )
-            callee_module = graph.symbols[callee].module
-            if callee_module != index.module:
-                deps.add(callee_module)
     return graph
 
 
@@ -682,24 +671,3 @@ def strongly_connected_components(
                 components.append(tuple(sorted(component)))
     return components
 
-
-def dependency_closure(
-    module: str, deps: dict[str, set[str]]
-) -> tuple[str, ...]:
-    """``module`` plus every module transitively reachable through
-    ``deps`` — the invalidation frontier of the incremental cache."""
-    seen: set[str] = set()
-    frontier = [module]
-    while frontier:
-        current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        frontier.extend(deps.get(current, ()))
-    return tuple(sorted(seen))
-
-
-def iter_qnames(graph: CallGraph) -> Iterator[str]:
-    """Every known function qname, sorted (deterministic iteration)."""
-    for qname in sorted(graph.symbols):
-        yield qname

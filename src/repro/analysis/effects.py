@@ -281,7 +281,7 @@ def retries_unconditionally(handler: ast.ExceptHandler) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Module summaries — the unit the incremental cache stores
+# Module summaries — what pass 1 hands the project pass per module
 # ---------------------------------------------------------------------------
 
 
@@ -298,8 +298,7 @@ class EffectSource:
 @dataclass(frozen=True)
 class ModuleSummary:
     """Everything the project pass needs to know about one module —
-    a pure function of the module's source text (plus the scope config),
-    which is what makes it cacheable by content hash."""
+    a pure function of the module's source text (plus the scope config)."""
 
     module: str
     path: str
@@ -425,7 +424,7 @@ def summarize_module(
     local_findings: Sequence["Finding"] = (),
     suppressions: Sequence[Suppression] = (),
 ) -> ModuleSummary:
-    """Build the cacheable pass-1+2 summary for one parsed module."""
+    """Build the pass-1 summary for one parsed module."""
     index = index_module(tree, module, path)
     blocked = _suppressed_effects(suppressions)
     sources: dict[str, list[EffectSource]] = {}
@@ -516,8 +515,8 @@ class ProjectEffects:
         """The witness hops from ``qname`` down to the primitive.
 
         Well-founded by construction (witnesses only ever point at
-        already-grounded facts), but guarded anyway: a corrupted cache
-        cannot loop the reconstruction.
+        already-grounded facts), but guarded anyway: a malformed witness
+        table cannot loop the reconstruction.
         """
         hops: list[Witness] = []
         current = qname
@@ -542,20 +541,16 @@ class ProjectEffects:
 
 
 def propagate_effects(
-    summaries: Sequence[ModuleSummary],
-    config: LintConfig,
-    graph: CallGraph | None = None,
+    summaries: Sequence[ModuleSummary], config: LintConfig
 ) -> ProjectEffects:
     """Run the SCC-aware fixpoint over the whole project.
 
     Components arrive from Tarjan in reverse topological order (callees
     first), so a single sweep with an inner per-SCC fixpoint reaches the
     global fixpoint: by the time a component is processed, every fact
-    outside it is final.  A prebuilt ``graph`` (the engine builds one for
-    cache invalidation anyway) skips the reassembly.
+    outside it is final.
     """
-    if graph is None:
-        graph = build_call_graph([s.index for s in summaries])
+    graph = build_call_graph([s.index for s in summaries])
     base: dict[str, dict[str, EffectSource]] = {}
     for summary in summaries:
         for fn, sources in summary.base_effects:
@@ -608,10 +603,3 @@ def propagate_effects(
                             break
         project.witnesses[effect] = facts
     return project
-
-
-def analyze_project(
-    summaries: Sequence[ModuleSummary], config: LintConfig
-) -> ProjectEffects:
-    """One-call façade: build the graph and propagate every effect."""
-    return propagate_effects(summaries, config)

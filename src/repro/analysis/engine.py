@@ -10,9 +10,7 @@ Since the interprocedural pass landed, a run is **two-pass**:
 1. *summarize* — every file gets one AST walk offering each node to the
    per-module rules (REP001–REP008), plus the pass-1 index and base
    effect sets of :mod:`repro.analysis.callgraph` /
-   :mod:`repro.analysis.effects`.  Summaries are pure functions of the
-   source text, which is what the incremental cache
-   (:mod:`repro.analysis.cache`) stores;
+   :mod:`repro.analysis.effects`;
 2. *project* — the call graph is assembled over every summary, effects
    are propagated to a fixpoint, and the transitive rules
    (REP009–REP011) turn the propagated facts into findings carrying a
@@ -27,9 +25,8 @@ reported under the reserved id :data:`STALE_RULE_ID`.
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.analysis.callgraph import collect_import_aliases, dotted_name
@@ -41,7 +38,6 @@ from repro.analysis.suppressions import (
 )
 
 if TYPE_CHECKING:  # runtime imports are lazy (see _project_pass)
-    from repro.analysis.cache import LintCache
     from repro.analysis.effects import ModuleSummary, ProjectEffects
 
 __all__ = [
@@ -229,20 +225,11 @@ class LintContext:
 @dataclass(frozen=True)
 class ProjectContext:
     """What pass 2 hands to the interprocedural rules: every module's
-    summary, the propagated effect facts, and the run configuration.
-
-    ``target_modules`` restricts finding generation (``None`` = every
-    module) — the incremental cache uses it to recompute only the
-    modules whose dependency closure changed.
-    """
+    summary, the propagated effect facts, and the run configuration."""
 
     summaries: tuple["ModuleSummary", ...]
     effects: "ProjectEffects"
     config: LintConfig
-    target_modules: frozenset[str] | None = None
-
-    def in_target(self, module: str) -> bool:
-        return self.target_modules is None or module in self.target_modules
 
 
 def module_name_for(path: str) -> str:
@@ -302,16 +289,8 @@ class _FileRecord:
     """One file's pass-1 output, before suppressions are applied."""
 
     path: str
-    module: str
     summary: "ModuleSummary | None" = None
     errors: tuple[LintError, ...] = ()
-    source_hash: str = ""
-    cache_hit: bool = False
-
-
-def source_digest(source: str) -> str:
-    """The content hash the incremental cache keys summaries by."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 class LintEngine:
@@ -343,9 +322,8 @@ class LintEngine:
 
     def __init__(self, config: LintConfig | None = None):
         self.config = config if config is not None else DEFAULT_CONFIG
-        # Every registered rule runs at summarize time (summaries are
-        # cached across runs with different --select/--ignore); the
-        # selection is applied when findings are finalized.
+        # Every registered rule runs at summarize time; the selection is
+        # applied when findings are finalized.
         self.rules: tuple[Rule, ...] = tuple(iter_rules())
 
     # -- entry points -------------------------------------------------------
@@ -361,34 +339,23 @@ class LintEngine:
         are found even through this single-file entry point.
         """
         record = self._summarize(source, path, module)
-        by_path = self._project_pass([record], cache=None)
+        by_path = self._project_pass([record])
         return self._finalize(record, by_path.get(record.path, ()))
 
     def lint_file(self, path: str, module: str | None = None) -> LintResult:
         """Lint one file from disk."""
-        record = self._record_for_file(path, module, cache=None)
-        by_path = self._project_pass([record], cache=None)
+        record = self._record_for_file(path, module)
+        by_path = self._project_pass([record])
         return self._finalize(record, by_path.get(record.path, ()))
 
-    def lint_paths(
-        self,
-        paths: Iterable[str],
-        cache: "LintCache | None" = None,
-    ) -> LintResult:
-        """Lint files and directory trees (``*.py``, sorted walk order).
-
-        With ``cache``, unchanged files reuse their stored summaries
-        (skipping parse + walk) and modules whose whole dependency
-        closure is unchanged reuse their stored transitive findings; the
-        caller persists the cache afterwards (``cache.save()``).
-        """
-        records: list[_FileRecord] = []
-        for path in paths:
-            for file_path in _python_files(path):
-                records.append(
-                    self._record_for_file(file_path, None, cache=cache)
-                )
-        by_path = self._project_pass(records, cache=cache)
+    def lint_paths(self, paths: Iterable[str]) -> LintResult:
+        """Lint files and directory trees (``*.py``, sorted walk order)."""
+        records = [
+            self._record_for_file(file_path, None)
+            for path in paths
+            for file_path in _python_files(path)
+        ]
+        by_path = self._project_pass(records)
         result = LintResult()
         for record in records:
             result = result.merged(
@@ -398,13 +365,7 @@ class LintEngine:
 
     # -- pass 1: per-file summaries -----------------------------------------
 
-    def _record_for_file(
-        self,
-        path: str,
-        module: str | None,
-        cache: "LintCache | None",
-    ) -> _FileRecord:
-        resolved_module = module if module is not None else module_name_for(path)
+    def _record_for_file(self, path: str, module: str | None) -> _FileRecord:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
@@ -412,26 +373,9 @@ class LintEngine:
             # ValueError covers UnicodeDecodeError: a file that is not
             # UTF-8 text is unreadable *as Python*, not a crash.
             return _FileRecord(
-                path=path,
-                module=resolved_module,
-                errors=(LintError(path=path, message=str(exc)),),
+                path=path, errors=(LintError(path=path, message=str(exc)),)
             )
-        digest = source_digest(source)
-        if cache is not None:
-            summary = cache.load_summary(path, digest)
-            if summary is not None:
-                return _FileRecord(
-                    path=path,
-                    module=summary.module,
-                    summary=summary,
-                    source_hash=digest,
-                    cache_hit=True,
-                )
-        record = self._summarize(source, path, module)
-        record.source_hash = digest
-        if cache is not None and record.summary is not None:
-            cache.store_summary(path, digest, record.summary)
-        return record
+        return self._summarize(source, path, module)
 
     def _summarize(
         self, source: str, path: str, module: str | None
@@ -445,7 +389,6 @@ class LintEngine:
         except SyntaxError as exc:
             return _FileRecord(
                 path=path,
-                module=module,
                 errors=(
                     LintError(
                         path=path,
@@ -453,7 +396,6 @@ class LintEngine:
                         line=exc.lineno or 0,
                     ),
                 ),
-                source_hash=source_digest(source),
             )
         ctx = LintContext(path=path, module=module, config=self.config)
         ctx.imports = collect_import_aliases(tree)
@@ -495,13 +437,7 @@ class LintEngine:
             local_findings=raw,
             suppressions=suppressions,
         )
-        return _FileRecord(
-            path=path,
-            module=module,
-            summary=summary,
-            errors=errors,
-            source_hash=source_digest(source),
-        )
+        return _FileRecord(path=path, summary=summary, errors=errors)
 
     # -- pass 2: the project-wide rules -------------------------------------
 
@@ -513,95 +449,23 @@ class LintEngine:
         ]
 
     def _project_pass(
-        self,
-        records: Sequence[_FileRecord],
-        cache: "LintCache | None",
+        self, records: Sequence[_FileRecord]
     ) -> dict[str, tuple[Finding, ...]]:
         """Run the interprocedural rules, returning findings per path."""
         project_rules = self._project_rules()
         summaries = [r.summary for r in records if r.summary is not None]
         if not project_rules or not summaries:
             return {}
-        from repro.analysis.callgraph import (
-            build_call_graph,
-            dependency_closure,
-        )
         from repro.analysis.effects import propagate_effects
 
-        hashes = {
-            r.summary.module: r.source_hash
-            for r in records
-            if r.summary is not None
-        }
-        reused: dict[str, tuple[Finding, ...]] = {}
-        targets: set[str] | None = None
-        closure_digests: dict[str, str] = {}
-        graph = None
-        if cache is not None:
-            graph = build_call_graph([s.index for s in summaries])
-            targets = set()
-            for summary in summaries:
-                closure = dependency_closure(
-                    summary.module, graph.module_deps
-                )
-                digest = hashlib.sha256(
-                    "\n".join(
-                        f"{mod}:{hashes.get(mod, '?')}" for mod in closure
-                    ).encode("utf-8")
-                ).hexdigest()
-                closure_digests[summary.module] = digest
-                cached = cache.load_project_findings(summary.module, digest)
-                if cached is not None:
-                    reused[summary.module] = cached
-                else:
-                    targets.add(summary.module)
-            if not targets:
-                # Whole-project warm hit: skip propagation entirely.
-                cache.note_project(reused=len(reused), recomputed=0)
-                return self._group_by_path(reused)
-
-        effects = propagate_effects(summaries, self.config, graph=graph)
         context = ProjectContext(
             summaries=tuple(summaries),
-            effects=effects,
+            effects=propagate_effects(summaries, self.config),
             config=self.config,
-            target_modules=(
-                frozenset(targets) if targets is not None else None
-            ),
         )
-        fresh: dict[str, list[Finding]] = {}
-        for summary in summaries:
-            if targets is None or summary.module in targets:
-                fresh[summary.module] = []
+        by_path: dict[str, list[Finding]] = {}
         for rule in project_rules:
             for finding in rule.check_project(context):
-                module = self._module_of(records, finding.path)
-                fresh.setdefault(module, []).append(finding)
-        combined: dict[str, tuple[Finding, ...]] = dict(reused)
-        for module, findings in fresh.items():
-            combined[module] = tuple(findings)
-            if cache is not None and module in closure_digests:
-                cache.store_project_findings(
-                    module, closure_digests[module], tuple(findings)
-                )
-        if cache is not None:
-            cache.note_project(reused=len(reused), recomputed=len(fresh))
-        return self._group_by_path(combined)
-
-    @staticmethod
-    def _module_of(records: Sequence[_FileRecord], path: str) -> str:
-        for record in records:
-            if record.path == path:
-                return record.module
-        return module_name_for(path)
-
-    @staticmethod
-    def _group_by_path(
-        by_module: dict[str, tuple[Finding, ...]],
-    ) -> dict[str, tuple[Finding, ...]]:
-        by_path: dict[str, list[Finding]] = {}
-        for findings in by_module.values():
-            for finding in findings:
                 by_path.setdefault(finding.path, []).append(finding)
         return {path: tuple(fs) for path, fs in by_path.items()}
 
@@ -717,12 +581,10 @@ def _python_files(path: str) -> Iterator[str]:
 
 
 def lint_paths(
-    paths: Iterable[str],
-    config: LintConfig | None = None,
-    cache: "LintCache | None" = None,
+    paths: Iterable[str], config: LintConfig | None = None
 ) -> LintResult:
     """One-call façade: lint ``paths`` under ``config`` (or the default)."""
-    return LintEngine(config).lint_paths(paths, cache=cache)
+    return LintEngine(config).lint_paths(paths)
 
 
 def lint_source(

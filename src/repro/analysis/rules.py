@@ -462,7 +462,7 @@ class TransitivePurityRule(Rule):
         )
         for qname in sorted(project.effects.graph.symbols):
             module = _function_module(project, qname)
-            if module is None or not project.in_target(module):
+            if module is None:
                 continue
             info = project.effects.graph.symbols[qname]
             for effect, contract, what in contracts:
@@ -518,8 +518,6 @@ class TransitiveBlockingRule(Rule):
         for caller in sorted(graph.edges):
             info = graph.symbols.get(caller)
             if info is None:
-                continue
-            if not project.in_target(info.module):
                 continue
             if not module_matches(
                 info.module, project.config.async_modules
@@ -579,8 +577,6 @@ class UnpicklableSubmissionRule(Rule):
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:
         for summary in project.summaries:
-            if not project.in_target(summary.module):
-                continue
             if not module_matches(
                 summary.module, project.config.pool_submit_modules
             ):

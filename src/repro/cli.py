@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
 import sys
 
@@ -272,26 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list the registered rules with their rationale and exit",
     )
     p_lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the incremental cache: re-parse and re-analyze "
-             "every module from scratch",
-    )
-    p_lint.add_argument(
-        "--cache-file",
-        metavar="FILE",
-        default=None,
-        help="incremental cache location "
-             "(default: .repro-lint-cache.json)",
-    )
-    p_lint.add_argument(
-        "--cache-stats",
-        metavar="FILE",
-        default=None,
-        help="also write cache hit/miss counters to FILE as JSON "
-             "(the CI artefact)",
-    )
-    p_lint.add_argument(
         "--explain",
         metavar="REPnnn:PATH:LINE",
         default=None,
@@ -398,6 +377,12 @@ def _cmd_rank(args, engine: RankingEngine) -> int:
     except ValueError as exc:
         raise SystemExit(f"--scores: {exc}")
     params = _parse_params(args.param)
+    try:
+        # make_algorithm(name, **params) is spec.factory(**params): build
+        # once here so a bad parameter fails before any dispatch.
+        spec.factory(**params)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"--param: {exc}")
     requests = [
         RankingRequest(
             args.algorithm, problem, params=params, request_id=k
@@ -475,9 +460,7 @@ def _cmd_lint(args) -> int:
     Python, malformed noqa markers).
     """
     from repro.analysis import (
-        DEFAULT_CACHE_PATH,
         DEFAULT_CONFIG,
-        LintCache,
         LintEngine,
         iter_rules,
         render_json,
@@ -506,23 +489,7 @@ def _cmd_lint(args) -> int:
             print(f"lint: no such file or directory: {path}", file=sys.stderr)
             return 2
     config = DEFAULT_CONFIG.with_rules(select=select, ignore=ignore)
-    engine = LintEngine(config)
-    cache = None
-    if not args.no_cache:
-        cache_path = args.cache_file or DEFAULT_CACHE_PATH
-        cache = LintCache(cache_path, config)
-    result = engine.lint_paths(args.paths, cache=cache)
-    if cache is not None:
-        try:
-            cache.save()
-        except OSError as exc:
-            # A read-only checkout must not fail the gate over the cache.
-            print(f"lint: could not write cache: {exc}", file=sys.stderr)
-    if args.cache_stats is not None:
-        stats = cache.stats.as_dict() if cache is not None else {}
-        with open(args.cache_stats, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, sort_keys=True)
-            fh.write("\n")
+    result = LintEngine(config).lint_paths(args.paths)
     if explain is not None:
         return _explain_finding(result, explain)
     if args.format == "json":
@@ -652,13 +619,17 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command in ("fig5", "fig6", "fig7"):
         if args.repeats < 1:
             raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
-        config = GermanCreditConfig(
-            theta=args.theta,
-            noise_sigma=args.sigma,
-            n_repeats=args.repeats,
-            use_milp=args.milp,
-            pool=pool,
-        )
+        try:
+            config = GermanCreditConfig(
+                theta=args.theta,
+                noise_sigma=args.sigma,
+                n_repeats=args.repeats,
+                use_milp=args.milp,
+                pool=pool,
+            )
+        except ValueError as exc:
+            flag = "--sigma" if str(exc).startswith("noise_sigma") else "--theta"
+            raise SystemExit(f"{flag}: {exc}")
         result = run_german_credit(config)
         text = {
             "fig5": result.to_text_fig5,

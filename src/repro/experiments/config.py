@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.batch.schedule import WorkerPool
+from repro.utils.validation import check_finite_non_negative, check_theta
 
 
 def _default_thetas() -> tuple[float, ...]:
@@ -99,6 +100,12 @@ class GermanCreditConfig:
     #: Scheduler handle for the work units and their inner fan-outs; see
     #: the module docstring.
     pool: WorkerPool = WorkerPool()
+
+    def __post_init__(self) -> None:
+        # The algorithms apply the same checks, but only inside the first
+        # repeat unit, after the dataset load and the pool have started.
+        check_theta(self.theta)
+        check_finite_non_negative(self.noise_sigma, "noise_sigma")
 
     def panel_name(self) -> str:
         """Panel label matching the paper's subfigure captions."""

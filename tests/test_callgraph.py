@@ -11,7 +11,6 @@ from repro.analysis.callgraph import (
     DYNAMIC,
     build_call_graph,
     collect_import_aliases,
-    dependency_closure,
     dotted_name,
     index_module,
     strongly_connected_components,
@@ -101,7 +100,6 @@ class TestResolution:
             }
         )
         assert [e.callee for e in graph.callees("m.use")] == ["x.f"]
-        assert graph.module_deps["m"] == {"x"}
 
     def test_method_vs_function_disambiguation(self):
         graph = build(
@@ -229,22 +227,3 @@ class TestSCCs:
     def test_self_recursion_terminates(self):
         graph = build({"m": "def f(n):\n    return f(n - 1)\n"})
         assert ("m.f",) in strongly_connected_components(graph)
-
-
-class TestDependencyClosure:
-    def test_transitive_and_cyclic(self):
-        deps = {"a": {"b"}, "b": {"c"}, "c": set(), "d": {"a"}, "x": {"x"}}
-        assert dependency_closure("a", deps) == ("a", "b", "c")
-        assert dependency_closure("d", deps) == ("a", "b", "c", "d")
-        assert dependency_closure("x", deps) == ("x",)
-
-    def test_project_deps_cover_call_edges(self):
-        graph = build(
-            {
-                "x": "def f():\n    pass\n",
-                "m": "from x import f\n\ndef use():\n    f()\n",
-                "n": "def other():\n    pass\n",
-            }
-        )
-        assert dependency_closure("m", graph.module_deps) == ("m", "x")
-        assert dependency_closure("n", graph.module_deps) == ("n",)

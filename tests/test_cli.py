@@ -96,9 +96,18 @@ class TestMain:
             (["serve", "--http", "127.0.0.1:0", "--jobs", "-3"], "--jobs"),
             (["serve", "--http", "127.0.0.1:99999"], "--http"),
             (["fig5", "--repeats", "0"], "--repeats"),
+            (["fig5", "--theta", "nan", "--repeats", "1"], "--theta"),
+            (["fig6", "--theta", "-2", "--repeats", "1"], "--theta"),
+            (["fig7", "--sigma", "-1", "--repeats", "1"], "--sigma"),
+            (["rank", "--algorithm", "mallows", "--scores", "0.9,0.8,0.7",
+              "--groups", "a,b,a", "--param", "theta=nan"], "--param"),
+            (["rank", "--algorithm", "mallows", "--scores", "0.9,0.8,0.7",
+              "--groups", "a,b,a", "--param", "bogus=1"], "--param"),
         ],
         ids=["fig1-jobs-0", "serve-jobs-minus-3", "serve-port-99999",
-             "fig5-repeats-0"],
+             "fig5-repeats-0", "fig5-theta-nan", "fig6-theta-minus-2",
+             "fig7-sigma-minus-1", "rank-param-theta-nan",
+             "rank-param-unknown"],
     )
     def test_bad_numbers_exit_with_a_message(self, argv, flag):
         with pytest.raises(SystemExit, match=flag):
@@ -291,46 +300,18 @@ class TestLintCommand:
     def test_unreadable_file_exits_two(self, tmp_path, capsys):
         binary = tmp_path / "not_text.py"
         binary.write_bytes(b"\xff\xfe\x00junk")
-        assert main(["lint", str(binary), "--no-cache"]) == 2
+        assert main(["lint", str(binary)]) == 2
         out = capsys.readouterr().out
         # One reported error line, no traceback.
         assert str(binary) in out
         assert "1 error" in out
 
-    def test_no_cache_skips_the_cache_file(self, tmp_path, monkeypatch, capsys):
+    def test_lint_writes_no_file(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
         monkeypatch.chdir(tmp_path)
-        assert main(["lint", "ok.py", "--no-cache"]) == 0
-        assert not (tmp_path / ".repro-lint-cache.json").exists()
-        # The default-on cache writes to the default location.
         assert main(["lint", "ok.py"]) == 0
-        assert (tmp_path / ".repro-lint-cache.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.py"]
         capsys.readouterr()
-
-    def test_warm_cache_output_identical_with_stats(self, tmp_path, capsys):
-        bad = tmp_path / "core.py"
-        bad.write_text(
-            "from repro.batch.cache import KernelCache\n"
-            "CACHE = KernelCache()\n"
-        )
-        cache_file = tmp_path / "cache.json"
-        stats_file = tmp_path / "stats.json"
-        base = [
-            "lint", str(bad), "--format", "json",
-            "--cache-file", str(cache_file),
-            "--cache-stats", str(stats_file),
-        ]
-        assert main(base) == 1
-        cold = capsys.readouterr().out
-        import json as _json
-
-        assert _json.loads(stats_file.read_text())["summary_misses"] == 1
-        assert main(base) == 1
-        warm = capsys.readouterr().out
-        assert warm == cold
-        stats = _json.loads(stats_file.read_text())
-        assert stats["summary_hits"] == 1
-        assert stats["summary_misses"] == 0
 
     def _transitive_tree(self, tmp_path):
         """A package whose REP009 finding is at ``core.py:9``."""
@@ -355,7 +336,7 @@ class TestLintCommand:
     def test_explain_prints_witness_chain(self, tmp_path, capsys):
         tree, core = self._transitive_tree(tmp_path)
         spec = f"REP009:{core}:9"
-        assert main(["lint", tree, "--no-cache", "--explain", spec]) == 0
+        assert main(["lint", tree, "--explain", spec]) == 0
         out = capsys.readouterr().out
         assert f"{core}:9:" in out
         assert "witness chain:" in out
@@ -364,14 +345,14 @@ class TestLintCommand:
     def test_explain_direct_finding_has_no_chain(self, tmp_path, capsys):
         tree, core = self._transitive_tree(tmp_path)
         spec = f"REP002:{core}:5"
-        assert main(["lint", tree, "--no-cache", "--explain", spec]) == 0
+        assert main(["lint", tree, "--explain", spec]) == 0
         out = capsys.readouterr().out
         assert "no witness chain" in out
 
     def test_explain_no_match_exits_two(self, tmp_path, capsys):
         tree, core = self._transitive_tree(tmp_path)
         spec = f"REP009:{core}:999"
-        assert main(["lint", tree, "--no-cache", "--explain", spec]) == 2
+        assert main(["lint", tree, "--explain", spec]) == 2
         assert "no REP009 finding" in capsys.readouterr().err
 
     def test_explain_malformed_spec_exits_two(self, tmp_path, capsys):

@@ -11,8 +11,8 @@ from repro.analysis.effects import (
     UNBOUNDED_RETRY,
     UNORDERED_ITER,
     WALL_CLOCK,
-    analyze_project,
     effect_for_call,
+    propagate_effects,
     summarize_module,
     summarize_source,
 )
@@ -32,7 +32,7 @@ def propagate(modules: dict[str, str]):
                 suppressions=find_suppressions(source),
             )
         )
-    return analyze_project(summaries, DEFAULT_CONFIG)
+    return propagate_effects(summaries, DEFAULT_CONFIG)
 
 
 class TestEffectForCall:
