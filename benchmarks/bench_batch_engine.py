@@ -13,16 +13,12 @@ perf-regression tripwire; under ``--fast`` the workload shrinks and the
 threshold relaxes so the CI smoke job stays quick yet still catches
 order-of-magnitude regressions.
 
-PR-2 additions: the distance-metric kernels race their scalar loops the same
-way, the ``n_jobs`` fan-out runs the m=10k pipeline sharded across workers
-(byte-equality always asserted; ≥2× wall-clock at ``n_jobs=4`` on ≥4-core
-machines; the ``--fast`` smoke exercises ``n_jobs=2``), and the kernel cache
-must serve repeated value-equal constraints from memory.
+The distance-metric kernels race their scalar loops the same way, and the
+kernel cache must serve repeated value-equal constraints from memory.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -30,7 +26,6 @@ import pytest
 
 from repro.batch import (
     DEFAULT_CACHE,
-    WorkerPool,
     batch_cayley,
     batch_footrule,
     batch_hamming,
@@ -38,7 +33,6 @@ from repro.batch import (
     batch_kendall_tau,
     batch_spearman,
     batch_ulam,
-    mallows_sample_and_score,
 )
 from repro.fairness.constraints import FairnessConstraints
 from repro.fairness.infeasible_index import infeasible_index
@@ -247,62 +241,6 @@ def test_batch_distance_kernels_speedup(workload, fast_mode, report):
         },
     )
     assert speedup >= threshold
-
-
-def test_parallel_pipeline_fanout(workload, fast_mode, report):
-    """The n_jobs sharder on the m=10k sampling + Infeasible Index pipeline.
-
-    Always asserts byte-identical output across worker counts (the CI
-    ``--fast`` smoke runs this with n_jobs=2, so fan-out regressions fail
-    loudly); the >= 2x wall-clock assertion at n_jobs=4 applies on machines
-    with at least 4 cores.
-    """
-    center, groups, constraints = workload
-    m = 2_000 if fast_mode else 10_000
-    n_jobs = 2 if fast_mode else 4
-    cores = os.cpu_count() or 1
-
-    t0 = time.perf_counter()
-    single = mallows_sample_and_score(
-        center, THETA, m, groups=groups, constraints=constraints,
-        seed=SEED, pool=WorkerPool(1),
-    )
-    single_s = time.perf_counter() - t0
-
-    fanout_s = np.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        fanned = mallows_sample_and_score(
-            center, THETA, m, groups=groups, constraints=constraints,
-            seed=SEED, pool=WorkerPool(n_jobs),
-        )
-        fanout_s = min(fanout_s, time.perf_counter() - t0)
-
-    # Fan-out must never change results.
-    assert np.array_equal(single.infeasible_index, fanned.infeasible_index)
-
-    speedup = single_s / fanout_s
-    report(
-        "Batch engine — n_jobs fan-out (sampling + Infeasible Index)",
-        (
-            f"m={m} samples, n={N_ITEMS} items, n_jobs={n_jobs} "
-            f"({cores} cores available)\n"
-            f"single process : {single_s * 1e3:9.1f} ms\n"
-            f"fan-out        : {fanout_s * 1e3:9.1f} ms\n"
-            f"speedup        : {speedup:9.2f}x\n"
-            f"kernel cache   : {DEFAULT_CACHE.stats().summary()}"
-        ),
-        metrics={
-            "m": m, "n": N_ITEMS, "n_jobs": n_jobs, "cores": cores,
-            "single_s": single_s, "fanout_s": fanout_s, "speedup": speedup,
-            "fanout_assertion_active": not fast_mode and cores >= 4,
-        },
-    )
-    if not fast_mode and cores >= 4:
-        assert speedup >= 2.0, (
-            f"n_jobs={n_jobs} only {speedup:.2f}x faster than single-process "
-            f"at m={m}, n={N_ITEMS} on {cores} cores (required >= 2x)"
-        )
 
 
 def test_kernel_cache_effectiveness(workload, report):

@@ -1,7 +1,6 @@
 """Experiment-level scheduler benchmarks: the whole pipeline on one pool.
 
-PR 3 left ``run_all --jobs N`` parallel only *inside* each figure's loops;
-the scheduler (:mod:`repro.batch.schedule`) flattens the seven figure
+The scheduler (:mod:`repro.batch.schedule`) flattens the seven figure
 experiments, Table I, and all four German Credit panels into one task graph
 on a single shared pool.  This file is the perf tripwire for that:
 
@@ -11,9 +10,8 @@ on a single shared pool.  This file is the perf tripwire for that:
   build loudly;
 * ``run_all(fast=True, n_jobs=4)`` must be >= 2x faster than the serial
   pipeline on machines with at least 4 cores;
-* the ``n_trials < n_jobs`` clamp of :meth:`WorkerPool.run_trials` must
-  keep a heavy few-repeat German Credit loop parallel instead of silently
-  running it inline.
+* a warm engine session must serve a repeated batch faster than its cold
+  first pass, with byte-identical responses.
 """
 
 from __future__ import annotations
@@ -23,10 +21,7 @@ import time
 
 import numpy as np
 
-from repro.batch import WorkerPool
 from repro.datasets.german_credit import synthesize_german_credit
-from repro.experiments.config import GermanCreditConfig
-from repro.experiments.german_credit_exp import _one_repeat
 from repro.experiments.runner import reports_digest, run_all
 
 SEED = 2024
@@ -72,61 +67,6 @@ def test_run_all_scheduler_fanout(fast_mode, report):
         assert speedup >= 2.0, (
             f"run_all(fast=True, n_jobs={n_jobs}) only {speedup:.2f}x faster "
             f"than the serial pipeline on {cores} cores (required >= 2x)"
-        )
-
-
-def _heavy_trial(trial_index, rng, data, size, config):
-    """One German Credit repeat (subsample + all solvers) as a trial unit —
-    the heavy-trial shape the WorkerPool.run_trials clamp exists for."""
-    del trial_index
-    return _one_repeat(data, size, config, rng)
-
-
-def test_heavy_trials_clamp_stays_parallel(fast_mode, report):
-    """The n_trials < n_jobs clamp in ``WorkerPool.run_trials``: five heavy
-    German Credit repeats under n_jobs=8 must fan out on five workers of
-    the shared pool (pre-clamp they fell back to the inline loop)."""
-    cores = os.cpu_count() or 1
-    data = synthesize_german_credit(seed=0)
-    config = GermanCreditConfig(n_repeats=5, seed=SEED)
-    size = 50 if fast_mode else 100
-    n_trials = config.n_repeats  # 5 < 8 workers: the clamped regime
-    payload = (data, size, config)
-
-    t0 = time.perf_counter()
-    serial = WorkerPool(1).run_trials(
-        _heavy_trial, n_trials, seed=SEED, payload=payload
-    )
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    clamped = WorkerPool(8).run_trials(
-        _heavy_trial, n_trials, seed=SEED, payload=payload
-    )
-    clamp_s = time.perf_counter() - t0
-
-    # The clamp must never change results: identical per-repeat metrics.
-    assert serial == clamped
-
-    speedup = serial_s / clamp_s
-    report(
-        "Trial pool — n_trials=5 clamped fan-out under n_jobs=8",
-        (
-            f"k={size}, n_trials={n_trials}, n_jobs=8 ({cores} cores available)\n"
-            f"serial loop  : {serial_s * 1e3:9.1f} ms\n"
-            f"clamped pool : {clamp_s * 1e3:9.1f} ms\n"
-            f"speedup      : {speedup:9.2f}x"
-        ),
-        metrics={
-            "cores": cores, "size": size, "n_trials": n_trials,
-            "serial_s": serial_s, "clamped_s": clamp_s, "speedup": speedup,
-            "fanout_assertion_active": not fast_mode and cores >= 4,
-        },
-    )
-    if not fast_mode and cores >= 4:
-        assert speedup >= 1.5, (
-            f"clamped 5-trial fan-out only {speedup:.2f}x faster on "
-            f"{cores} cores (required >= 1.5x; pre-clamp this ran inline)"
         )
 
 

@@ -1,12 +1,12 @@
 """Trial-granular fan-out benchmarks: the German Credit panel and Fig. 2.
 
-The German Credit panels and Fig. 2 cannot use the row-range sharder (their
-batches are tiny — the unit of work is one subsample + solver run), so they
-parallelize per trial via :meth:`repro.batch.WorkerPool.run_trials`.  This
-file is the perf tripwire for that second sharding mode:
+The German Credit panels schedule one work unit per ``(size, repeat)``
+(one subsample + solver run) and Fig. 2 one per δ (a block of trials),
+all through :meth:`repro.batch.WorkerPool.run`.  This file is the perf
+tripwire for those experiments:
 
 * byte-identical panel output across worker counts is always asserted (the
-  CI ``--fast`` smoke runs it at ``n_jobs=2``, so a seeding or sharding
+  CI ``--fast`` smoke runs it at ``n_jobs=2``, so a seeding or scheduling
   regression fails the build loudly);
 * the >= 2x wall-clock assertion on the German Credit panel at ``n_jobs=4``
   applies on machines with at least 4 cores.
@@ -42,7 +42,7 @@ def _panel_texts(panel) -> tuple[str, str, str]:
 
 
 def test_german_credit_trial_fanout(fast_mode, report):
-    """One (theta, sigma) panel, serial vs trial-sharded across workers."""
+    """One (theta, sigma) panel, serial vs scheduled across workers."""
     n_jobs = 2 if fast_mode else 4
     cores = os.cpu_count() or 1
     data = synthesize_german_credit(seed=0)

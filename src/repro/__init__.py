@@ -120,7 +120,6 @@ from repro.batch import (
     batch_kendall_tau,
     batch_ndcg,
     batch_percent_fair,
-    mallows_sample_and_score,
 )
 from repro.groups import GroupAssignment, combine_attributes
 from repro.fairness import (
@@ -190,7 +189,6 @@ __all__ = [
     "batch_kendall_tau",
     "batch_ndcg",
     "batch_percent_fair",
-    "mallows_sample_and_score",
     "GroupAssignment",
     "combine_attributes",
     "FairnessConstraints",

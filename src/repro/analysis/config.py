@@ -51,13 +51,11 @@ class LintConfig:
 
     # -- REP001: seeded-RNG discipline ------------------------------------
     #: Modules allowed to *construct* generators: the seeding utilities
-    #: themselves, the worker fan-out that rebuilds generators from
-    #: ``SeedSequence`` children, and the seeded entry points (experiment
-    #: drivers, dataset generators, the load generator).  Everywhere else
-    #: an RNG must arrive as a parameter.
+    #: themselves and the seeded entry points (experiment drivers, dataset
+    #: generators, the load generator).  Everywhere else an RNG must arrive
+    #: as a parameter.
     rng_entry_points: tuple[str, ...] = (
         "repro.utils.rng",
-        "repro.batch.parallel",
         "repro.serve.loadgen",
         "repro.experiments",
         "repro.datasets",

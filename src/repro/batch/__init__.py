@@ -22,14 +22,10 @@ This subpackage provides the batched building blocks for that workload:
   :class:`~repro.batch.schedule.WorkUnit`\\ s and interleaved through the
   single shared pool by a :class:`~repro.batch.schedule.WorkerPool`
   handle — the only way to schedule work, carrying the run's worker
-  count, retry policy and fault tally — plus the two inner-loop fan-outs
-  on it: by *row range* over an ``(m, n)`` sampling + scoring pipeline
-  (Figs. 1/3/4, :func:`~repro.batch.schedule.mallows_sample_and_score`)
-  and by *trial* over ``(trial_index, rng)`` experiment loops (Fig. 2,
-  :meth:`~repro.batch.schedule.WorkerPool.run_trials`); per-unit RNG
-  streams keep every ``n_jobs`` value byte-identical under a fixed seed;
+  count, retry policy and fault tally; per-unit seeds keep every
+  ``n_jobs`` value byte-identical under a fixed seed;
 * :mod:`repro.batch.parallel` — the clock-free worker side: the shared
-  executor registry, ``n_jobs`` resolution and the shard bodies.
+  executor registry, ``n_jobs`` resolution and the nesting guard.
 
 The scalar APIs in :mod:`repro.rankings.distances`,
 :mod:`repro.fairness.infeasible_index` and :mod:`repro.fairness.exposure`
@@ -67,19 +63,12 @@ from repro.batch.kernels import (
     kendall_tau_matrix,
 )
 from repro.batch.parallel import (
-    MallowsBatchScores,
     effective_n_jobs,
     in_worker,
     resolve_n_jobs,
-    shard_row_ranges,
     shutdown_workers,
 )
-from repro.batch.schedule import (
-    CompletedUnit,
-    WorkerPool,
-    WorkUnit,
-    mallows_sample_and_score,
-)
+from repro.batch.schedule import CompletedUnit, WorkerPool, WorkUnit
 
 __all__ = [
     "BatchRankings",
@@ -87,7 +76,6 @@ __all__ = [
     "CompletedUnit",
     "DEFAULT_CACHE",
     "KernelCache",
-    "MallowsBatchScores",
     "WorkUnit",
     "WorkerPool",
     "active_cache",
@@ -112,9 +100,7 @@ __all__ = [
     "effective_n_jobs",
     "in_worker",
     "kendall_tau_matrix",
-    "mallows_sample_and_score",
     "resolve_n_jobs",
-    "shard_row_ranges",
     "shutdown_workers",
     "use_cache",
 ]

@@ -8,11 +8,9 @@ run one loop at a time and the pipeline scales with the *widest inner
 loop*, not with the machine.  So the caller flattens its work into a graph
 of independent :class:`WorkUnit`\\ s — figure cells, panels, per-panel
 repeats, per-delta trial blocks — and all of them interleave through the
-one shared process pool.  The two inner-loop fan-outs are built the same
-way: :func:`mallows_sample_and_score` makes one unit per row range of a
-Mallows batch, :meth:`WorkerPool.run_trials` one unit per trial range of
-an experiment loop (their shard bodies and RNG plumbing live in the
-clock-free :mod:`repro.batch.parallel`).
+one shared process pool.  These units are the only work that reaches the
+pool: a unit's own loops (a figure cell's Mallows batch, a δ's trial
+block) run inside it.
 
 Task-graph / seed-tree contract
 -------------------------------
@@ -24,9 +22,8 @@ Task-graph / seed-tree contract
   :meth:`WorkerPool.run`.
 * ``fn`` is invoked as ``fn(seed, *payload)`` with the unit's
   ``SeedSequence`` (or ``None``).  Randomness must come only from
-  generators derived from that seed or carried in the payload (a row
-  shard's advanced bit-generator clone, a trial shard's seed children), so
-  the unit's output is a pure function of ``(fn, seed, payload)`` — the
+  generators derived from that seed or carried in the payload, so the
+  unit's output is a pure function of ``(fn, seed, payload)`` — the
   property that makes the schedule free to run units anywhere, in any
   order.
 * The caller derives each unit's seed from its experiment's existing seed
@@ -54,51 +51,26 @@ Task-graph / seed-tree contract
   digest.
 * Pool children are barred from nesting pools
   (:func:`~repro.batch.parallel.effective_n_jobs` forces ``n_jobs=1``
-  inside workers) — a unit that internally calls
-  :meth:`WorkerPool.run_trials` or :func:`mallows_sample_and_score` simply
-  runs that part inline.
+  inside workers) — a unit that schedules units of its own runs them
+  inline.
 
 :class:`WorkerPool` is the only way to schedule work, and so the only
 place a run's worker count, retry policy and fault tally are set:
-experiment configs carry one ``pool`` and every entry point (and every
-fan-out inside its units) reads it, so a composite pipeline funnels every
-unit into the same executor, under the same bounds, instead of each
-experiment spinning up its own fan-out.
+experiment configs carry one ``pool`` and every entry point reads it, so a
+composite pipeline funnels every unit into the same executor, under the
+same bounds, instead of each experiment spinning up its own fan-out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Generator,
-    Hashable,
-    Iterable,
-    Sequence,
-)
+from typing import Any, Callable, Generator, Hashable, Iterable
 
 import numpy as np
 
-from repro.batch.parallel import (
-    MIN_ROWS_PER_JOB,
-    MallowsBatchScores,
-    _run_shard,
-    _run_trial_shard,
-    _shard_sources,
-    effective_n_jobs,
-    shard_row_ranges,
-)
+from repro.batch.parallel import effective_n_jobs
 from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.faults.supervisor import FaultCounters, clock_unit, supervise_units
-from repro.rankings.permutation import Ranking
-from repro.utils.rng import SeedLike, spawn_seed_sequences
-from repro.utils.validation import check_theta
-
-if TYPE_CHECKING:
-    from repro.fairness.constraints import FairnessConstraints
-    from repro.groups.attributes import GroupAssignment
 
 
 @dataclass(frozen=True)
@@ -269,141 +241,3 @@ class WorkerPool:
             if on_unit_done is not None:
                 on_unit_done(done.key, done.seconds)
         return {u.key: results[u.key] for u in units}
-
-    def run_trials(
-        self,
-        trial_fn: Callable[..., Any],
-        n_trials: int,
-        *,
-        seed: SeedLike = None,
-        payload: tuple[Any, ...] = (),
-    ) -> list[Any]:
-        """Run ``trial_fn(trial_index, rng, *payload)`` for every trial,
-        fanned out across the handle's workers, returning results in trial
-        order.
-
-        This is the trial-granular twin of :func:`mallows_sample_and_score`:
-        it parallelizes experiment loops whose unit of work is one *repeat*
-        (a subsample + solver run, say) rather than one batch row.  Each
-        trial gets its own child :class:`~numpy.random.SeedSequence`
-        derived from ``seed``, so trial ``t``'s stream is a function of
-        ``(seed, t)`` only and the results are **byte-identical to the
-        serial loop for every** ``n_jobs``.  The trials are cut into
-        ``min(n_jobs, n_trials)`` contiguous work units, so heavy
-        few-repeat loops (German Credit at ``n_repeats=5`` under
-        ``--jobs -1``) still run fully parallel, and a single trial runs
-        inline.
-
-        Parameters
-        ----------
-        trial_fn:
-            Module-level callable (it is pickled to the workers) invoked as
-            ``trial_fn(trial_index, rng, *payload)``.  Its return value must
-            be picklable.
-        n_trials:
-            Number of trials to run.
-        seed:
-            Any :data:`~repro.utils.rng.SeedLike`; a passed-in generator is
-            consumed exactly as :func:`~repro.utils.rng.spawn_generators`
-            would consume it (one 63-bit draw).
-        payload:
-            Extra positional arguments shipped to every trial (pickled once
-            per unit, not once per trial).
-        """
-        if n_trials < 0:
-            raise ValueError(
-                f"trial count must be non-negative, got {n_trials}"
-            )
-        n_jobs = effective_n_jobs(self.n_jobs)
-        seqs = spawn_seed_sequences(seed, n_trials)
-        units = [
-            WorkUnit(
-                key=lo,
-                fn=_run_trial_shard,
-                payload=(trial_fn, lo, tuple(seqs[lo:hi]), payload),
-                weight=float(hi - lo),
-            )
-            for lo, hi in shard_row_ranges(
-                n_trials, max(1, min(n_jobs, n_trials))
-            )
-        ]
-        results = self.run(units)
-        return [result for u in units for result in results[u.key]]
-
-
-def mallows_sample_and_score(
-    center: Ranking,
-    theta: float,
-    m: int,
-    *,
-    groups: "GroupAssignment | None" = None,
-    constraints: "FairnessConstraints | None" = None,
-    scores: Sequence[float] | np.ndarray | None = None,
-    ndcg_k: int | None = None,
-    seed: SeedLike = None,
-    pool: WorkerPool = WorkerPool(),
-    return_orders: bool = False,
-) -> MallowsBatchScores:
-    """Draw ``m`` Mallows samples around ``center`` and score every row,
-    sharded by row range across the workers of ``pool``.
-
-    Parameters
-    ----------
-    groups, constraints:
-        When given (together), the per-row Two-Sided Infeasible Index is
-        computed.
-    scores:
-        When given, the per-row NDCG against these item scores is computed
-        (top ``ndcg_k``; the full ranking by default).
-    seed:
-        Any :data:`~repro.utils.rng.SeedLike`.  A passed-in generator is
-        consumed exactly as the single-process path would consume it.
-    pool:
-        The scheduler handle the row shards run on, under its retry
-        policy and into its counters.  Output is byte-identical for every
-        worker count.  Each shard gets at least ``MIN_ROWS_PER_JOB`` rows,
-        so batches under ``2 * MIN_ROWS_PER_JOB`` rows are one shard and
-        run inline (pool dispatch would cost more than the work).
-    return_orders:
-        Also return the ``(m, n)`` sample orders (costs inter-process
-        transfer of the whole batch when sharded).
-    """
-    if (groups is None) != (constraints is None):
-        raise ValueError("groups and constraints must be supplied together")
-    check_theta(theta)
-    n_jobs = effective_n_jobs(pool.n_jobs)
-    n = len(center)
-    n_shards = min(n_jobs, max(1, m // MIN_ROWS_PER_JOB)) if n > 0 else 1
-    # An empty batch is still one (empty) shard, so every output keeps
-    # its shape.
-    ranges = shard_row_ranges(m, n_shards) or [(0, 0)]
-    if scores is not None:
-        scores = np.asarray(scores, dtype=np.float64)
-    units = [
-        WorkUnit(
-            key=lo,
-            fn=_run_shard,
-            payload=(
-                center, theta, hi - lo, source,
-                groups, constraints, scores, ndcg_k, return_orders,
-            ),
-            weight=float(hi - lo),
-        )
-        for (lo, hi), source in zip(
-            ranges, _shard_sources(seed, ranges, n, theta)
-        )
-    ]
-    results = pool.run(units)
-    parts = [results[u.key] for u in units]
-    return MallowsBatchScores(
-        infeasible_index=_concat([p.infeasible_index for p in parts]),
-        ndcg=_concat([p.ndcg for p in parts]),
-        orders=_concat([p.orders for p in parts]),
-    )
-
-
-def _concat(parts: list[np.ndarray | None]) -> np.ndarray | None:
-    """Stack one output across the row shards (``None`` if not computed)."""
-    if parts[0] is None:
-        return None
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)

@@ -326,7 +326,12 @@ def _parse_params(pairs: list[str]) -> dict:
         try:
             params[key] = ast.literal_eval(value)
         except (ValueError, SyntaxError):
-            params[key] = value  # plain string (e.g. a label)
+            # literal_eval has no spelling for nan and ±inf; the numeric
+            # checks name the key only if they see a float.
+            try:
+                params[key] = float(value)
+            except ValueError:
+                params[key] = value  # plain string (e.g. a label)
     return params
 
 
@@ -371,6 +376,8 @@ def _cmd_rank(args, engine: RankingEngine) -> int:
         groups = GroupAssignment(labels)
     if args.repeat < 1:
         raise SystemExit(f"--repeat must be >= 1, got {args.repeat}")
+    if args.seed < 0:
+        raise SystemExit(f"--seed must be >= 0, got {args.seed}")
 
     try:
         problem = FairRankingProblem.from_scores(scores, groups)

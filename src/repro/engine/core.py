@@ -59,7 +59,7 @@ from repro.faults.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.faults.supervisor import FaultCounters, _get_executor, clock_unit
 from repro.engine.registry import algorithm_spec, make_algorithm
 from repro.rankings.permutation import Ranking
-from repro.utils.rng import SeedLike, spawn_seed_sequences
+from repro.utils.rng import SeedLike, check_seed, spawn_seed_sequences
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,9 @@ class RankingRequest:
     params: Mapping[str, Any] = field(default_factory=dict)
     seed: SeedLike = None
     request_id: Any = None
+
+    def __post_init__(self) -> None:
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

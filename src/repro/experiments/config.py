@@ -7,7 +7,7 @@ take minutes, without changing the workload shape.
 Every config carries one execution setting, ``pool``: a
 :class:`~repro.batch.schedule.WorkerPool` handle whose ``n_jobs`` (worker
 budget, ``-1`` = all cores) and ``policy`` (crash-recovery budget) govern
-the experiment's work units and every fan-out inside them.  The default
+the experiment's work units.  The default
 handle runs everything inline.  A composite pipeline like
 :func:`~repro.experiments.runner.run_all` threads one handle through every
 config, so all experiments schedule their work units onto the same process
@@ -45,8 +45,7 @@ class Fig1Config:
     n_samples: int = 200
     n_bootstrap: int = 1000
     seed: int = 2024
-    #: Scheduler handle for the work units and their inner fan-outs; see
-    #: the module docstring.
+    #: Scheduler handle for the work units; see the module docstring.
     pool: WorkerPool = WorkerPool()
 
 
@@ -60,8 +59,7 @@ class Fig2Config:
     n_trials: int = 200
     n_bootstrap: int = 1000
     seed: int = 2024
-    #: Scheduler handle for the work units and their inner fan-outs; see
-    #: the module docstring.
+    #: Scheduler handle for the work units; see the module docstring.
     pool: WorkerPool = WorkerPool()
 
 
@@ -76,8 +74,7 @@ class Fig34Config:
     samples_per_trial: int = 20
     n_bootstrap: int = 1000
     seed: int = 2024
-    #: Scheduler handle for the work units and their inner fan-outs; see
-    #: the module docstring.
+    #: Scheduler handle for the work units; see the module docstring.
     pool: WorkerPool = WorkerPool()
 
 
@@ -97,8 +94,7 @@ class GermanCreditConfig:
     n_bootstrap: int = 1000
     use_milp: bool = False  # exact DP by default; MILP available for audit
     seed: int = 2024
-    #: Scheduler handle for the work units and their inner fan-outs; see
-    #: the module docstring.
+    #: Scheduler handle for the work units; see the module docstring.
     pool: WorkerPool = WorkerPool()
 
     def __post_init__(self) -> None:

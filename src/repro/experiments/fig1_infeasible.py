@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch import WorkUnit, mallows_sample_and_score
+from repro.batch import WorkUnit, batch_infeasible_index
 from repro.datasets.synthetic import engineered_ranking_with_ii
 from repro.experiments.config import Fig1Config
 from repro.fairness.constraints import FairnessConstraints
 from repro.fairness.infeasible_index import infeasible_index
+from repro.mallows.sampling import sample_mallows_batch
 from repro.utils.bootstrap import BootstrapResult, bootstrap_ci
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.tables import format_series
@@ -75,7 +76,7 @@ def _cell_unit(
     theta: float,
     config: Fig1Config,
 ) -> tuple[int, BootstrapResult]:
-    """One (target II, θ) cell: engineer the centre, sample+score, bootstrap.
+    """One (target II, θ) cell: engineer the centre, sample, score, bootstrap.
 
     The generator built from ``seed`` is threaded through sampling and then
     the bootstrap, exactly as the serial loop threads its per-cell rng.
@@ -84,17 +85,9 @@ def _cell_unit(
     center, groups = engineered_ranking_with_ii(target, n=config.n_items)
     constraints = FairnessConstraints.proportional(groups)
     actual_ii = infeasible_index(center, groups, constraints)
-    scored = mallows_sample_and_score(
-        center,
-        theta,
-        config.n_samples,
-        groups=groups,
-        constraints=constraints,
-        seed=rng,
-        pool=config.pool,
-    )
+    orders = sample_mallows_batch(center, theta, config.n_samples, seed=rng)
     ci = bootstrap_ci(
-        scored.infeasible_index.astype(float),
+        batch_infeasible_index(orders, groups, constraints).astype(float),
         n_resamples=config.n_bootstrap,
         seed=rng,
     )
@@ -147,8 +140,7 @@ def collect_fig1(config: Fig1Config, results: dict) -> Fig1Result:
 def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
     """Run the Figure 1 experiment under ``config``.
 
-    The ``(target, θ)`` cells are scheduled through ``config.pool``, and a
-    cell that runs inline shards its rows over the same handle, under its
-    retry policy; output is byte-identical for every worker count.
+    The ``(target, θ)`` cells are scheduled through ``config.pool``, under
+    its retry policy; output is byte-identical for every worker count.
     """
     return collect_fig1(config, config.pool.run(fig1_units(config)))

@@ -7,8 +7,7 @@ Infeasible Index rises toward the maximum.
 Each δ is one independent :class:`~repro.batch.schedule.WorkUnit` (its
 trial block and bootstrap both derive from that δ's own ``SeedSequence``
 child), so the figure interleaves with other experiments through the shared
-pool; inside a pooled unit the per-trial fan-out runs inline (pool children
-never nest pools).  Output is byte-identical for every worker count.
+pool.  Output is byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -50,13 +49,9 @@ class Fig2Result:
 
 
 def _central_ranking_trial(
-    trial_index: int,
-    rng: np.random.Generator,
-    delta: float,
-    group_size: int,
+    rng: np.random.Generator, delta: float, group_size: int
 ) -> np.ndarray:
-    """Trial-pool unit: one score draw's central-ranking order view."""
-    del trial_index  # the trial's stream comes entirely from ``rng``
+    """One trial: one score draw's central-ranking order view."""
     return two_group_shifted_scores(delta, group_size=group_size, seed=rng).ranking.order
 
 
@@ -69,16 +64,13 @@ def _delta_unit(
 ) -> BootstrapResult:
     """One δ: its trial block, batched II scoring, and bootstrap."""
     trial_seq, bootstrap_seq = seed.spawn(2)
-    # The trial block fans out through the same shared pool handle the unit
-    # was scheduled by; inside a pool child it runs inline (no nesting).
-    trial_orders = np.stack(
-        config.pool.run_trials(
-            _central_ranking_trial,
-            config.n_trials,
-            seed=trial_seq,
-            payload=(delta, config.group_size),
+    # Trial t draws from its own SeedSequence child of ``trial_seq``.
+    trial_orders = np.stack([
+        _central_ranking_trial(
+            np.random.default_rng(child), delta, config.group_size
         )
-    )
+        for child in spawn_seed_sequences(trial_seq, config.n_trials)
+    ])
     iis = batch_infeasible_index(trial_orders, groups, constraints).astype(
         np.float64
     )
@@ -124,8 +116,8 @@ def collect_fig2(config: Fig2Config, results: dict) -> Fig2Result:
 def run_fig2(config: Fig2Config = Fig2Config()) -> Fig2Result:
     """Run the Figure 2 experiment under ``config``.
 
-    The per-δ units, and the trial block inside a δ that runs inline, are
-    scheduled through ``config.pool``; per-δ seed children keep the result
-    byte-identical for every worker count under a fixed seed.
+    The per-δ units are scheduled through ``config.pool``; per-δ seed
+    children keep the result byte-identical for every worker count under a
+    fixed seed.
     """
     return collect_fig2(config, config.pool.run(fig2_units(config)))

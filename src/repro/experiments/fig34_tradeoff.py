@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch import WorkUnit, mallows_sample_and_score
+from repro.batch import WorkUnit, batch_infeasible_index, batch_ndcg
 from repro.datasets.synthetic import two_group_shifted_scores
 from repro.experiments.config import Fig34Config
 from repro.fairness.constraints import FairnessConstraints
 from repro.fairness.infeasible_index import infeasible_index
+from repro.mallows.sampling import sample_mallows_batch
 from repro.utils.bootstrap import BootstrapResult, bootstrap_ci
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.tables import format_series
@@ -99,21 +100,13 @@ def _delta_unit(
             infeasible_index(sample.ranking, sample.groups, constraints)
         )
         for theta in config.thetas:
-            # One sampling+scoring pipeline call per theta; inside a pooled
-            # unit it runs inline (pool children never nest pools), and the
-            # output is byte-identical across n_jobs either way.
-            scored = mallows_sample_and_score(
-                sample.ranking,
-                theta,
-                config.samples_per_trial,
-                groups=sample.groups,
-                constraints=constraints,
-                scores=sample.scores,
-                seed=rng,
-                pool=config.pool,
+            orders = sample_mallows_batch(
+                sample.ranking, theta, config.samples_per_trial, seed=rng
             )
-            ii_per_theta[theta].append(float(scored.infeasible_index.mean()))
-            ndcg_per_theta[theta].append(float(scored.ndcg.mean()))
+            ii = batch_infeasible_index(orders, sample.groups, constraints)
+            ii_per_theta[theta].append(float(ii.mean()))
+            ndcg = batch_ndcg(orders, sample.scores)
+            ndcg_per_theta[theta].append(float(ndcg.mean()))
 
     sample_ii = {
         t: bootstrap_ci(np.array(v), n_resamples=config.n_bootstrap, seed=rng)
@@ -166,8 +159,7 @@ def collect_fig34(config: Fig34Config, results: dict) -> Fig34Result:
 def run_fig34(config: Fig34Config = Fig34Config()) -> Fig34Result:
     """Run the Figures 3–4 experiment under ``config``.
 
-    The per-δ units are scheduled through ``config.pool``, and a δ that
-    runs inline shards its samples over the same handle, under its retry
+    The per-δ units are scheduled through ``config.pool``, under its retry
     policy; output is byte-identical for every worker count.
     """
     return collect_fig34(config, config.pool.run(fig34_units(config)))

@@ -149,14 +149,13 @@ def german_credit_units(
     """One work unit per ``(size, repeat)`` cell of the panel.
 
     Each repeat's seed is the same ``SeedSequence`` child the serial
-    ``(size, repeat)`` double loop (via the per-size trial pool) would hand
-    it, so scheduling granularity never shows in the output.  Units are
+    ``(size, repeat)`` double loop would hand it, so scheduling granularity
+    never shows in the output.  Units are
     weighted by subsample size — the solvers dominate and their cost grows
     with ``k`` — so the longest repeats enter the pool first.
 
     ``data`` rides in every unit's payload (~25 KiB pickled): microseconds
-    per submit, noise against a solver repeat, so per-repeat granularity is
-    the better trade than the trial pool's once-per-shard shipping.
+    per submit, noise against a solver repeat.
     """
     size_seqs = spawn_seed_sequences(config.seed, len(config.sizes))
     units: list[WorkUnit] = []

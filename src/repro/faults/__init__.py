@@ -1,13 +1,11 @@
 """Fault tolerance for the shared worker pool: bounded retries,
 deterministic chaos, and a supervised scheduler.
 
-Every pooled path is supervised: experiment units, the row shards of
-:func:`~repro.batch.mallows_sample_and_score`, the trial shards of
-:meth:`~repro.batch.WorkerPool.run_trials` and the engine's served
-requests all reach a worker through the one dispatch loop below, under
-the retry policy of the :class:`~repro.batch.WorkerPool` handle that
-scheduled them and into that handle's counters.  The package splits into
-three small layers:
+Every pooled path is supervised: experiment units and the engine's
+served requests all reach a worker through the one dispatch loop below,
+under the retry policy of the :class:`~repro.batch.WorkerPool` handle
+that scheduled them and into that handle's counters.  The package splits
+into three small layers:
 
 :mod:`repro.faults.policy`
     :class:`RetryPolicy` — the recovery budget (attempts per unit,

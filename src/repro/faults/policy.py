@@ -9,10 +9,8 @@ computed and counted, they just never block.
 
 Every pooled path runs under the policy of the
 :class:`~repro.batch.schedule.WorkerPool` handle that scheduled it:
-experiment units, row shards (``mallows_sample_and_score(pool=)``), trial
-shards (``WorkerPool.run_trials``) and an engine session's served
-requests alike.  A handle built without one carries
-:data:`DEFAULT_RETRY_POLICY`.
+experiment units and an engine session's served requests alike.  A
+handle built without one carries :data:`DEFAULT_RETRY_POLICY`.
 
 Only *crash* faults (worker process death, surfacing as
 ``BrokenProcessPool``) consume budget.  Application faults — the unit's

@@ -1,8 +1,8 @@
 """Supervised pool recovery: crash-fault retries under a bounded budget.
 
 :func:`supervise_units` is the one pooled dispatch loop: every unit that
-reaches a worker process — experiment cells, row and trial shards, served
-requests — arrives through :meth:`repro.batch.schedule.WorkerPool.iter`
+reaches a worker process — experiment units and served requests —
+arrives through :meth:`repro.batch.schedule.WorkerPool.iter`
 and is submitted here, to the shared per-``n_jobs`` executor built by
 :func:`_get_executor` (longest-processing-time order, as-completed
 harvesting).  When the pool collapses (``BrokenProcessPool``: a worker

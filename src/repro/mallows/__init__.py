@@ -17,14 +17,6 @@ from repro.mallows.learning import (
     fit_mallows,
     fit_theta_mle,
 )
-from repro.mallows.mcmc import (
-    plackett_luce_noise,
-    plackett_luce_noise_batch,
-    random_adjacent_swaps,
-    random_adjacent_swaps_batch,
-    sample_mallows_mcmc,
-    sample_mallows_mcmc_batch,
-)
 from repro.mallows.generalized import (
     GeneralizedMallowsModel,
     dispersion_profile,
@@ -51,12 +43,6 @@ __all__ = [
     "fit_mallows",
     "estimate_center_borda",
     "estimate_center_copeland",
-    "sample_mallows_mcmc",
-    "sample_mallows_mcmc_batch",
-    "plackett_luce_noise",
-    "plackett_luce_noise_batch",
-    "random_adjacent_swaps",
-    "random_adjacent_swaps_batch",
     "GeneralizedMallowsModel",
     "dispersion_profile",
     "displacement_vector",

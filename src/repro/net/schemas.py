@@ -134,6 +134,8 @@ def decode_seed(obj: Any, where: str = "seed") -> SeedLike:
     if isinstance(obj, bool):
         raise WireFormatError(f"{where}: expected null, int or object")
     if isinstance(obj, int):
+        if obj < 0:
+            raise WireFormatError(f"{where}: expected a non-negative int")
         return obj
     if isinstance(obj, Mapping):
         entropy = _require(obj, "entropy", where)

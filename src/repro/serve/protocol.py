@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.engine.core import RankingRequest, RankingResponse
 from repro.engine.costs import kind_label
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, check_seed
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,7 @@ class ServeConfig:
             raise ValueError(
                 f"breaker_cooldown must be > 0, got {self.breaker_cooldown}"
             )
+        check_seed(self.seed)
 
 
 class ServeError(RuntimeError):

@@ -31,15 +31,27 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def check_seed(seed: SeedLike) -> None:
+    """Raise :class:`ValueError` if ``seed`` is a negative integer.
+
+    :class:`numpy.random.SeedSequence` rejects one only when a stream is
+    first built from it, which for a served request is inside the batch
+    that carries it; checking where the seed is accepted fails only its
+    own caller.
+    """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def spawn_seed_sequences(seed: SeedLike, n: int) -> list[np.random.SeedSequence]:
     """Create ``n`` statistically independent child :class:`SeedSequence`\\ s.
 
     The light-weight sibling of :func:`spawn_generators`: a ``SeedSequence``
-    is cheap to pickle, so trial-parallel runners ship one per trial to the
-    worker processes and construct the ``Generator`` there.  Constructing a
-    generator from child ``i`` gives exactly the same stream in every
-    process, which is what makes trial fan-out byte-identical to the serial
-    loop (see :meth:`repro.batch.schedule.WorkerPool.run_trials`).
+    is cheap to pickle, so the scheduler ships one per work unit to the
+    worker processes and the unit constructs its ``Generator`` there.
+    Constructing a generator from child ``i`` gives exactly the same stream
+    in every process, which is what makes pooled runs byte-identical to the
+    serial loop (see :mod:`repro.batch.schedule`).
     """
     if n < 0:
         raise ValueError(f"number of generators must be non-negative, got {n}")

@@ -100,14 +100,27 @@ class TestMain:
             (["fig6", "--theta", "-2", "--repeats", "1"], "--theta"),
             (["fig7", "--sigma", "-1", "--repeats", "1"], "--sigma"),
             (["rank", "--algorithm", "mallows", "--scores", "0.9,0.8,0.7",
-              "--groups", "a,b,a", "--param", "theta=nan"], "--param"),
+              "--groups", "a,b,a", "--param", "theta=nan"],
+             "--param: theta must be finite"),
+            (["rank", "--algorithm", "mallows", "--scores", "0.9,0.8,0.7",
+              "--groups", "a,b,a", "--param", "theta=inf"],
+             "--param: theta must be finite"),
+            (["rank", "--algorithm", "mallows", "--scores", "0.9,0.8,0.7",
+              "--groups", "a,b,a", "--param", "theta=-inf"],
+             "--param: theta must be finite"),
             (["rank", "--algorithm", "mallows", "--scores", "0.9,0.8,0.7",
               "--groups", "a,b,a", "--param", "bogus=1"], "--param"),
+            (["rank", "--algorithm", "mallows", "--scores", "0.9,0.8,0.7",
+              "--seed", "-1"], "--seed"),
+            (["serve", "--http", "127.0.0.1:0", "--seed", "-5"],
+             "seed must be a non-negative integer"),
         ],
         ids=["fig1-jobs-0", "serve-jobs-minus-3", "serve-port-99999",
              "fig5-repeats-0", "fig5-theta-nan", "fig6-theta-minus-2",
              "fig7-sigma-minus-1", "rank-param-theta-nan",
-             "rank-param-unknown"],
+             "rank-param-theta-inf", "rank-param-theta-minus-inf",
+             "rank-param-unknown", "rank-seed-minus-1",
+             "serve-seed-minus-5"],
     )
     def test_bad_numbers_exit_with_a_message(self, argv, flag):
         with pytest.raises(SystemExit, match=flag):

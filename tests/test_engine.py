@@ -207,6 +207,13 @@ class TestRankMany:
         moved = [r for r in crowded if r.index == 1][0]
         assert (solo.ranking.order == moved.ranking.order).all()
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+    def test_negative_seed_rejected_at_construction(self, problem, seed):
+        """A negative seed fails its own request, not the batch that
+        would have carried it."""
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            RankingRequest("dp", problem, seed=seed)
+
     def test_default_request_ids_are_indices(self, problem):
         engine = RankingEngine()
         responses = sorted(

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import FairRankingProblem
-from repro.batch import WorkUnit, WorkerPool, mallows_sample_and_score
+from repro.batch import WorkUnit, WorkerPool
 from repro.engine import RankingEngine, RankingRequest, responses_digest
 from repro.exceptions import (
     InjectedFault,
@@ -55,7 +55,6 @@ from repro.faults import (
 from repro.faults import supervisor
 from repro.faults.injection import _install_worker_plan
 from repro.groups.attributes import GroupAssignment
-from repro.rankings.permutation import random_ranking
 from repro.serve import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -111,11 +110,6 @@ def _draw_unit(seed, count):
     return np.random.default_rng(seed).random(count).tolist()
 
 
-def _draw_trial(trial_index, rng):
-    """Seeded trial: its index plus the raw stream identity."""
-    return trial_index, rng.random(3).tolist()
-
-
 def _units(n=6):
     seqs = np.random.SeedSequence(77).spawn(n)
     return [
@@ -128,15 +122,6 @@ def _units(n=6):
         )
         for i in range(n)
     ]
-
-
-def _no_rebuild_pool(counters):
-    """A two-worker handle whose first crash exhausts its budget."""
-    return WorkerPool(
-        2,
-        policy=RetryPolicy(max_rebuilds=0, on_exhausted=DEGRADE_RAISE),
-        counters=counters,
-    )
 
 
 def _problem():
@@ -432,105 +417,6 @@ class TestSupervisedRecovery:
         assert chaos == serial
         assert engine.fault_counters.crash_faults >= 1
         assert engine.fault_counters.rebuilds >= 1
-
-
-class TestSupervisedShards:
-    """Row and trial shards reach workers through the same supervised loop
-    as every other unit, so a crash there is recovered, counted, and
-    byte-invisible."""
-
-    def test_row_shards_survive_worker_crash(self):
-        center = random_ranking(15, seed=3)
-        kwargs = dict(seed=2024, return_orders=True)
-        serial = mallows_sample_and_score(center, 0.7, 700, **kwargs)
-        counters = FaultCounters()
-        with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            chaos = mallows_sample_and_score(
-                center, 0.7, 700, pool=WorkerPool(2, counters=counters),
-                **kwargs,
-            )
-        assert chaos.orders.tobytes() == serial.orders.tobytes()
-        assert counters.crash_faults >= 1
-        assert counters.rebuilds >= 1
-
-    def test_trial_shards_survive_worker_crash(self):
-        serial = WorkerPool().run_trials(_draw_trial, 9, seed=SEED)
-        counters = FaultCounters()
-        with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            chaos = WorkerPool(2, counters=counters).run_trials(
-                _draw_trial, 9, seed=SEED
-            )
-        assert pickle.dumps(chaos) == pickle.dumps(serial)
-        assert counters.crash_faults >= 1
-        assert counters.rebuilds >= 1
-
-    def test_one_cell_fig1_survives_crash_in_its_row_shards(self):
-        """A lone figure cell runs inline, so its row shards — sharded over
-        the workers of the config's one pool handle — are the pooled work
-        the crash hits."""
-        from repro.experiments.config import Fig1Config
-        from repro.experiments.fig1_infeasible import run_fig1
-
-        base = dict(target_iis=(8,), thetas=(0.5,), n_samples=512)
-        serial = run_fig1(Fig1Config(**base))
-        counters = FaultCounters()
-        pool = WorkerPool(2, counters=counters)
-        with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            chaos = run_fig1(Fig1Config(**base, pool=pool))
-        assert chaos.to_text() == serial.to_text()
-        assert chaos.mean_sample_ii == serial.mean_sample_ii
-        assert counters.crash_faults >= 1
-        assert counters.rebuilds >= 1
-
-    def test_one_cell_fig1_row_shards_obey_the_handles_policy(self):
-        """The row shards of a lone cell recover under the config's
-        handle — its policy and its counters — not a default of their
-        own: with no rebuild allowed, the injected crash exhausts the
-        budget and raises."""
-        from repro.experiments.config import Fig1Config
-        from repro.experiments.fig1_infeasible import run_fig1
-
-        counters = FaultCounters()
-        config = Fig1Config(
-            target_iis=(8,), thetas=(0.5,), n_samples=512,
-            pool=_no_rebuild_pool(counters),
-        )
-        with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            with pytest.raises(PoolRecoveryExhausted):
-                run_fig1(config)
-        assert counters.crash_faults == 1
-        assert counters.exhausted_units >= 1
-
-    def test_one_delta_fig34_row_shards_obey_the_handles_policy(self):
-        """As for Fig. 1: a lone δ runs inline, and its per-θ sampling
-        shards over the config's handle under that handle's policy."""
-        from repro.experiments.config import Fig34Config
-        from repro.experiments.fig34_tradeoff import run_fig34
-
-        counters = FaultCounters()
-        config = Fig34Config(
-            deltas=(0.5,), thetas=(0.5,), n_trials=1, samples_per_trial=512,
-            pool=_no_rebuild_pool(counters),
-        )
-        with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            with pytest.raises(PoolRecoveryExhausted):
-                run_fig34(config)
-        assert counters.crash_faults == 1
-        assert counters.exhausted_units >= 1
-
-    def test_worker_pool_run_trials_spends_the_handles_budget(self):
-        counters = FaultCounters()
-        pool = WorkerPool(
-            2,
-            policy=RetryPolicy(
-                max_attempts=1, max_rebuilds=0, on_exhausted=DEGRADE_RAISE
-            ),
-            counters=counters,
-        )
-        with inject_faults(parse_fault_specs(CRASH_ONCE)):
-            with pytest.raises(PoolRecoveryExhausted):
-                pool.run_trials(_draw_trial, 4, seed=SEED)
-        assert counters.crash_faults == 1
 
 
 class TestEngineFaultStats:

@@ -63,7 +63,9 @@ class TestSeeds:
             encode_seed(np.random.default_rng(0))
 
     @pytest.mark.parametrize(
-        "obj", [True, "x", 1.5, {"entropy": "x"}, {"entropy": -1}, {"spawn_key": [1]}]
+        "obj",
+        [True, "x", 1.5, {"entropy": "x"}, {"entropy": -1}, {"spawn_key": [1]},
+         -1],
     )
     def test_bad_seed_payloads_rejected(self, obj):
         with pytest.raises(WireFormatError):

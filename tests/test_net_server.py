@@ -305,6 +305,25 @@ class TestErrorSurface:
         assert error["code"] == "bad_request"
         assert "time_limit" in error["message"]
 
+    def test_negative_seed_fails_only_its_own_request(self):
+        """A ``"seed": -1`` body is refused at the wire, so the three
+        well-formed requests sent with it are served."""
+        bodies = [encode_rank_request(r) for r in _pinned(4)]
+        bodies[1]["seed"] = -1
+
+        async def scenario():
+            async with _Frontend(n_jobs=1) as (server, client):
+                return await asyncio.gather(*(
+                    client.request("POST", "/v1/rank", dumps(body))
+                    for body in bodies
+                ))
+
+        responses = run(scenario())
+        assert [r.status for r in responses] == [200, 400, 200, 200]
+        error = validate_error_body(loads(responses[1].body))
+        assert error["code"] == "bad_request"
+        assert "request.seed" in error["message"]
+
     def test_theta_past_exp_underflow_serves_the_centre(self):
         """At theta = 800, e^{-theta} underflows to 0.0; the sampler still
         serves, and every sample is the centre."""
