@@ -1,15 +1,13 @@
-"""Ablation: the dispersion knob theta, plus the future-work auto-tuner.
+"""Ablation: the dispersion knob theta.
 
 Sweeps theta over a wide range on the German Credit workload, reporting the
-fairness (known & unknown attribute) / efficiency frontier, and exercises
-the tuner that picks the smallest theta meeting an NDCG target.
+fairness (known & unknown attribute) / efficiency frontier.
 """
 
 import numpy as np
 
 from repro.algorithms.base import FairRankingProblem
 from repro.algorithms.mallows_postprocess import MallowsFairRanking
-from repro.algorithms.tuning import tune_theta_for_ndcg
 from repro.datasets.german_credit import synthesize_german_credit
 from repro.fairness.constraints import FairnessConstraints
 from repro.fairness.construction import weakly_fair_ranking
@@ -46,11 +44,11 @@ def _run_sweep():
             float(np.mean(pk)),
             float(np.mean(pu)),
         )
-    return rows, problem
+    return rows
 
 
 def test_ablation_theta_sweep(benchmark, report):
-    rows, problem = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
     text = format_series(
         [f"{t:g}" for t in rows],
         {
@@ -68,25 +66,3 @@ def test_ablation_theta_sweep(benchmark, report):
     ndcgs = [v[0] for v in rows.values()]
     assert all(b >= a - 0.005 for a, b in zip(ndcgs, ndcgs[1:])), ndcgs
     assert ndcgs[-1] > ndcgs[0]
-
-    # The future-work tuner: smallest theta reaching NDCG 0.97 lies inside
-    # the swept bracket and indeed achieves the target.
-    theta_star = tune_theta_for_ndcg(
-        problem.base_ranking, problem.scores, 0.97, m=150, seed=0
-    )
-    assert 0.0 <= theta_star <= 20.0
-
-
-def test_theta_tuner_runtime(benchmark):
-    """Micro-benchmark: one full sampled-bisection tuner call."""
-    data = synthesize_german_credit(seed=0).subsample(30, seed=4)
-    fc = FairnessConstraints.proportional(data.age_sex)
-    base = weakly_fair_ranking(data.credit_amount, data.age_sex, fc)
-    theta = benchmark.pedantic(
-        tune_theta_for_ndcg,
-        args=(base, data.credit_amount, 0.95),
-        kwargs={"m": 100, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    assert theta >= 0.0

@@ -5,8 +5,8 @@ Mareček, Fotakis; ICDE 2024).
 Quickstart
 ----------
 Serving goes through a :class:`~repro.engine.RankingEngine` session: it
-owns the worker pool, the kernel caches and the decode configuration for
-its lifetime, and names every algorithm in the zoo by a registry key
+owns the worker pool and the kernel cache for its lifetime, and names
+every algorithm in the zoo by a registry key
 (``"mallows"``, ``"gmm"``, ``"detconstsort"``, ``"ipf"``, ``"binary-ipf"``,
 ``"ilp"``, ``"dp"``):
 
@@ -80,8 +80,8 @@ The package layers:
   scheduling;
 * :mod:`repro.serve` — the async serving tier over one engine session:
   coalescing micro-batches, cost-priced admission control, per-request
-  deadlines/cancellation, the health circuit breaker, and the synthetic
-  load generator;
+  deadlines/cancellation, the health circuit breaker, and reproducible
+  synthetic request streams;
 * :mod:`repro.net` — the stdlib HTTP/JSON wire frontend over the
   serving tier: sans-IO HTTP/1.1 protocol core, versioned wire schemas,
   the asyncio listener shell, and the keep-alive client;
@@ -89,11 +89,11 @@ The package layers:
   recovery under bounded retries, fault/rebuild telemetry, and the
   deterministic fault-injection harness;
 * :mod:`repro.batch` — the batched evaluation engine: ``(m, n)`` ranking
-  batches, vectorized distance/fairness kernels, the process-pool fan-out
-  and the work-unit scheduler underneath the serving facade;
+  batches, vectorized distance/fairness kernels and the work-unit
+  scheduler underneath the serving facade;
 * :mod:`repro.groups` / :mod:`repro.fairness` — protected attributes,
   two-sided P-fairness, the Infeasible Index;
-* :mod:`repro.mallows` — the Mallows model, exact sampling, learning;
+* :mod:`repro.mallows` — the Mallows model and exact sampling;
 * :mod:`repro.algorithms` — the paper's Mallows post-processor and the
   DetConstSort / ApproxMultiValuedIPF / ILP baselines (+ noisy variants);
 * :mod:`repro.datasets` — German Credit and the synthetic workloads;
@@ -136,7 +136,6 @@ from repro.mallows import (
     sample_mallows,
     sample_mallows_batch,
     expected_kendall_tau,
-    fit_mallows,
 )
 from repro.algorithms import (
     FairRankingAlgorithm,
@@ -202,7 +201,6 @@ __all__ = [
     "sample_mallows",
     "sample_mallows_batch",
     "expected_kendall_tau",
-    "fit_mallows",
     "FairRankingAlgorithm",
     "FairRankingProblem",
     "FairRankingResult",

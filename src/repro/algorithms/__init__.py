@@ -18,7 +18,6 @@ from repro.algorithms.binary_ipf import GrBinaryIPF
 from repro.algorithms.ilp import IlpFairRanking
 from repro.algorithms.dp import DpFairRanking
 from repro.algorithms.noise import noisy_count_bounds
-from repro.algorithms.tuning import tune_theta_for_infeasible_index, tune_theta_for_ndcg
 
 __all__ = [
     "FairRankingAlgorithm",
@@ -37,6 +36,4 @@ __all__ = [
     "IlpFairRanking",
     "DpFairRanking",
     "noisy_count_bounds",
-    "tune_theta_for_ndcg",
-    "tune_theta_for_infeasible_index",
 ]

@@ -52,8 +52,8 @@ class LintConfig:
     # -- REP001: seeded-RNG discipline ------------------------------------
     #: Modules allowed to *construct* generators: the seeding utilities
     #: themselves and the seeded entry points (experiment drivers, dataset
-    #: generators, the load generator).  Everywhere else an RNG must arrive
-    #: as a parameter.
+    #: generators, the synthetic request streams).  Everywhere else an RNG
+    #: must arrive as a parameter.
     rng_entry_points: tuple[str, ...] = (
         "repro.utils.rng",
         "repro.serve.loadgen",

@@ -10,9 +10,8 @@ This subpackage provides the batched building blocks for that workload:
   array conventions);
 * :mod:`repro.batch.kernels` — vectorized many-vs-one / many-vs-many
   distance kernels (Kendall tau, footrule, Spearman, Ulam, Cayley, Hamming,
-  weighted Kendall tau), batched top-``k`` group counts and per-group
-  exposure, and the batched Two-Sided Infeasible Index / percentage of
-  P-fair positions / NDCG;
+  weighted Kendall tau), batched top-``k`` group counts, and the batched
+  Two-Sided Infeasible Index / percentage of P-fair positions / NDCG;
 * :mod:`repro.batch.cache` — a process-wide LRU cache of per-constraint
   bound matrices and per-``(n, theta)`` Mallows position marginals, with
   hit/miss counters and explicit invalidation;
@@ -28,7 +27,7 @@ This subpackage provides the batched building blocks for that workload:
   executor registry, ``n_jobs`` resolution and the nesting guard.
 
 The scalar APIs in :mod:`repro.rankings.distances`,
-:mod:`repro.fairness.infeasible_index` and :mod:`repro.fairness.exposure`
+:mod:`repro.fairness.infeasible_index` and :mod:`repro.rankings.quality`
 remain the reference semantics; every kernel here is a drop-in vectorization
 of the corresponding scalar function (same integers, same floats) and is
 tested for exact agreement.
@@ -46,7 +45,6 @@ from repro.batch.kernels import (
     batch_cayley,
     batch_count_inversions,
     batch_footrule,
-    batch_group_exposures,
     batch_hamming,
     batch_infeasible_breakdown,
     batch_infeasible_index,
@@ -83,7 +81,6 @@ __all__ = [
     "batch_cayley",
     "batch_count_inversions",
     "batch_footrule",
-    "batch_group_exposures",
     "batch_hamming",
     "batch_infeasible_breakdown",
     "batch_infeasible_index",

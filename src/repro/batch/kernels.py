@@ -15,7 +15,6 @@ Each kernel computes the *same* integers/floats as its scalar counterpart
 (:func:`repro.rankings.distances.kendall_tau_distance` and the other
 distance functions of :mod:`repro.rankings.distances`,
 :func:`repro.fairness.infeasible_index.infeasible_index`,
-:func:`repro.fairness.exposure.group_exposures`,
 :func:`repro.rankings.quality.ndcg`) — vectorization never changes results,
 only the per-sample Python overhead.  Large batches are processed in
 row chunks so peak memory stays bounded regardless of ``m``.
@@ -501,48 +500,4 @@ def batch_weighted_kendall_tau(
         top_pos = np.minimum(p[:, :, None], p[:, None, :])
         contrib = w[top_pos] * discordant
         out[lo : lo + p.shape[0]] = contrib.reshape(p.shape[0], -1).sum(axis=1)
-    return out
-
-
-# -- exposure ------------------------------------------------------------------
-
-
-def batch_group_exposures(
-    batch: BatchLike, groups: "GroupAssignment", k: int | None = None
-) -> np.ndarray:
-    """Mean exposure of each group's members per row, ``shape (m, g)`` —
-    same floats as :func:`repro.fairness.exposure.group_exposures` (the
-    accumulation visits items in index order exactly like the scalar
-    ``np.add.at``, so the sums are bit-identical).
-
-    Groups with no members get exposure 0, as in the scalar function.
-    """
-    positions = _batch_positions(batch)
-    m, n = positions.shape
-    _check_n(n, groups.n_items, "ranking and group assignment")
-    g = groups.n_groups
-    k = n if k is None else k
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
-    sizes = groups.group_sizes
-    nonempty = sizes > 0
-    out = np.zeros((m, g), dtype=np.float64)
-    if m == 0:
-        return out
-    # Exposure of item i in row s is the discount of its position (0 beyond
-    # k); padding the discount vector turns that into one gather.
-    disc_pad = np.zeros(n, dtype=np.float64)
-    disc_pad[:k] = position_discounts(k)
-    chunk = max(1, _PREFIX_BUDGET // max(1, n))
-    for lo in range(0, m, chunk):
-        pos = positions[lo : lo + chunk]
-        c = pos.shape[0]
-        item_exposure = disc_pad[pos]
-        # bincount accumulates in input (row-major, item-index) order — the
-        # same sequential order as the scalar kernel's np.add.at.
-        offsets = groups.indices[None, :] + g * np.arange(c, dtype=np.int64)[:, None]
-        totals = np.bincount(
-            offsets.ravel(), weights=item_exposure.ravel(), minlength=c * g
-        ).reshape(c, g)
-        out[lo : lo + c, nonempty] = totals[:, nonempty] / sizes[nonempty]
     return out

@@ -99,7 +99,8 @@ class RankingRequest:
         The :class:`~repro.algorithms.base.FairRankingProblem` to serve.
     params:
         Constructor parameters for the algorithm (e.g. ``theta``,
-        ``n_samples``, ``noise_sigma``); must be picklable.
+        ``n_samples``, ``noise_sigma``): a mapping with ``str`` keys whose
+        values must be picklable.
     seed:
         Per-request seed override.  ``None`` (default) derives the
         request's :class:`~numpy.random.SeedSequence` child from the
@@ -120,7 +121,16 @@ class RankingRequest:
     request_id: Any = None
 
     def __post_init__(self) -> None:
+        # Checked here, not when the batch is built, so that a malformed
+        # request fails only its own caller.
         check_seed(self.seed)
+        if not isinstance(self.params, Mapping):
+            raise TypeError(
+                f"params must be a mapping, got {type(self.params).__name__}"
+            )
+        for key in self.params:
+            if not isinstance(key, str):
+                raise TypeError(f"params keys must be str, got {key!r}")
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ class SolverError(ReproError, RuntimeError):
     """An optimization backend (MILP / matching / DP) failed unexpectedly."""
 
 
-class EstimationError(ReproError, RuntimeError):
-    """Parameter estimation (e.g. Mallows MLE) could not converge."""
-
-
 class DatasetError(ReproError, RuntimeError):
     """A dataset could not be loaded or synthesized consistently."""
 

@@ -18,18 +18,10 @@ from repro.experiments.german_credit_exp import (
     run_german_credit,
     run_table1,
 )
-from repro.experiments.frontier import (
-    FrontierPoint,
-    TradeoffFrontier,
-    compute_tradeoff_frontier,
-)
 from repro.experiments.reporting import write_reports
 from repro.experiments.runner import run_all
 
 __all__ = [
-    "FrontierPoint",
-    "TradeoffFrontier",
-    "compute_tradeoff_frontier",
     "write_reports",
     "run_all",
     "Fig1Config",

@@ -11,20 +11,8 @@ from repro.fairness.infeasible_index import (
     upper_violations,
 )
 from repro.fairness.construction import weakly_fair_ranking
-from repro.fairness.exposure import (
-    DisparateTreatmentResult,
-    disparate_treatment,
-    exposure_parity_gap,
-    exposure_parity_ratio,
-    group_exposures,
-)
 
 __all__ = [
-    "DisparateTreatmentResult",
-    "disparate_treatment",
-    "exposure_parity_gap",
-    "exposure_parity_ratio",
-    "group_exposures",
     "FairnessConstraints",
     "is_fair",
     "is_weakly_fair",

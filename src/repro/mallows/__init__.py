@@ -11,24 +11,15 @@ from repro.mallows.sampling import (
     sample_mallows_batch,
     sample_mallows_rankings,
 )
-from repro.mallows.learning import (
-    estimate_center_borda,
-    estimate_center_copeland,
-    fit_mallows,
-    fit_theta_mle,
-)
 from repro.mallows.generalized import (
     GeneralizedMallowsModel,
     dispersion_profile,
     displacement_vector,
-    fit_generalized_mallows,
 )
 from repro.mallows.marginals import (
-    exact_expected_exposure,
     exact_expected_ndcg,
     expected_positions,
     position_marginals,
-    tune_theta_for_ndcg_exact,
 )
 
 __all__ = [
@@ -39,17 +30,10 @@ __all__ = [
     "sample_mallows",
     "sample_mallows_batch",
     "sample_mallows_rankings",
-    "fit_theta_mle",
-    "fit_mallows",
-    "estimate_center_borda",
-    "estimate_center_copeland",
     "GeneralizedMallowsModel",
     "dispersion_profile",
     "displacement_vector",
-    "fit_generalized_mallows",
     "position_marginals",
     "expected_positions",
     "exact_expected_ndcg",
-    "exact_expected_exposure",
-    "tune_theta_for_ndcg_exact",
 ]

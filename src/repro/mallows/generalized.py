@@ -13,24 +13,20 @@ keeps the *top* of the ranking stable while still randomizing the tail (or
 vice versa) — e.g. preserve the podium of a search results page but shuffle
 the long tail for fairness.
 
-The RIM sampler, the partition function, and the MLE all factor across
-positions, so everything here is exact.
+The RIM sampler and the partition function both factor across positions,
+so everything here is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import EstimationError
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_finite_non_negative
-
-_THETA_MAX = 50.0
 
 
 def _check_thetas(thetas: np.ndarray, n: int) -> np.ndarray:
@@ -184,62 +180,6 @@ def _truncated_geometric_icdf(u: np.ndarray, theta: float, j: int) -> np.ndarray
     tail = 1.0 - q ** (j + 1)
     v = np.floor(np.log1p(-u * tail) / math.log(q))
     return np.clip(v, 0, j).astype(np.int64)
-
-
-def fit_generalized_mallows(
-    rankings: Sequence[Ranking],
-    center: Ranking | None = None,
-) -> GeneralizedMallowsModel:
-    """Maximum-likelihood GMM fit: Borda centre (unless given) + per-position
-    dispersion MLE.
-
-    Each ``θ_j`` solves its own one-dimensional moment equation
-    ``E_{θ_j}[V_j] = mean observed V_j`` (the factorized likelihood), found
-    by bisection.
-    """
-    if not rankings:
-        raise EstimationError("cannot fit a GMM from zero rankings")
-    if center is None:
-        from repro.mallows.learning import estimate_center_borda
-
-        center = estimate_center_borda(rankings)
-    n = len(center)
-    if n < 2:
-        return GeneralizedMallowsModel(center=center, thetas=np.zeros(0))
-
-    v_sum = np.zeros(n - 1, dtype=np.float64)
-    for r in rankings:
-        if len(r) != n:
-            raise EstimationError("all rankings must have the same length")
-        v_sum += displacement_vector(r, center)
-    v_bar = v_sum / len(rankings)
-
-    thetas = np.empty(n - 1, dtype=np.float64)
-    for j in range(1, n):
-        thetas[j - 1] = _solve_theta_j(float(v_bar[j - 1]), j)
-    return GeneralizedMallowsModel(center=center, thetas=thetas)
-
-
-def _solve_theta_j(target: float, j: int, tol: float = 1e-10) -> float:
-    """Solve ``E_θ[V_j] = target`` for ``θ`` (monotone decreasing in θ)."""
-    if target >= j / 2.0:
-        return 0.0
-    if target <= 0.0:
-        return _THETA_MAX
-    lo, hi = 0.0, 1.0
-    while _truncated_geometric_mean(hi, j) > target:
-        hi *= 2.0
-        if hi > _THETA_MAX:
-            return _THETA_MAX
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if _truncated_geometric_mean(mid, j) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return (lo + hi) / 2.0
 
 
 def dispersion_profile(

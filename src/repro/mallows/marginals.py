@@ -12,9 +12,9 @@ yields the exact matrix
 in ``O(n²)`` per row / ``O(n³)`` overall — instant at the paper's scales.
 
 From the marginals, expectations of any per-position functional follow in
-closed form: expected NDCG of a Mallows sample, expected per-item and
-per-group exposure, expected top-k membership.  These power an *exact*
-θ-tuner (no Monte-Carlo jitter) and validate the samplers.
+closed form, such as the expected NDCG of a Mallows sample or the expected
+position of each item.  These are exact references that validate the
+samplers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from repro.groups.attributes import GroupAssignment
 from repro.rankings.permutation import Ranking
 from repro.rankings.quality import idcg, position_discounts
 from repro.utils.validation import check_theta
@@ -119,64 +118,3 @@ def exact_expected_ndcg(center: Ranking, scores: np.ndarray, theta: float) -> fl
     # Item at centre rank r has score s[center.order[r]].
     rank_scores = s[center.order]
     return float((rank_scores[:, None] * m * disc[None, :]).sum() / ideal)
-
-
-def exact_expected_exposure(
-    center: Ranking,
-    theta: float,
-    groups: GroupAssignment,
-    k: int | None = None,
-) -> np.ndarray:
-    """Closed-form mean group exposure under ``M(center, θ)``,
-    ``shape (g,)`` (the exact counterpart of
-    :func:`repro.fairness.exposure.expected_exposure_under_mallows`)."""
-    n = len(center)
-    if groups.n_items != n:
-        raise ValueError(
-            f"group assignment covers {groups.n_items} items for a "
-            f"ranking of {n}"
-        )
-    k = n if k is None else k
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
-    m = position_marginals(n, theta)
-    disc = np.zeros(n, dtype=np.float64)
-    disc[:k] = position_discounts(k)
-    per_rank = m @ disc                      # expected exposure by centre rank
-    per_item = np.empty(n, dtype=np.float64)
-    per_item[center.order] = per_rank
-    g = groups.n_groups
-    totals = np.zeros(g, dtype=np.float64)
-    np.add.at(totals, groups.indices, per_item)
-    sizes = groups.group_sizes
-    out = np.zeros(g, dtype=np.float64)
-    nonempty = sizes > 0
-    out[nonempty] = totals[nonempty] / sizes[nonempty]
-    return out
-
-
-def tune_theta_for_ndcg_exact(
-    center: Ranking,
-    scores: np.ndarray,
-    target_ndcg: float,
-    tol: float = 1e-6,
-    theta_hi: float = 20.0,
-) -> float:
-    """Exact version of the θ tuner: smallest ``θ`` with
-    ``E[NDCG] >= target`` by bisection on the closed-form expectation
-    (monotone in θ).  No Monte-Carlo jitter."""
-    if not 0.0 < target_ndcg <= 1.0:
-        raise ValueError(f"target_ndcg must be in (0, 1], got {target_ndcg}")
-    s = np.asarray(scores, dtype=np.float64)
-    if exact_expected_ndcg(center, s, 0.0) >= target_ndcg:
-        return 0.0
-    if exact_expected_ndcg(center, s, theta_hi) < target_ndcg:
-        return theta_hi
-    lo, hi = 0.0, theta_hi
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if exact_expected_ndcg(center, s, mid) >= target_ndcg:
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -296,7 +296,16 @@ class _MessageParser:
                 400, "bad_content_length", f"invalid Content-Length {raw_length!r}"
             )
         else:
-            length = int(raw_length)
+            # int() refuses a string of more than 4,300 digits; a length
+            # with more digits than the cap is over it without being read.
+            digits = raw_length.lstrip("0") or "0"
+            if len(digits) > len(str(self.limits.max_body_bytes)):
+                return self._fail(
+                    413,
+                    "body_too_large",
+                    f"declared body exceeds {self.limits.max_body_bytes} bytes",
+                )
+            length = int(digits)
         if length > self.limits.max_body_bytes:
             return self._fail(
                 413,

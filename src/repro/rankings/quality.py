@@ -82,19 +82,6 @@ def ndcg_of_order(order: np.ndarray, scores: np.ndarray, discounts: np.ndarray, 
     return float((scores[order[:k]] * discounts).sum() / ideal)
 
 
-def exposure(ranking: RankingLike, k: int | None = None) -> np.ndarray:
-    """Per-item exposure: the discount of the position each item occupies
-    (0 beyond position ``k``).  A building block for exposure-based fairness
-    extensions."""
-    order = _order(ranking)
-    n = order.size
-    k = n if k is None else _check_k(k, n)
-    disc = position_discounts(k)
-    out = np.zeros(n, dtype=np.float64)
-    out[order[:k]] = disc
-    return out
-
-
 def _scores_array(scores: Sequence[float], n: int) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:

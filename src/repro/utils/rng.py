@@ -32,14 +32,26 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
 
 
 def check_seed(seed: SeedLike) -> None:
-    """Raise :class:`ValueError` if ``seed`` is a negative integer.
+    """Raise unless ``seed`` is ``None``, a non-negative integer, a
+    ``SeedSequence`` or a ``Generator``.
 
-    :class:`numpy.random.SeedSequence` rejects one only when a stream is
-    first built from it, which for a served request is inside the batch
-    that carries it; checking where the seed is accepted fails only its
-    own caller.
+    A negative integer raises :class:`ValueError`; anything else, a
+    ``bool`` or a float included, raises :class:`TypeError`.
+    :class:`numpy.random.SeedSequence` rejects a bad seed only when a
+    stream is first built from it, which for a served request is inside
+    the batch that carries it; checking where the seed is accepted fails
+    only its own caller.
     """
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    if seed is None or isinstance(
+        seed, (np.random.SeedSequence, np.random.Generator)
+    ):
+        return
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(
+            "seed must be None, a non-negative integer, a SeedSequence or "
+            f"a Generator, got {type(seed).__name__}"
+        )
+    if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 

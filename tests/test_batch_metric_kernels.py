@@ -1,6 +1,5 @@
 """Exactness of the batched metric kernels added for the remaining scalar
-metrics: footrule, Spearman, Ulam, Cayley, Hamming, weighted Kendall tau and
-per-group exposure.
+metrics: footrule, Spearman, Ulam, Cayley, Hamming and weighted Kendall tau.
 
 Every kernel must produce the *same* integers/floats as its scalar
 counterpart — the property tests compare with exact equality, never with a
@@ -18,15 +17,12 @@ from repro.batch import (
     BatchRankings,
     batch_cayley,
     batch_footrule,
-    batch_group_exposures,
     batch_hamming,
     batch_spearman,
     batch_ulam,
     batch_weighted_kendall_tau,
 )
 from repro.exceptions import LengthMismatchError
-from repro.fairness.exposure import group_exposures
-from repro.groups.attributes import GroupAssignment
 from repro.rankings.distances import (
     cayley_distance,
     footrule_distance,
@@ -99,49 +95,6 @@ def test_weighted_kendall_tau_custom_weights(case, wseed):
     assert np.array_equal(got, expected)
 
 
-@st.composite
-def batch_and_groups(draw):
-    """A random batch plus a group assignment (every group non-empty)."""
-    n = draw(st.integers(min_value=2, max_value=12))
-    g = draw(st.integers(min_value=1, max_value=min(4, n)))
-    labels = list(range(g)) + [
-        draw(st.integers(min_value=0, max_value=g - 1)) for _ in range(n - g)
-    ]
-    m = draw(st.integers(min_value=0, max_value=8))
-    rows = [draw(st.permutations(list(range(n)))) for _ in range(m)]
-    orders = np.array(rows, dtype=np.int64).reshape(m, n)
-    groups = GroupAssignment.from_indices(np.array(labels, dtype=np.int64), g)
-    k = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n)))
-    return orders, groups, k
-
-
-@settings(max_examples=80, deadline=None)
-@given(batch_and_groups())
-def test_group_exposures_match_scalar(case):
-    orders, groups, k = case
-    got = batch_group_exposures(orders, groups, k=k)
-    expected = np.array(
-        [group_exposures(Ranking(row), groups, k=k) for row in orders]
-    ).reshape(orders.shape[0], groups.n_groups)
-    # The kernel accumulates in the scalar np.add.at order: bit-identical.
-    assert np.array_equal(got, expected)
-
-
-def test_group_exposures_empty_group_zero():
-    ga = GroupAssignment.from_indices(np.array([0, 0, 0]), n_groups=2)
-    out = batch_group_exposures(np.array([[0, 1, 2], [2, 1, 0]]), ga)
-    assert np.all(out[:, 1] == 0.0)
-
-
-def test_group_exposures_rejects_bad_k():
-    ga = GroupAssignment.from_indices(np.array([0, 1, 0]))
-    orders = np.array([[0, 1, 2]])
-    with pytest.raises(ValueError):
-        batch_group_exposures(orders, ga, k=4)
-    with pytest.raises(ValueError):
-        batch_group_exposures(orders, ga, k=-1)
-
-
 def test_kernels_accept_batchrankings_and_raw_reference():
     rng = np.random.default_rng(0)
     n = 9
@@ -164,12 +117,6 @@ def test_distance_kernels_reject_length_mismatch(batch_fn):
         batch_fn(orders, Ranking([0, 1, 2, 3]))
 
 
-def test_group_exposures_reject_length_mismatch():
-    ga = GroupAssignment.from_indices(np.array([0, 1, 0, 1]))
-    with pytest.raises(LengthMismatchError):
-        batch_group_exposures(np.array([[0, 1, 2]]), ga)
-
-
 def test_kernels_chunking_is_seamless(monkeypatch):
     """Shrinking the chunk budgets to force many row chunks must not change
     any result."""
@@ -177,18 +124,15 @@ def test_kernels_chunking_is_seamless(monkeypatch):
     n = 11
     orders = np.stack([rng.permutation(n) for _ in range(64)])
     ref = random_ranking(n, seed=5)
-    ga = GroupAssignment.from_indices(np.arange(n) % 3)
     baseline = {
         fn.__name__: fn(orders, ref) for fn, _ in DISTANCE_KERNELS
     }
     baseline["wkt"] = batch_weighted_kendall_tau(orders, ref)
-    baseline["exposure"] = batch_group_exposures(orders, ga)
     monkeypatch.setattr(kernels, "_PREFIX_BUDGET", 1)
     monkeypatch.setattr(kernels, "_PAIR_BUDGET", 1)
     for fn, _ in DISTANCE_KERNELS:
         assert np.array_equal(fn(orders, ref), baseline[fn.__name__])
     assert np.array_equal(batch_weighted_kendall_tau(orders, ref), baseline["wkt"])
-    assert np.array_equal(batch_group_exposures(orders, ga), baseline["exposure"])
 
 
 def test_cayley_large_n_matches_scalar():

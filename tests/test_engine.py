@@ -214,6 +214,38 @@ class TestRankMany:
         with pytest.raises(ValueError, match="seed must be a non-negative"):
             RankingRequest("dp", problem, seed=seed)
 
+    @pytest.mark.parametrize("seed", ["abc", [1, 2], 1.5, True, np.float64(2.0)])
+    def test_non_integer_seed_rejected_at_construction(self, problem, seed):
+        """A float or bool is not a seed, even one ``int()`` accepts; like a
+        negative seed it fails its own request, not the batch."""
+        with pytest.raises(TypeError, match="seed must be None, a non-negative"):
+            RankingRequest("dp", problem, seed=seed)
+
+    @pytest.mark.parametrize(
+        "params", [[("x", 1)], {1: 2}, {1: 2, "theta": 1.0}]
+    )
+    def test_malformed_params_rejected_at_construction(self, problem, params):
+        with pytest.raises(TypeError, match="params"):
+            RankingRequest("mallows", problem, params=params)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            None,
+            5,
+            np.int64(5),
+            np.random.SeedSequence(5),
+            np.random.default_rng(5),
+        ],
+        ids=["none", "int", "int64", "seed-sequence", "generator"],
+    )
+    def test_valid_seeds_accepted(self, problem, seed):
+        request = RankingRequest(
+            "mallows", problem, params={"theta": 0.5}, seed=seed
+        )
+        (response,) = RankingEngine().rank_many([request], seed=0)
+        assert len(response.ranking) == problem.n_items
+
     def test_default_request_ids_are_indices(self, problem):
         engine = RankingEngine()
         responses = sorted(

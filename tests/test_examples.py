@@ -32,7 +32,6 @@ EXPECTED_OUTPUT = {
         "byte-identical to the serial loop: ok",
     ],
     "serving_throughput": ["pool utilization", "byte-identical to the serial loop: ok"],
-    "tradeoff_frontier": ["Fairness/efficiency frontier", "theta* ="],
 }
 
 

@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import EstimationError
 from repro.mallows.generalized import (
     GeneralizedMallowsModel,
     dispersion_profile,
     displacement_vector,
-    fit_generalized_mallows,
 )
 from repro.mallows.model import MallowsModel, expected_kendall_tau
 from repro.rankings.distances import kendall_tau_distance
@@ -137,35 +135,6 @@ class TestSampling:
         a = gmm.sample_orders(5, seed=9)
         b = gmm.sample_orders(5, seed=9)
         assert np.array_equal(a, b)
-
-
-class TestFit:
-    def test_recovers_heterogeneous_thetas(self):
-        true = np.array([0.3, 0.3, 2.0, 2.0, 0.5, 0.5, 1.0])
-        gmm = GeneralizedMallowsModel(identity(8), thetas=true)
-        samples = gmm.sample(4000, seed=4)
-        fitted = fit_generalized_mallows(samples, center=gmm.center)
-        assert np.allclose(fitted.thetas, true, rtol=0.25, atol=0.15)
-
-    def test_borda_center_used_when_omitted(self):
-        center = random_ranking(7, seed=5)
-        gmm = GeneralizedMallowsModel.standard(center, 2.0)
-        samples = gmm.sample(500, seed=6)
-        fitted = fit_generalized_mallows(samples)
-        assert fitted.center == center
-
-    def test_point_mass_gives_max_theta(self):
-        center = identity(5)
-        fitted = fit_generalized_mallows([center] * 20, center=center)
-        assert np.all(fitted.thetas >= 10.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(EstimationError):
-            fit_generalized_mallows([])
-
-    def test_single_item(self):
-        fitted = fit_generalized_mallows([identity(1)], center=identity(1))
-        assert fitted.thetas.size == 0
 
 
 class TestDispersionProfile:

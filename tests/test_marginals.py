@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.fairness.exposure import expected_exposure_under_mallows
-from repro.groups.attributes import GroupAssignment
 from repro.mallows.marginals import (
-    exact_expected_exposure,
     exact_expected_ndcg,
     expected_positions,
     position_marginals,
-    tune_theta_for_ndcg_exact,
 )
 from repro.mallows.model import MallowsModel
 from repro.mallows.sampling import sample_mallows_batch
-from repro.rankings.permutation import Ranking, all_rankings, identity, random_ranking
+from repro.rankings.permutation import Ranking, all_rankings, identity
 from repro.rankings.quality import idcg, ndcg, position_discounts
 
 
@@ -107,68 +103,3 @@ class TestExactExpectedNdcg:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             exact_expected_ndcg(Ranking([0, 1]), np.ones(3), 1.0)
-
-
-class TestExactExpectedExposure:
-    def test_matches_monte_carlo(self):
-        ga = GroupAssignment(["a"] * 5 + ["b"] * 5)
-        center = Ranking(np.arange(10))  # group a on top
-        theta = 0.4
-        exact = exact_expected_exposure(center, theta, ga)
-        mc = expected_exposure_under_mallows(center, theta, ga, m=8000, seed=2)
-        assert np.allclose(exact, mc, atol=0.01)
-
-    def test_huge_theta_equals_center_exposure(self):
-        from repro.fairness.exposure import group_exposures
-
-        ga = GroupAssignment(["a"] * 4 + ["b"] * 4)
-        center = random_ranking(8, seed=3)
-        exact = exact_expected_exposure(center, 40.0, ga)
-        assert np.allclose(exact, group_exposures(center, ga), atol=1e-9)
-
-    def test_topk_cutoff(self):
-        ga = GroupAssignment(["a"] * 5 + ["b"] * 5)
-        center = Ranking(np.arange(10))
-        full = exact_expected_exposure(center, 1.0, ga)
-        top3 = exact_expected_exposure(center, 1.0, ga, k=3)
-        assert np.all(top3 <= full + 1e-12)
-
-    def test_validation(self):
-        ga = GroupAssignment(["a", "b"])
-        with pytest.raises(ValueError):
-            exact_expected_exposure(Ranking([0, 1, 2]), 1.0, ga)
-        with pytest.raises(ValueError):
-            exact_expected_exposure(Ranking([0, 1]), 1.0, ga, k=5)
-
-
-class TestExactTuner:
-    def test_achieves_target_exactly(self):
-        scores = np.linspace(1.0, 0.1, 10)
-        center = Ranking(np.arange(10))
-        target = 0.95
-        theta = tune_theta_for_ndcg_exact(center, scores, target)
-        assert exact_expected_ndcg(center, scores, theta) == pytest.approx(
-            target, abs=1e-3
-        )
-
-    def test_minimality(self):
-        scores = np.linspace(1.0, 0.1, 10)
-        center = Ranking(np.arange(10))
-        theta = tune_theta_for_ndcg_exact(center, scores, 0.95)
-        assert exact_expected_ndcg(center, scores, theta * 0.9) < 0.95
-
-    def test_agrees_with_sampled_tuner(self):
-        from repro.algorithms.tuning import tune_theta_for_ndcg
-
-        scores = np.linspace(1.0, 0.1, 10)
-        center = Ranking(np.arange(10))
-        exact = tune_theta_for_ndcg_exact(center, scores, 0.95)
-        sampled = tune_theta_for_ndcg(center, scores, 0.95, m=500, seed=0)
-        assert sampled == pytest.approx(exact, rel=0.35)
-
-    def test_trivial_target(self):
-        assert tune_theta_for_ndcg_exact(Ranking([0, 1]), np.zeros(2), 0.5) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tune_theta_for_ndcg_exact(Ranking([0, 1]), np.ones(2), 1.5)

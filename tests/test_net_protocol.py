@@ -10,6 +10,8 @@ material, and only the thin shell needs a real listener.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.protocol import (
     DEFAULT_MAX_BODY_BYTES,
@@ -220,6 +222,22 @@ class TestLimits:
         assert isinstance(event, HttpRequest)
         assert event.body == b"abcd"
 
+    def test_content_length_past_int_digit_limit_413(self):
+        """``int()`` refuses strings of more than 4,300 digits: the parser
+        must answer 413, not raise out of ``feed``."""
+        wire = req(["POST / HTTP/1.1", "Host: x", "Content-Length: " + "1" * 5000])
+        event = only(RequestParser().feed(wire))
+        assert isinstance(event, ProtocolViolation)
+        assert (event.status, event.code) == (413, "body_too_large")
+
+    def test_leading_zeros_do_not_count_against_the_cap(self):
+        wire = req(
+            ["POST / HTTP/1.1", "Host: x", "Content-Length: " + "0" * 5000 + "4"]
+        )
+        event = only(RequestParser().feed(wire + b"abcd"))
+        assert isinstance(event, HttpRequest)
+        assert event.body == b"abcd"
+
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             HttpLimits(max_header_bytes=1)
@@ -308,6 +326,74 @@ class TestEncoders:
     def test_unknown_status_gets_placeholder_reason(self):
         event = only(ResponseParser().feed(encode_response(299)))
         assert event.reason == "Unknown"
+
+
+#: Small limits, so that generated streams cross both of them.
+FUZZ_LIMITS = HttpLimits(max_header_bytes=96, max_body_bytes=16)
+
+
+@st.composite
+def request_bytes(draw) -> bytes:
+    """One well-formed request, sometimes over :data:`FUZZ_LIMITS`."""
+    method = draw(st.sampled_from(["GET", "POST"]))
+    target = draw(st.sampled_from(["/", "/healthz", "/v1/rank", "/v1/rank_many"]))
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    body = draw(st.binary(max_size=24))
+    lines = [f"{method} {target} {version}", f"Content-Length: {len(body)}"]
+    connection = draw(st.sampled_from([None, "keep-alive", "close"]))
+    if connection is not None:
+        lines.append(f"Connection: {connection}")
+    pad = draw(st.integers(min_value=0, max_value=40))
+    if pad:
+        lines.append("X-Pad: " + "a" * pad)
+    return req(lines) + body
+
+
+@st.composite
+def mutated_streams(draw) -> tuple[bytes, list[int]]:
+    """Concatenated requests with a few random byte edits, plus the
+    points at which to split them."""
+    data = bytearray(
+        b"".join(draw(st.lists(request_bytes(), min_size=1, max_size=4)))
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        byte = draw(st.integers(min_value=0, max_value=255))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if edit == "replace":
+                data[at] = byte
+            else:
+                del data[at]
+    cuts = draw(
+        st.lists(st.integers(min_value=0, max_value=len(data)), max_size=8)
+    )
+    return bytes(data), sorted(cuts)
+
+
+class TestParserFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_streams())
+    def test_events_are_well_formed_and_split_invariant(self, case):
+        """Whatever the bytes and however they are split, ``feed`` never
+        raises, emits only requests and violations, emits nothing after
+        a violation, keeps every body within the limit, and emits the
+        same events as one whole feed."""
+        data, cuts = case
+        whole = RequestParser(FUZZ_LIMITS).feed(data)
+        parser = RequestParser(FUZZ_LIMITS)
+        pieces = []
+        for lo, hi in zip([0, *cuts], [*cuts, len(data)]):
+            pieces.extend(parser.feed(data[lo:hi]))
+        assert pieces == whole
+        for i, event in enumerate(whole):
+            assert isinstance(event, (HttpRequest, ProtocolViolation))
+            if isinstance(event, ProtocolViolation):
+                assert i == len(whole) - 1
+            else:
+                assert len(event.body) <= FUZZ_LIMITS.max_body_bytes
 
 
 class TestSansIOContract:

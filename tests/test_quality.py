@@ -1,4 +1,4 @@
-"""Tests for CG / DCG / IDCG / NDCG and exposure."""
+"""Tests for CG / DCG / IDCG / NDCG."""
 
 import math
 
@@ -12,7 +12,6 @@ from repro.rankings.permutation import Ranking, identity, random_ranking
 from repro.rankings.quality import (
     cumulative_gain,
     dcg,
-    exposure,
     idcg,
     ndcg,
     ndcg_of_order,
@@ -113,20 +112,3 @@ class TestCumulativeGain:
 
     def test_topk(self):
         assert cumulative_gain(Ranking([2, 1, 0]), [1.0, 2.0, 4.0], k=1) == 4.0
-
-
-class TestExposure:
-    def test_top_item_gets_biggest_exposure(self):
-        e = exposure(Ranking([2, 0, 1]))
-        assert e[2] > e[0] > e[1]
-
-    def test_beyond_k_zero(self):
-        e = exposure(Ranking([2, 0, 1]), k=1)
-        assert e[2] > 0
-        assert e[0] == 0 and e[1] == 0
-
-    def test_invariant_total_mass(self, rng):
-        # Total exposure depends only on n, not the ranking.
-        a = exposure(random_ranking(10, seed=1)).sum()
-        b = exposure(random_ranking(10, seed=2)).sum()
-        assert a == pytest.approx(b)

@@ -108,6 +108,13 @@ class TestLifecycle:
         assert server.config.cost_budget == 0.5
         assert server.config.max_batch_size == 8
 
+    @pytest.mark.parametrize(
+        "seed, error", [(1.5, TypeError), ("abc", TypeError), (-1, ValueError)]
+    )
+    def test_config_rejects_a_malformed_seed(self, seed, error):
+        with pytest.raises(error, match="seed must be"):
+            ServeConfig(seed=seed)
+
     def test_stop_without_drain_fails_pending_with_server_closed(self):
         async def scenario():
             engine = RankingEngine(n_jobs=2)
