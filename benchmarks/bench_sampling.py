@@ -1,14 +1,10 @@
-"""Substrate micro-benchmarks: Mallows sampling throughput and the races
-between the three RIM decodes.
+"""Substrate micro-benchmarks: Mallows sampling throughput and the race
+between the two RIM decodes.
 
-Two perf tripwires, each asserting bit-identical outputs before any timing
-claim counts:
-
-* ``test_fenwick_decode_wins_at_large_n``: at ``n = 2000`` the Fenwick
-  order-statistic path must beat the ``O(m·n²)`` chunked decode;
-* ``test_insertion_decode_wins_on_small_batches``: at the paper's
-  Algorithm 1 batch sizes (``m = 1`` and ``m = 15``, ``n = 100``) the
-  insertion decode must beat the chunked decode by a wide margin.
+One perf tripwire, asserting bit-identical outputs before any timing claim
+counts: ``test_insertion_decode_wins_on_small_batches``, at the paper's
+Algorithm 1 batch sizes (``m = 1`` and ``m = 15``, ``n = 100``), requires
+the insertion decode to beat the chunked decode by a wide margin.
 
 ``test_small_n_stays_on_chunked_path`` pins the dispatcher to the chunked
 decode for batches of at least ``CHUNKED_MIN_ROWS`` rows at paper-scale
@@ -22,7 +18,6 @@ import pytest
 
 from repro.mallows.sampling import (
     CHUNKED_MIN_ROWS,
-    FENWICK_MIN_ITEMS,
     _decode_method,
     _displacement_draws,
     _orders_from_displacements,
@@ -50,52 +45,6 @@ def test_rim_batch_10k_samples_n50(benchmark):
     center = random_ranking(50, seed=0)
     orders = benchmark(sample_mallows_batch, center, 0.5, 10_000, 0)
     assert orders.shape == (10_000, 50)
-
-
-def test_fenwick_decode_wins_at_large_n(fast_mode, report):
-    """At n = 2000 the O(m·n·log n) Fenwick decode must beat the O(m·n²)
-    chunked decode (the ``--fast`` smoke shrinks ``m``, where the Fenwick
-    per-call overhead amortizes less, and relaxes the threshold to a
-    no-regression check)."""
-    n = 2_000
-    m = 1_024 if fast_mode else 2_048
-    threshold = 1.0 if fast_mode else 1.2
-    rng = np.random.default_rng(0)
-    v = _displacement_draws(n, 0.5, m, rng)
-    center = random_ranking(n, seed=1).order
-
-    chunked_s = fenwick_s = np.inf
-    for _ in range(2 if fast_mode else 3):
-        t0 = time.perf_counter()
-        chunked = _orders_from_displacements(center, v, method="chunked")
-        chunked_s = min(chunked_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fenwick = _orders_from_displacements(center, v, method="fenwick")
-        fenwick_s = min(fenwick_s, time.perf_counter() - t0)
-
-    # The decodes must agree bit-for-bit before any speed claim counts, and
-    # the auto dispatcher must route this shape to the Fenwick path.
-    assert np.array_equal(chunked, fenwick)
-    assert _decode_method(m, n) == "fenwick"
-
-    speedup = chunked_s / fenwick_s
-    report(
-        "RIM decode — chunked vs Fenwick at large n",
-        (
-            f"m={m} samples, n={n} items, crossover n>={FENWICK_MIN_ITEMS}\n"
-            f"chunked decode : {chunked_s * 1e3:9.1f} ms\n"
-            f"Fenwick decode : {fenwick_s * 1e3:9.1f} ms\n"
-            f"speedup        : {speedup:9.2f}x (required >= {threshold:g}x)"
-        ),
-        metrics={
-            "m": m, "n": n, "chunked_s": chunked_s, "fenwick_s": fenwick_s,
-            "speedup": speedup, "crossover": FENWICK_MIN_ITEMS,
-        },
-    )
-    assert speedup >= threshold, (
-        f"Fenwick decode only {speedup:.2f}x vs the chunked decode at "
-        f"m={m}, n={n} (required >= {threshold:g}x)"
-    )
 
 
 def test_insertion_decode_wins_on_small_batches(report):
@@ -149,8 +98,8 @@ def test_insertion_decode_wins_on_small_batches(report):
 def test_small_n_stays_on_chunked_path():
     """Batches of at least ``CHUNKED_MIN_ROWS`` rows at paper-scale ``n``
     (``n <= 500``), the serving shape ``m = 400`` among them, must keep
-    dispatching to the chunked decode, and the other two decodes must
-    match it bit-for-bit there."""
+    dispatching to the chunked decode, and the insertion decode must match
+    it bit-for-bit there."""
     for n in (50, 500):
         for m in (CHUNKED_MIN_ROWS, 400, 10_000):
             assert _decode_method(m, n) == "chunked"
@@ -158,5 +107,5 @@ def test_small_n_stays_on_chunked_path():
         v = _displacement_draws(n, 0.5, 64, rng)
         center = random_ranking(n, seed=4).order
         auto = _orders_from_displacements(center, v)
-        for method in ("chunked", "insertion", "fenwick"):
+        for method in ("chunked", "insertion"):
             assert np.array_equal(auto, _orders_from_displacements(center, v, method=method))

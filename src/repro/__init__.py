@@ -115,7 +115,6 @@ from repro.rankings import (
     rank_by_score,
 )
 from repro.batch import (
-    BatchRankings,
     batch_infeasible_index,
     batch_kendall_tau,
     batch_ndcg,
@@ -183,7 +182,6 @@ __all__ = [
     "idcg",
     "ndcg",
     "rank_by_score",
-    "BatchRankings",
     "batch_infeasible_index",
     "batch_kendall_tau",
     "batch_ndcg",

@@ -86,7 +86,6 @@ class LintConfig:
         "repro.rankings",
         "repro.datasets",
         "repro.batch.cache",
-        "repro.batch.container",
         "repro.batch.kernels",
         "repro.batch.parallel",
         "repro.utils",

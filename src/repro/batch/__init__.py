@@ -4,11 +4,9 @@ The Monte-Carlo experiments of the paper (Figs. 1-7, German Credit) all
 reduce to "draw thousands of Mallows samples, score every sample, aggregate".
 This subpackage provides the batched building blocks for that workload:
 
-* :class:`~repro.batch.container.BatchRankings` — ``m`` rankings of ``n``
-  items stored as a single ``(m, n)`` integer array with order and position
-  views (see the module docstring of :mod:`repro.batch.container` for the
-  array conventions);
-* :mod:`repro.batch.kernels` — vectorized many-vs-one / many-vs-many
+* :mod:`repro.batch.kernels` — vectorized kernels over ``m`` rankings of
+  ``n`` items held as one ``(m, n)`` integer order array (see its module
+  docstring for the array conventions): many-vs-one / many-vs-many
   distance kernels (Kendall tau, footrule, Spearman, Ulam, Cayley, Hamming,
   weighted Kendall tau), batched top-``k`` group counts, and the batched
   Two-Sided Infeasible Index / percentage of P-fair positions / NDCG;
@@ -40,7 +38,6 @@ from repro.batch.cache import (
     active_cache,
     use_cache,
 )
-from repro.batch.container import BatchRankings, as_batch_orders
 from repro.batch.kernels import (
     batch_cayley,
     batch_count_inversions,
@@ -69,7 +66,6 @@ from repro.batch.parallel import (
 from repro.batch.schedule import CompletedUnit, WorkerPool, WorkUnit
 
 __all__ = [
-    "BatchRankings",
     "CacheStats",
     "CompletedUnit",
     "DEFAULT_CACHE",
@@ -77,7 +73,6 @@ __all__ = [
     "WorkUnit",
     "WorkerPool",
     "active_cache",
-    "as_batch_orders",
     "batch_cayley",
     "batch_count_inversions",
     "batch_footrule",

@@ -2,12 +2,16 @@
 
 Array conventions
 -----------------
-Every kernel takes a batch in *order* view — an ``(m, n)`` integer array (or
-:class:`~repro.batch.container.BatchRankings`) whose row ``s`` lists the item
-at each position of sample ``s``, top first — and returns one value (or one
-small vector) per row.  Group assignments and fairness constraints follow the
-scalar modules: ``groups.indices[i]`` is the dense group of item ``i`` and
-bounds come from ``constraints.count_bounds_matrix``.
+Every kernel takes a batch in *order* view — an ``(m, n)`` integer array
+whose row ``s`` lists the item at each position of sample ``s``, top first,
+as :attr:`repro.rankings.permutation.Ranking.order` does for one ranking —
+and returns one value (or one small vector) per row.  Rows are trusted to
+be permutations of ``0..n-1``.  Kernels that need the inverse *position*
+view (``positions[s, i]``, the position sample ``s`` gives item ``i``, as
+in ``Ranking.positions``) derive it per call.  Group assignments and
+fairness constraints follow the scalar modules: ``groups.indices[i]`` is
+the dense group of item ``i`` and bounds come from
+``constraints.count_bounds_matrix``.
 
 Exactness
 ---------
@@ -31,12 +35,11 @@ engine session's private cache installed via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.batch.cache import active_cache
-from repro.batch.container import BatchRankings, as_batch_orders, _invert_rows
 from repro.exceptions import LengthMismatchError
 from repro.rankings.permutation import Ranking
 from repro.rankings.quality import idcg, position_discounts
@@ -46,19 +49,34 @@ if TYPE_CHECKING:  # imported lazily to keep repro.batch import-cycle-free
     from repro.fairness.constraints import FairnessConstraints
     from repro.groups.attributes import GroupAssignment
 
-BatchLike = Union[BatchRankings, np.ndarray, Sequence[Sequence[int]]]
-
 #: Row-chunking budgets: elements per temporary tensor, not bytes.  Chunks
 #: keep the working set cache-friendly and peak memory flat in ``m``.
 _PAIR_BUDGET = 1 << 24   # rows x n(n-1)/2 pair table for inversion counting
 _PREFIX_BUDGET = 1 << 22  # rows x n x g prefix-count tensor
 
 
-def _batch_positions(batch: BatchLike) -> np.ndarray:
-    """Position view of a batch (cached when a BatchRankings is passed)."""
-    if isinstance(batch, BatchRankings):
-        return batch.positions
-    return _invert_rows(as_batch_orders(batch))
+def _batch_orders(batch: np.ndarray) -> np.ndarray:
+    """A kernel's batch argument as an ``(m, n)`` int64 order array."""
+    orders = np.asarray(batch, dtype=np.int64)
+    if orders.ndim != 2:
+        raise ValueError(
+            f"batch orders must be a 2-D (m, n) array, got shape {orders.shape}"
+        )
+    return orders
+
+
+def _batch_positions(batch: np.ndarray) -> np.ndarray:
+    """Position view of a batch: the row-wise inverse permutation."""
+    orders = _batch_orders(batch)
+    m, n = orders.shape
+    positions = np.empty_like(orders)
+    np.put_along_axis(
+        positions,
+        orders,
+        np.broadcast_to(np.arange(n, dtype=np.int64), (m, n)),
+        axis=1,
+    )
+    return positions
 
 
 def _reference_order(reference: "Ranking | Sequence[int] | np.ndarray") -> np.ndarray:
@@ -81,7 +99,7 @@ def _reference_views(
 
 
 def _aligned_positions(
-    batch: BatchLike, reference: "Ranking | Sequence[int] | np.ndarray"
+    batch: np.ndarray, reference: "Ranking | Sequence[int] | np.ndarray"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch position view plus reference views, length-checked."""
     positions = _batch_positions(batch)
@@ -127,7 +145,7 @@ def batch_count_inversions(seqs: np.ndarray) -> np.ndarray:
 
 
 def batch_kendall_tau(
-    batch: BatchLike, reference: "Ranking | Sequence[int] | np.ndarray"
+    batch: np.ndarray, reference: "Ranking | Sequence[int] | np.ndarray"
 ) -> np.ndarray:
     """Many-vs-one Kendall tau: ``d_KT(row_s, reference)`` for every row,
     ``shape (m,)``.
@@ -142,11 +160,11 @@ def batch_kendall_tau(
     return batch_count_inversions(positions[:, ref_order])
 
 
-def batch_kendall_tau_pairwise(a: BatchLike, b: BatchLike) -> np.ndarray:
+def batch_kendall_tau_pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-aligned many-vs-many Kendall tau: ``d_KT(a_s, b_s)`` per row,
     ``shape (m,)``."""
     pa = _batch_positions(a)
-    ob = as_batch_orders(b)
+    ob = _batch_orders(b)
     if pa.shape != ob.shape:
         raise LengthMismatchError(
             f"batches must have the same shape, got {pa.shape} and {ob.shape}"
@@ -154,15 +172,15 @@ def batch_kendall_tau_pairwise(a: BatchLike, b: BatchLike) -> np.ndarray:
     return batch_count_inversions(np.take_along_axis(pa, ob, axis=1))
 
 
-def kendall_tau_matrix(a: BatchLike, b: BatchLike) -> np.ndarray:
+def kendall_tau_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full many-vs-many cross matrix ``D[s, t] = d_KT(a_s, b_t)``,
     ``shape (ma, mb)``.
 
     Iterates the smaller side, reusing the many-vs-one kernel per reference,
     so cost is ``min(ma, mb)`` kernel launches over the larger batch.
     """
-    oa = as_batch_orders(a)
-    ob = as_batch_orders(b)
+    oa = _batch_orders(a)
+    ob = _batch_orders(b)
     _check_n(oa.shape[1], ob.shape[1], "rankings")
     ma, mb = oa.shape[0], ob.shape[0]
     out = np.empty((ma, mb), dtype=np.int64)
@@ -189,7 +207,7 @@ def _group_of_positions(orders: np.ndarray, groups: "GroupAssignment") -> np.nda
 
 
 def batch_prefix_group_counts(
-    batch: BatchLike, groups: "GroupAssignment"
+    batch: np.ndarray, groups: "GroupAssignment"
 ) -> np.ndarray:
     """Cumulative group counts per prefix for every row.
 
@@ -199,20 +217,20 @@ def batch_prefix_group_counts(
     :func:`repro.fairness.checks.prefix_group_counts`.  Materializes the full
     tensor; the violation kernels below chunk it internally instead.
     """
-    orders = as_batch_orders(batch)
+    orders = _batch_orders(batch)
     grp = _group_of_positions(orders, groups)
     one_hot = grp[:, :, None] == np.arange(groups.n_groups, dtype=np.int64)
     return one_hot.cumsum(axis=1, dtype=np.int64)
 
 
 def batch_topk_group_counts(
-    batch: BatchLike, groups: "GroupAssignment", k: int
+    batch: np.ndarray, groups: "GroupAssignment", k: int
 ) -> np.ndarray:
     """Members of each group among the top-``k`` of every row, ``shape (m, g)``.
 
     ``k`` is clamped to ``[0, n]`` like :meth:`Ranking.prefix`.
     """
-    orders = as_batch_orders(batch)
+    orders = _batch_orders(batch)
     m, n = orders.shape
     g = groups.n_groups
     _check_n(n, groups.n_items, "ranking and group assignment")
@@ -228,14 +246,14 @@ def batch_topk_group_counts(
 
 
 def batch_violation_masks(
-    batch: BatchLike,
+    batch: np.ndarray,
     groups: "GroupAssignment",
     constraints: "FairnessConstraints",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-prefix violation masks ``(lower_violated, upper_violated)``, each
     boolean of ``shape (m, n)`` — row ``s``, column ``ℓ-1`` says whether the
     length-``ℓ`` prefix of sample ``s`` violates that side."""
-    orders = as_batch_orders(batch)
+    orders = _batch_orders(batch)
     m, n = orders.shape
     grp = _group_of_positions(orders, groups)
     g = groups.n_groups
@@ -294,7 +312,7 @@ class BatchInfeasibleBreakdown:
 
 
 def batch_infeasible_breakdown(
-    batch: BatchLike,
+    batch: np.ndarray,
     groups: "GroupAssignment",
     constraints: "FairnessConstraints",
 ) -> BatchInfeasibleBreakdown:
@@ -309,7 +327,7 @@ def batch_infeasible_breakdown(
 
 
 def batch_infeasible_index(
-    batch: BatchLike,
+    batch: np.ndarray,
     groups: "GroupAssignment",
     constraints: "FairnessConstraints",
 ) -> np.ndarray:
@@ -318,7 +336,7 @@ def batch_infeasible_index(
 
 
 def batch_percent_fair(
-    batch: BatchLike,
+    batch: np.ndarray,
     groups: "GroupAssignment",
     constraints: "FairnessConstraints",
 ) -> np.ndarray:
@@ -330,7 +348,7 @@ def batch_percent_fair(
 
 
 def batch_ndcg(
-    batch: BatchLike,
+    batch: np.ndarray,
     scores: Sequence[float] | np.ndarray,
     k: int | None = None,
 ) -> np.ndarray:
@@ -340,7 +358,7 @@ def batch_ndcg(
     score sum over the top ``k``, normalized by the ideal DCG; 1.0 when the
     ideal DCG is zero).
     """
-    orders = as_batch_orders(batch)
+    orders = _batch_orders(batch)
     m, n = orders.shape
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.size != n:
@@ -362,7 +380,7 @@ def batch_ndcg(
 
 
 def batch_footrule(
-    batch: BatchLike, reference: "Ranking | Sequence[int] | np.ndarray"
+    batch: np.ndarray, reference: "Ranking | Sequence[int] | np.ndarray"
 ) -> np.ndarray:
     """Many-vs-one Spearman footrule ``Σᵢ |π_s(i) − σ(i)|`` per row,
     ``shape (m,)`` — same integers as
@@ -372,7 +390,7 @@ def batch_footrule(
 
 
 def batch_spearman(
-    batch: BatchLike, reference: "Ranking | Sequence[int] | np.ndarray"
+    batch: np.ndarray, reference: "Ranking | Sequence[int] | np.ndarray"
 ) -> np.ndarray:
     """Many-vs-one Spearman distance ``Σᵢ (π_s(i) − σ(i))²`` per row,
     ``shape (m,)`` — same integers as
@@ -383,7 +401,7 @@ def batch_spearman(
 
 
 def batch_hamming(
-    batch: BatchLike, reference: "Ranking | Sequence[int] | np.ndarray"
+    batch: np.ndarray, reference: "Ranking | Sequence[int] | np.ndarray"
 ) -> np.ndarray:
     """Many-vs-one Hamming distance (positions holding different items) per
     row, ``shape (m,)`` — same integers as
@@ -393,7 +411,7 @@ def batch_hamming(
 
 
 def batch_cayley(
-    batch: BatchLike, reference: "Ranking | Sequence[int] | np.ndarray"
+    batch: np.ndarray, reference: "Ranking | Sequence[int] | np.ndarray"
 ) -> np.ndarray:
     """Many-vs-one Cayley distance (minimum transpositions) per row,
     ``shape (m,)`` — same integers as
@@ -433,7 +451,7 @@ def batch_cayley(
 
 
 def batch_ulam(
-    batch: BatchLike, reference: "Ranking | Sequence[int] | np.ndarray"
+    batch: np.ndarray, reference: "Ranking | Sequence[int] | np.ndarray"
 ) -> np.ndarray:
     """Many-vs-one Ulam distance (``n`` − longest common subsequence) per
     row, ``shape (m,)`` — same integers as
@@ -467,7 +485,7 @@ def batch_ulam(
 
 
 def batch_weighted_kendall_tau(
-    batch: BatchLike,
+    batch: np.ndarray,
     reference: "Ranking | Sequence[int] | np.ndarray",
     weights: Sequence[float] | np.ndarray | None = None,
 ) -> np.ndarray:

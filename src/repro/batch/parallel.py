@@ -18,6 +18,7 @@ therefore always runs inline instead of forking grandchildren.
 from __future__ import annotations
 
 import atexit
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 #: Live executors keyed by worker count, reused across pipeline calls
@@ -27,6 +28,12 @@ _EXECUTORS: dict[int, ProcessPoolExecutor] = {}
 #: True in pool-child processes (set by the executor initializer); pool
 #: children must never spawn pools of their own.
 _IN_WORKER = False
+
+#: Ceiling on ``n_jobs`` per CPU.  Under ``fork`` a process pool forks every
+#: worker at its first submit, so an unbounded request would start that
+#: many processes at once; four per core still lets ``n_jobs=4`` run on a
+#: single-core host.
+_MAX_JOBS_PER_CPU = 4
 
 
 def _init_worker(plan: object = None) -> None:
@@ -57,13 +64,19 @@ def in_worker() -> bool:
 
 def resolve_n_jobs(n_jobs: int) -> int:
     """Normalize an ``n_jobs`` request: ``-1`` means all cores, otherwise
-    the value must be a positive integer."""
+    the value must be a positive integer of at most
+    ``_MAX_JOBS_PER_CPU × os.cpu_count()``."""
+    cpus = max(1, os.cpu_count() or 1)
     if n_jobs == -1:
-        import os
-
-        return max(1, os.cpu_count() or 1)
+        return cpus
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1 or -1 (all cores), got {n_jobs}")
+    ceiling = _MAX_JOBS_PER_CPU * cpus
+    if n_jobs > ceiling:
+        raise ValueError(
+            f"n_jobs must be <= {ceiling} ({_MAX_JOBS_PER_CPU} x cpu_count "
+            f"{cpus}), got {n_jobs}"
+        )
     return int(n_jobs)
 
 

@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "(figure cells, per-delta trial blocks, German Credit panel "
                 "repeats) are scheduled onto one shared process pool; 'all' "
                 "flattens every experiment into a single task graph so the "
-                "whole pipeline scales with the core count.  Workloads too "
-                "small to amortize the pool run inline"
+                "whole pipeline scales with the core count.  A lone work "
+                "unit runs inline.  N may be at most 4 per CPU"
             ),
         )
         p.add_argument(
@@ -536,6 +536,16 @@ def _explain_finding(result, spec: tuple[str, str, int]) -> int:
     return 2
 
 
+#: The ``serve`` flag that sets each validated ``ServeConfig`` field.
+_SERVE_FLAGS = {
+    "max_batch_size": "--max-batch",
+    "max_queue_depth": "--queue-depth",
+    "cost_budget": "--budget",
+    "default_deadline": "--deadline",
+    "seed": "--seed",
+}
+
+
 def _cmd_serve(args, engine: RankingEngine) -> int:
     """The ``serve`` subcommand: the HTTP frontend over one engine session,
     until SIGTERM/SIGINT."""
@@ -558,7 +568,9 @@ def _cmd_serve(args, engine: RankingEngine) -> int:
             seed=args.seed,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        # ServeConfig names the field first; the user typed the flag.
+        field = str(exc).split()[0]
+        raise SystemExit(f"{_SERVE_FLAGS.get(field, field)}: {exc}")
 
     async def session():
         server = HttpRankingServer(engine, config, host=host, port=int(port_text))

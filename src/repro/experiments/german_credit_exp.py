@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import FairRankingProblem
-from repro.batch import (
-    BatchRankings,
-    WorkUnit,
-    batch_ndcg,
-    batch_percent_fair,
-)
+from repro.batch import WorkUnit, batch_ndcg, batch_percent_fair
 from repro.engine.registry import make_algorithm
 from repro.datasets.german_credit import (
     GermanCreditData,
@@ -41,6 +36,7 @@ from repro.exceptions import InfeasibleProblemError
 from repro.experiments.config import GermanCreditConfig
 from repro.fairness.constraints import FairnessConstraints
 from repro.fairness.construction import weakly_fair_ranking
+from repro.rankings.permutation import Ranking
 from repro.utils.bootstrap import BootstrapResult, bootstrap_ci
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.tables import format_series, format_table
@@ -314,7 +310,7 @@ def _one_repeat(
         ),
     }
 
-    rankings: dict[str, object] = {}
+    rankings: dict[str, Ranking] = {}
     for name, alg in algorithms.items():
         try:
             result = alg.rank(problem, seed=rng)
@@ -331,7 +327,7 @@ def _one_repeat(
     # All algorithm outputs rank the same `size` items, so every metric of
     # the repeat is three batched kernel calls instead of a scalar call per
     # (algorithm, metric) pair.
-    batch = BatchRankings.from_rankings(rankings.values())
+    batch = np.stack([ranking.order for ranking in rankings.values()])
     pfair_known = batch_percent_fair(batch, known, constraints_known)
     pfair_unknown = batch_percent_fair(batch, unknown, constraints_unknown)
     ndcgs = batch_ndcg(batch, scores)

@@ -6,11 +6,7 @@ from repro.mallows.model import (
     log_partition_function,
     partition_function,
 )
-from repro.mallows.sampling import (
-    sample_mallows,
-    sample_mallows_batch,
-    sample_mallows_rankings,
-)
+from repro.mallows.sampling import sample_mallows, sample_mallows_batch
 from repro.mallows.generalized import (
     GeneralizedMallowsModel,
     dispersion_profile,
@@ -29,7 +25,6 @@ __all__ = [
     "expected_kendall_tau",
     "sample_mallows",
     "sample_mallows_batch",
-    "sample_mallows_rankings",
     "GeneralizedMallowsModel",
     "dispersion_profile",
     "displacement_vector",

@@ -14,7 +14,9 @@ vice versa) — e.g. preserve the podium of a search results page but shuffle
 the long tail for fairness.
 
 The RIM sampler and the partition function both factor across positions,
-so everything here is exact.
+so everything here is exact.  Sampling goes through the standard model's
+sampler (:mod:`repro.mallows.sampling`): the same inverse CDF, applied once
+per insertion with that insertion's ``θ_j``, and the same decode.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mallows.sampling import _displacement_icdf, _orders_from_displacements
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_finite_non_negative
@@ -148,16 +151,9 @@ class GeneralizedMallowsModel:
             return np.empty((m, 0), dtype=np.int64)
         u = rng.random((m, n - 1))
         v = np.zeros((m, n), dtype=np.int64)
-        for j in range(1, n):
-            v[:, j] = _truncated_geometric_icdf(u[:, j - 1], self.thetas[j - 1], j)
-        out = np.empty((m, n), dtype=np.int64)
-        center_list = self.center.order.tolist()
-        for s in range(m):
-            current: list[int] = []
-            for j in range(n):
-                current.insert(j - int(v[s, j]), center_list[j])
-            out[s] = current
-        return out
+        for j, theta in enumerate(self.thetas.tolist(), start=1):
+            v[:, j] = _displacement_icdf(u[:, j - 1], theta, j)
+        return _orders_from_displacements(self.center.order, v)
 
     def sample(self, m: int = 1, seed: SeedLike = None) -> list[Ranking]:
         """Draw ``m`` exact samples as :class:`Ranking` objects."""
@@ -166,20 +162,13 @@ class GeneralizedMallowsModel:
 
 def _truncated_geometric_mean(theta: float, j: int) -> float:
     """Mean of ``P(v) ∝ e^{−θ v}`` on ``{0..j}``."""
-    if theta == 0.0:
+    q = math.exp(-theta)
+    if q >= 1.0:
+        # theta == 0, or e^{-theta} rounds to 1: the sampler draws V_j
+        # uniformly there (see ``_displacement_icdf``), and the formula
+        # below would divide by 1 - q = 0.
         return j / 2.0
-    q = math.exp(-theta)
     return q / (1.0 - q) - (j + 1) * q ** (j + 1) / (1.0 - q ** (j + 1))
-
-
-def _truncated_geometric_icdf(u: np.ndarray, theta: float, j: int) -> np.ndarray:
-    """Inverse CDF of ``P(v) ∝ e^{−θ v}`` on ``{0..j}`` applied to ``u``."""
-    if theta == 0.0:
-        return np.floor(u * (j + 1)).astype(np.int64)
-    q = math.exp(-theta)
-    tail = 1.0 - q ** (j + 1)
-    v = np.floor(np.log1p(-u * tail) / math.log(q))
-    return np.clip(v, 0, j).astype(np.int64)
 
 
 def dispersion_profile(

@@ -8,22 +8,23 @@ new discordant pairs, so drawing ``v`` from the truncated geometric
 Mallows-distributed.  All the ``v`` draws are independent, which lets us
 vectorize them across a whole batch with one inverse-CDF transform.
 
-Sample materialization is dispatched between three bit-identical decodes:
+Both Mallows models draw through this module: the standard model with one
+``θ`` for every insertion (:func:`sample_mallows_batch`), and the
+Generalized Mallows model of :mod:`repro.mallows.generalized` with one per
+insertion.  They share the truncated-geometric inverse CDF
+(:func:`_displacement_icdf`) and the decode below.
+
+Sample materialization is dispatched between two bit-identical decodes:
 
 * the **insertion decode** (:func:`_decode_insertion`) replays each row's
   insertions with ``list.insert`` on Python ints — ``O(m·n²)`` memmove
   work but no NumPy call per item, so it wins on small batches;
 * the **chunked decode** (:func:`_decode_chunk`) accumulates the final
   position of every item column-by-column over the ``(m, n)`` displacement
-  matrix — ``O(n)`` NumPy calls but ``O(m·n²)`` elementwise work;
-* the **Fenwick decode** (:func:`_decode_chunk_fenwick`) replays the
-  insertions in reverse with a batch of Fenwick (binary-indexed) trees: the
-  item inserted at step ``j`` lands in the ``(j − v_j + 1)``-th still-empty
-  slot of the final order, an order-statistic select that the tree answers
-  in ``O(log n)`` — ``O(m·n·log n)`` work overall.
+  matrix — ``O(n)`` NumPy calls but ``O(m·n²)`` elementwise work.
 
-All three replay the same insertion process exactly (integer arithmetic
-only), so their outputs are bit-for-bit identical to each other and to the
+Both replay the same insertion process exactly (integer arithmetic only),
+so their outputs are bit-for-bit identical to each other and to the
 sequential insertion loop the test suite keeps as a private reference.  The
 dispatcher picks by batch shape.
 
@@ -46,28 +47,9 @@ Over ``n = 10..500`` at ``θ = 0.7`` the insertion decode took 0.36–0.95 of
 the chunked decode's time at ``m = 32`` and 0.66–1.17 at ``m = 64``; below
 32 rows it won at every ``n`` tried (10 to 2000), ``θ = 0`` included.  So
 batches of fewer than ``CHUNKED_MIN_ROWS`` (32) rows decode by insertion at
-any ``n``: the paper's Algorithm 1 draws ``m = 1`` or ``m = 15`` samples per
-German Credit input.
-
-For larger batches the chunked decode is the default.  Measured wall-clock
-against the Fenwick decode (``θ = 0.5``, ``m = 2048``):
-
-======  ==============  ==============
-``n``   chunked decode  Fenwick decode
-======  ==============  ==============
-   500       199 ms         358 ms
-  1000       397 ms         390 ms
-  1408       771 ms         629 ms
-  2000      1296 ms         880 ms
-  4000     ~4800 ms       ~2600 ms
-======  ==============  ==============
-
-The constant factors favour the chunked decode up to ``n ≈ 1000`` (and for
-small batches, where the Fenwick per-call overhead cannot amortize), so the
-crossover is a fixed, conservative shape rule: Fenwick runs only when
-``n >= 1024 and m >= 512``.  Paper-scale batches (``n <= 500``) never reach
-it.  Because the three paths agree bit-for-bit, no dispatch point ever
-affects results.
+any ``n``, and larger batches decode chunked: the paper's Algorithm 1
+draws ``m = 1`` or ``m = 15`` samples per German Credit input.  Because
+the two paths agree bit-for-bit, the dispatch point never affects results.
 """
 
 from __future__ import annotations
@@ -76,12 +58,11 @@ import math
 
 import numpy as np
 
-from repro.batch.container import BatchRankings
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_theta
 
-#: Batch rows at or above which the vectorized decodes take over; smaller
+#: Batch rows at or above which the chunked decode takes over; smaller
 #: batches decode by insertion (see the timing table in the module
 #: docstring: the crossover lies between 32 and 64 rows).
 CHUNKED_MIN_ROWS = 32
@@ -90,19 +71,35 @@ CHUNKED_MIN_ROWS = 32
 #: comparison buffer resident in cache, which is worth ~2x at large ``m``.
 _DECODE_CHUNK = 8192
 
-#: ``n`` at or above which the Fenwick decode takes over (see the crossover
-#: table in the module docstring).  ``n <= 500`` is always safely below it,
-#: keeping the paper-scale workloads on the chunked path.
-FENWICK_MIN_ITEMS = 1024
 
-#: Minimum batch rows for the Fenwick decode: below this the per-call NumPy
-#: overhead of the ``O(log n)`` descent dominates and the chunked decode
-#: wins even at large ``n``.
-FENWICK_MIN_ROWS = 512
+def _displacement_icdf(
+    u: np.ndarray, theta: float, j: "int | np.ndarray"
+) -> np.ndarray:
+    """Inverse CDF of the RIM displacement law ``P(v) ∝ q^v`` on
+    ``{0..j}``, ``q = e^{−θ}``, applied to the uniforms ``u``.
 
-#: Byte budget for one chunk of Fenwick trees; bounds the working set so the
-#: trees stay cache-resident (an int16 tree row is ``2 * (N + 1)`` bytes).
-_FENWICK_CHUNK_BYTES = 1 << 23
+    ``j`` is the insertion index: an ``int`` when ``u`` holds one insertion
+    (one ``θ`` per insertion, as in the Generalized Mallows model), or a
+    float array broadcast against the columns of ``u`` (one ``θ`` for them
+    all).
+    """
+    q = math.exp(-theta) if theta > 0.0 else 1.0
+    if q >= 1.0:
+        # theta == 0, or so small that e^{-theta} rounds to 1: the law is
+        # (indistinguishable from) uniform over {0..j}, and the geometric
+        # inverse CDF below would divide by log(1) = 0.
+        return np.floor(u * (j + 1.0)).astype(np.int64)
+    if q == 0.0:
+        # e^{-theta} underflows (theta > ~745): every draw is 0, so the
+        # sample is the centre.  ``u`` is still drawn by the caller, so the
+        # generator advances exactly as for any other theta.
+        return np.zeros(u.shape, dtype=np.int64)
+    # CDF(v) = (1 − q^{v+1}) / (1 − q^{j+1});  inverse transform:
+    #   v = floor( log(1 − u·(1 − q^{j+1})) / log q )
+    # ``q ** (j + 1.0)`` is np.power for an array ``j``, float pow for an int.
+    tail = 1.0 - q ** (j + 1.0)
+    v = np.floor(np.log1p(-u * tail) / math.log(q))
+    return np.clip(v, 0, j).astype(np.int64)
 
 
 def _displacement_draws(n: int, theta: float, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,24 +110,7 @@ def _displacement_draws(n: int, theta: float, m: int, rng: np.random.Generator) 
     ``P(v) ∝ q^v`` with ``q = e^{−θ}``.
     """
     u = rng.random((m, n))
-    j = np.arange(n, dtype=np.float64)
-    q = math.exp(-theta) if theta > 0.0 else 1.0
-    if q >= 1.0:
-        # theta == 0, or so small that e^{-theta} rounds to 1: the law is
-        # (indistinguishable from) uniform over {0..j}, and the geometric
-        # inverse CDF below would divide by log(1) = 0.
-        return np.floor(u * (j + 1.0)).astype(np.int64)
-    if q == 0.0:
-        # e^{-theta} underflows (theta > ~745): every draw is 0, so the
-        # sample is the centre.  ``u`` is still drawn above, so the
-        # generator advances exactly as for any other theta.
-        return np.zeros((m, n), dtype=np.int64)
-    # CDF(v) = (1 − q^{v+1}) / (1 − q^{j+1});  inverse transform:
-    #   v = floor( log(1 − u·(1 − q^{j+1})) / log q )
-    tail = 1.0 - np.power(q, j + 1.0)
-    v = np.floor(np.log1p(-u * tail) / math.log(q))
-    v = np.clip(v, 0, j).astype(np.int64)
-    return v
+    return _displacement_icdf(u, theta, np.arange(n, dtype=np.float64))
 
 
 def _decode_insertion(center_order: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -175,80 +155,9 @@ def _decode_chunk(
     )
 
 
-def _fenwick_tree_row(n: int, size: int) -> np.ndarray:
-    """The Fenwick tree of an all-ones occupancy array over ``n`` slots,
-    padded to ``size`` (a power of two): entry ``i`` (1-indexed) covers the
-    slot range ``(i − lowbit(i), i]``, so its count has the closed form
-    ``clip(min(i, n) − (i − lowbit(i)), 0, lowbit(i))``."""
-    idx = np.arange(1, size + 1, dtype=np.int64)
-    lowbit = idx & -idx
-    counts = np.clip(np.minimum(idx, n) - (idx - lowbit), 0, lowbit)
-    # Counts reach n at the root; int16 keeps the trees cache-resident for
-    # every realistic n, with an int32 escape hatch above its range.
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    return counts.astype(dtype)
-
-
-def _decode_chunk_fenwick(
-    center_order: np.ndarray, vT: np.ndarray, out: np.ndarray
-) -> None:
-    """Decode one chunk of transposed displacements ``vT`` of ``shape (n, c)``
-    into the order rows ``out`` of ``shape (c, n)`` in ``O(n log n)`` per
-    sample.
-
-    Replays the insertions in reverse: once the items inserted after step
-    ``j`` occupy their final slots, item ``j`` — which sits at index
-    ``p = j − v[j]`` among the first ``j + 1`` items — occupies the
-    ``(p + 1)``-th still-empty slot.  Each sample's slot occupancy lives in
-    a Fenwick tree (all trees advance in lockstep, one level per NumPy
-    call): a top-down descent selects the ``(p + 1)``-th empty slot and a
-    point update marks it taken.  The update walks ``base + s`` with
-    ``s → s + lowbit(s)`` for a fixed ``log2(N) + 1`` steps; once a
-    sample's path leaves the tree its writes are clipped onto a scrap
-    column that no descent ever reads, which keeps the loop branch-free.
-    """
-    n, c = vT.shape
-    size = 1 << max(0, (n - 1).bit_length())  # power of two >= n
-    levels = size.bit_length() - 1
-    row_w = size + 1  # + 1 scrap column absorbing out-of-tree update writes
-    tree_row = _fenwick_tree_row(n, size)
-    tree = np.empty((c, row_w), dtype=tree_row.dtype)
-    tree[:, :size] = tree_row
-    flat = tree.ravel()
-    base = np.arange(c, dtype=np.int64) * row_w
-    pos = np.empty((n, c), dtype=np.int64)
-    k = np.empty(c, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        # Rank of item j's final slot among the still-empty slots, 1-indexed.
-        np.subtract(j + 1, vT[j], out=k, casting="unsafe")
-        bp = base.copy()
-        step = size >> 1
-        while step:
-            counts = flat.take(bp + (step - 1))
-            descend = counts < k
-            k -= counts * descend
-            bp += step * descend
-            step >>= 1
-        slot = bp - base
-        pos[j] = slot
-        if j == 0:
-            break
-        s = slot + 1
-        for _ in range(levels + 1):
-            flat[base + np.minimum(s, row_w) - 1] -= 1
-            s += s & -s
-    np.put_along_axis(
-        out, pos.T, np.broadcast_to(center_order, (c, n)), axis=1
-    )
-
-
 def _decode_method(m: int, n: int) -> str:
-    """Shape-based dispatch between the three bit-identical decodes."""
-    if m < CHUNKED_MIN_ROWS:
-        return "insertion"
-    if n >= FENWICK_MIN_ITEMS and m >= FENWICK_MIN_ROWS:
-        return "fenwick"
-    return "chunked"
+    """Shape-based dispatch between the two bit-identical decodes."""
+    return "insertion" if m < CHUNKED_MIN_ROWS else "chunked"
 
 
 def _orders_from_displacements(
@@ -260,14 +169,12 @@ def _orders_from_displacements(
     ``j − v[j]`` (i.e. ``v[j]`` slots before the current end).  Batches of
     fewer than ``CHUNKED_MIN_ROWS`` rows replay the insertions directly;
     larger batches decode with the chunked position accumulator (``O(n)``
-    NumPy calls, ``O(m·n²)`` elementwise work in a cache-sized dtype), and
-    past the fixed crossover (see the module docstring) large-``n`` batches
-    use the Fenwick order-statistic decode (``O(m·n·log n)``).  All three
-    are bit-for-bit identical to the sequential insertion loop; ``method``
-    (``"auto"``/``"insertion"``/``"chunked"``/``"fenwick"``) forces a path
-    for tests and benchmarks.
+    NumPy calls, ``O(m·n²)`` elementwise work in a cache-sized dtype).
+    Both are bit-for-bit identical to the sequential insertion loop;
+    ``method`` (``"auto"``/``"insertion"``/``"chunked"``) forces a path for
+    tests and benchmarks.
     """
-    if method not in ("auto", "insertion", "chunked", "fenwick"):
+    if method not in ("auto", "insertion", "chunked"):
         raise ValueError(f"unknown decode method {method!r}")
     m, n = v.shape
     out = np.empty((m, n), dtype=np.int64)
@@ -279,15 +186,6 @@ def _orders_from_displacements(
         _decode_insertion(center_order, v, out)
         return out
     vT = np.ascontiguousarray(v.T)
-    if method == "fenwick":
-        size = 1 << max(0, (n - 1).bit_length())
-        chunk = max(32, _FENWICK_CHUNK_BYTES // (2 * (size + 1)))
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            _decode_chunk_fenwick(
-                center_order, np.ascontiguousarray(vT[:, lo:hi]), out[lo:hi]
-            )
-        return out
     # Positions fit the smallest dtype that can hold 0..n-1; smaller elements
     # mean proportionally less memory traffic in the decode loop.
     dtype = np.dtype(np.int16) if n <= np.iinfo(np.int16).max else np.dtype(np.int64)
@@ -321,22 +219,6 @@ def sample_mallows_batch(
     return _orders_from_displacements(center.order, v)
 
 
-def sample_mallows_rankings(
-    center: Ranking,
-    theta: float,
-    m: int,
-    seed: SeedLike = None,
-) -> BatchRankings:
-    """Draw ``m`` exact Mallows samples as a :class:`BatchRankings` container.
-
-    Same draws as :func:`sample_mallows_batch` (identical under the same
-    seed); the container adds the cached position view and per-row accessors
-    that the batch kernels consume.
-    """
-    orders = sample_mallows_batch(center, theta, m, seed=seed)
-    return BatchRankings(orders, validate=False)
-
-
 def sample_mallows(
     center: Ranking,
     theta: float,
@@ -346,17 +228,3 @@ def sample_mallows(
     """Draw ``m`` exact Mallows samples as :class:`Ranking` objects."""
     orders = sample_mallows_batch(center, theta, m, seed=seed)
     return [Ranking(row) for row in orders]
-
-
-def sample_displacements_total(
-    n: int, theta: float, m: int, seed: SeedLike = None
-) -> np.ndarray:
-    """Draw only the total KT distances of ``m`` Mallows samples (no
-    permutation materialization) — handy for statistical tests of the
-    sampler and for fast expected-distance estimation."""
-    check_theta(theta)
-    rng = as_generator(seed)
-    if m == 0 or n == 0:
-        return np.zeros(m, dtype=np.int64)
-    v = _displacement_draws(n, theta, m, rng)
-    return v.sum(axis=1)

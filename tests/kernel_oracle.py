@@ -1,4 +1,5 @@
-"""Reference implementations of four German Credit kernels.
+"""Reference implementations of four German Credit kernels and the
+Generalized Mallows sampler.
 
 These are verbatim copies of the array-per-step versions of
 ``weakly_fair_ranking`` (with its ``_feasible_groups`` Hall check),
@@ -6,12 +7,21 @@ These are verbatim copies of the array-per-step versions of
 ``_bubble_up``) and ``feasible_position_intervals``.  The shipped kernels
 compute the same results with incremental bookkeeping over Python scalars;
 ``test_kernel_equivalence.py`` requires them to agree with these copies
-byte for byte — orders, values, metadata and error messages.  Nothing in
-``src/`` imports this module.
+byte for byte — orders, values, metadata and error messages.
+
+``gmm_sample_orders`` and ``_gmm_icdf`` are the Generalized Mallows
+model's former private sampler: its ``sample_orders`` method, which
+decoded row by row with ``list.insert``, and its per-insertion inverse
+CDF.  The bodies are verbatim; only the names differ, and the method's
+``self`` is now its first argument.  The shipped model draws through the
+shared RIM sampler of :mod:`repro.mallows.sampling`;
+``test_mallows_generalized.py`` requires the same orders wherever this
+copy returns.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -383,3 +393,40 @@ def feasible_position_intervals(
             due = np.flatnonzero(lowers >= t)
             latest[item] = (due[0]) if due.size else (n - 1)
     return earliest, latest
+
+
+# -- repro.mallows.generalized ----------------------------------------------------
+
+
+def gmm_sample_orders(self, m: int, seed: SeedLike = None) -> np.ndarray:
+    """Draw ``m`` exact samples as an ``(m, n)`` order-view array."""
+    if m < 0:
+        raise ValueError(f"sample count must be non-negative, got {m}")
+    rng = as_generator(seed)
+    n = self.n
+    if m == 0:
+        return np.empty((0, n), dtype=np.int64)
+    if n == 0:
+        return np.empty((m, 0), dtype=np.int64)
+    u = rng.random((m, n - 1))
+    v = np.zeros((m, n), dtype=np.int64)
+    for j in range(1, n):
+        v[:, j] = _gmm_icdf(u[:, j - 1], self.thetas[j - 1], j)
+    out = np.empty((m, n), dtype=np.int64)
+    center_list = self.center.order.tolist()
+    for s in range(m):
+        current: list[int] = []
+        for j in range(n):
+            current.insert(j - int(v[s, j]), center_list[j])
+        out[s] = current
+    return out
+
+
+def _gmm_icdf(u: np.ndarray, theta: float, j: int) -> np.ndarray:
+    """Inverse CDF of ``P(v) ∝ e^{−θ v}`` on ``{0..j}`` applied to ``u``."""
+    if theta == 0.0:
+        return np.floor(u * (j + 1)).astype(np.int64)
+    q = math.exp(-theta)
+    tail = 1.0 - q ** (j + 1)
+    v = np.floor(np.log1p(-u * tail) / math.log(q))
+    return np.clip(v, 0, j).astype(np.int64)

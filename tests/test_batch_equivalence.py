@@ -2,13 +2,15 @@
 
 The legacy per-sample insertion loop (the original
 ``_orders_from_displacements``) is kept here as the reference semantics;
-the vectorized decode in :mod:`repro.mallows.sampling` must reproduce it
+both decodes in :mod:`repro.mallows.sampling` must reproduce it
 exactly — same displacement matrix in, same orders out — across every theta
 regime and ranking size, including the chunk boundary of the decoder.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mallows.sampling import (
     _DECODE_CHUNK,
@@ -65,6 +67,25 @@ def test_seeded_sampler_matches_legacy_pipeline(theta, n):
     assert np.array_equal(
         sample_mallows_batch(center, theta, m, seed=42), expected
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=120),
+    m=st.integers(min_value=1, max_value=80),
+    theta=st.floats(min_value=0.0, max_value=6.0) | st.just(800.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_every_decode_matches_legacy_on_random_shapes(n, m, theta, seed):
+    """Both decodes, forced or dispatched, equal the reference loop; ``m``
+    falls on both sides of the insertion decode's row limit."""
+    rng = np.random.default_rng(seed)
+    v = _displacement_draws(n, theta, m, rng)
+    center = np.random.default_rng(seed + 1).permutation(n)
+    expected = _legacy_orders_from_displacements(center, v)
+    for method in ("insertion", "chunked", "auto"):
+        got = _orders_from_displacements(center, v, method=method)
+        assert np.array_equal(got, expected), method
 
 
 def test_decode_across_chunk_boundary():

@@ -3,8 +3,8 @@ metrics: footrule, Spearman, Ulam, Cayley, Hamming and weighted Kendall tau.
 
 Every kernel must produce the *same* integers/floats as its scalar
 counterpart — the property tests compare with exact equality, never with a
-tolerance — across sizes, batch shapes, chunk boundaries, and both raw-array
-and :class:`BatchRankings` inputs.
+tolerance — across sizes, batch shapes, chunk boundaries, and both array and
+nested-list inputs.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import repro.batch.kernels as kernels
 from repro.batch import (
-    BatchRankings,
     batch_cayley,
     batch_footrule,
     batch_hamming,
@@ -95,11 +94,11 @@ def test_weighted_kendall_tau_custom_weights(case, wseed):
     assert np.array_equal(got, expected)
 
 
-def test_kernels_accept_batchrankings_and_raw_reference():
+def test_kernels_accept_nested_lists_and_raw_reference():
     rng = np.random.default_rng(0)
     n = 9
     orders = np.stack([rng.permutation(n) for _ in range(25)])
-    batch = BatchRankings(orders)
+    batch = orders.tolist()
     ref = random_ranking(n, seed=2)
     for batch_fn, _scalar_fn in DISTANCE_KERNELS:
         assert np.array_equal(

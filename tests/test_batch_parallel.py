@@ -43,6 +43,18 @@ class TestSharding:
         with pytest.raises(ValueError):
             resolve_n_jobs(-2)
 
+    def test_resolve_n_jobs_allows_at_most_four_per_cpu(self, monkeypatch):
+        ceiling = 4 * max(1, os.cpu_count() or 1)
+        assert resolve_n_jobs(ceiling) == ceiling
+        with pytest.raises(ValueError, match=f"n_jobs must be <= {ceiling}"):
+            resolve_n_jobs(ceiling + 1)
+        # A one-core host still takes n_jobs=4, and -1 always passes.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert resolve_n_jobs(4) == 4
+        assert resolve_n_jobs(-1) == 1
+        with pytest.raises(ValueError, match="n_jobs must be <= 4"):
+            resolve_n_jobs(5)
+
     def test_effective_n_jobs_in_parent(self):
         assert not in_worker()
         assert effective_n_jobs(3) == 3

@@ -2,8 +2,9 @@
 
 Three families of invariants:
 
-* :class:`BatchRankings` container algebra — order/position round-trips,
-  single-row batches behaving exactly like a :class:`Ranking`;
+* the ``(m, n)`` order-array convention — the position view the kernels
+  derive round-trips, and a single-row batch behaves exactly like a
+  :class:`Ranking`;
 * batched kernels vs per-sample scalar loops — Kendall tau, top-k group
   counts, the Infeasible Index and PPfair on random fixtures;
 * input validation.
@@ -15,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import (
-    BatchRankings,
-    as_batch_orders,
     batch_count_inversions,
     batch_infeasible_breakdown,
     batch_infeasible_index,
@@ -28,6 +27,7 @@ from repro.batch import (
     batch_topk_group_counts,
     kendall_tau_matrix,
 )
+from repro.batch.kernels import _batch_positions
 from repro.exceptions import LengthMismatchError
 from repro.fairness.checks import prefix_group_counts
 from repro.fairness.constraints import FairnessConstraints
@@ -65,72 +65,40 @@ def grouped_batch(draw):
 
 
 class TestContainer:
+    """A batch is a plain ``(m, n)`` order array; the kernels derive its
+    position view."""
+
     @settings(max_examples=50, deadline=None)
     @given(order_batch())
     def test_order_position_round_trip(self, orders):
-        batch = BatchRankings(orders)
-        again = BatchRankings.from_positions(batch.positions)
-        assert np.array_equal(again.orders, orders)
-        assert np.array_equal(again.positions, batch.positions)
+        positions = _batch_positions(orders)
+        assert np.array_equal(_batch_positions(positions), orders)
+        for row, pos in zip(orders, positions):
+            assert np.array_equal(pos, Ranking(row).positions)
 
     @settings(max_examples=50, deadline=None)
     @given(order_batch(min_m=1, max_m=1))
     def test_single_row_batch_equals_ranking(self, orders):
-        batch = BatchRankings(orders)
         ranking = Ranking(orders[0])
-        assert np.array_equal(batch.orders[0], ranking.order)
-        assert np.array_equal(batch.positions[0], ranking.positions)
-        assert batch[0] == ranking
-        assert np.array_equal(batch.prefix(2), ranking.prefix(2)[None, :])
-
-    @settings(max_examples=50, deadline=None)
-    @given(order_batch())
-    def test_from_rankings_round_trip(self, orders):
-        batch = BatchRankings.from_rankings([Ranking(row) for row in orders])
-        assert batch == BatchRankings(orders)
-        assert [r.order.tolist() for r in batch.to_rankings()] == orders.tolist()
-
-    def test_views_are_read_only(self):
-        batch = BatchRankings([[0, 1, 2], [2, 1, 0]])
-        with pytest.raises(ValueError):
-            batch.orders[0, 0] = 1
-        with pytest.raises(ValueError):
-            batch.positions[0, 0] = 1
-
-    def test_select_and_len(self):
-        batch = BatchRankings([[0, 1], [1, 0], [0, 1]])
-        sub = batch.select([2, 0])
-        assert len(batch) == 3 and len(sub) == 2
-        assert sub[0] == Ranking([0, 1])
-
-    def test_select_boolean_mask(self):
-        batch = BatchRankings([[0, 1], [1, 0], [0, 1]])
-        sub = batch.select(np.array([True, False, True]))
-        assert len(sub) == 2
-        assert sub[0] == Ranking([0, 1]) and sub[1] == Ranking([0, 1])
-        with pytest.raises(ValueError):
-            batch.select(np.array([True, False]))  # wrong mask length
-
-    def test_does_not_freeze_callers_array(self):
-        orders = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int64)
-        batch = BatchRankings(orders)
-        orders[0, 0] = 7  # caller's array must stay writable...
-        assert batch.orders[0, 0] == 0  # ...and the container unaffected
-
-    def test_validation_rejects_non_permutations(self):
-        with pytest.raises(ValueError):
-            BatchRankings([[0, 0, 1]])
-        with pytest.raises(ValueError):
-            BatchRankings([[0, 1, 3]])
-        with pytest.raises(ValueError):
-            BatchRankings(np.arange(4))  # not 2-D
-        with pytest.raises(ValueError):
-            as_batch_orders(np.arange(4))
+        reference = Ranking(np.arange(orders.shape[1])[::-1])
+        assert np.array_equal(_batch_positions(orders)[0], ranking.positions)
+        assert batch_kendall_tau(orders, reference).tolist() == [
+            kendall_tau_distance(ranking, reference)
+        ]
+        assert batch_ndcg(orders, np.arange(orders.shape[1], 0, -1)).tolist() == [
+            ndcg(ranking, np.arange(orders.shape[1], 0, -1))
+        ]
 
     def test_empty_batch(self):
-        batch = BatchRankings(np.empty((0, 5), dtype=np.int64))
-        assert len(batch) == 0 and batch.n_items == 5
-        assert batch.positions.shape == (0, 5)
+        orders = np.empty((0, 5), dtype=np.int64)
+        assert _batch_positions(orders).shape == (0, 5)
+        assert batch_kendall_tau(orders, Ranking(np.arange(5))).shape == (0,)
+
+    def test_kernels_reject_a_batch_that_is_not_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            batch_kendall_tau(np.arange(4), Ranking(np.arange(4)))
+        with pytest.raises(ValueError, match="2-D"):
+            batch_ndcg(np.arange(4), np.zeros(4))
 
 
 class TestKendallKernels:
@@ -138,7 +106,7 @@ class TestKendallKernels:
     @given(order_batch())
     def test_many_vs_one_matches_scalar(self, orders):
         ref = Ranking(np.roll(np.arange(orders.shape[1]), 1))
-        got = batch_kendall_tau(BatchRankings(orders), ref)
+        got = batch_kendall_tau(orders, ref)
         expected = [kendall_tau_distance(Ranking(row), ref) for row in orders]
         assert got.tolist() == expected
 

@@ -16,7 +16,7 @@ from scipy import stats
 
 from repro.batch import batch_kendall_tau, batch_kendall_tau_pairwise
 from repro.mallows.marginals import position_marginals
-from repro.mallows.sampling import sample_mallows_batch, sample_mallows_rankings
+from repro.mallows.sampling import sample_mallows_batch
 from repro.rankings.distances import kendall_tau_distance
 from repro.rankings.permutation import Ranking, random_ranking
 
@@ -55,16 +55,16 @@ def test_last_position_marginals_chi_square():
 def test_batch_kendall_tau_agrees_with_scalar_on_random_pairs(n):
     rng = np.random.default_rng(n)
     m = 50
-    batch = sample_mallows_rankings(random_ranking(n, seed=1), 0.2, m, seed=rng)
+    batch = sample_mallows_batch(random_ranking(n, seed=1), 0.2, m, seed=rng)
     ref = random_ranking(n, seed=2)
     got = batch_kendall_tau(batch, ref)
     assert got.tolist() == [
-        kendall_tau_distance(batch[s], ref) for s in range(m)
+        kendall_tau_distance(Ranking(batch[s]), ref) for s in range(m)
     ]
     other = np.stack([rng.permutation(n) for _ in range(m)])
     got_pair = batch_kendall_tau_pairwise(batch, other)
     assert got_pair.tolist() == [
-        kendall_tau_distance(batch[s], Ranking(other[s])) for s in range(m)
+        kendall_tau_distance(Ranking(batch[s]), Ranking(other[s])) for s in range(m)
     ]
 
 
@@ -75,6 +75,6 @@ def test_batch_sampler_mean_distance_matches_model():
 
     n, theta, m = 12, 0.8, 4000
     center = random_ranking(n, seed=9)
-    batch = sample_mallows_rankings(center, theta, m, seed=5)
+    batch = sample_mallows_batch(center, theta, m, seed=5)
     dists = batch_kendall_tau(batch, center)
     assert dists.mean() == pytest.approx(expected_kendall_tau(n, theta), abs=0.35)

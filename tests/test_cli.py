@@ -113,14 +113,26 @@ class TestMain:
             (["rank", "--algorithm", "mallows", "--scores", "0.9,0.8,0.7",
               "--seed", "-1"], "--seed"),
             (["serve", "--http", "127.0.0.1:0", "--seed", "-5"],
-             "seed must be a non-negative integer"),
+             "--seed: seed must be a non-negative integer"),
+            (["serve", "--http", "127.0.0.1:0", "--max-batch", "0"],
+             "--max-batch: max_batch_size must be >= 1"),
+            (["serve", "--http", "127.0.0.1:0", "--budget", "0"],
+             "--budget: cost_budget must be > 0"),
+            (["serve", "--http", "127.0.0.1:0", "--queue-depth", "-1"],
+             "--queue-depth: max_queue_depth must be >= 0"),
+            (["serve", "--http", "127.0.0.1:0", "--deadline", "0"],
+             "--deadline: default_deadline must be > 0"),
+            (["fig1", "--jobs", str(4 * max(1, os.cpu_count() or 1) + 1)],
+             "--jobs: n_jobs must be <="),
         ],
         ids=["fig1-jobs-0", "serve-jobs-minus-3", "serve-port-99999",
              "fig5-repeats-0", "fig5-theta-nan", "fig6-theta-minus-2",
              "fig7-sigma-minus-1", "rank-param-theta-nan",
              "rank-param-theta-inf", "rank-param-theta-minus-inf",
              "rank-param-unknown", "rank-seed-minus-1",
-             "serve-seed-minus-5"],
+             "serve-seed-minus-5", "serve-max-batch-0", "serve-budget-0",
+             "serve-queue-depth-minus-1", "serve-deadline-0",
+             "fig1-jobs-past-four-per-cpu"],
     )
     def test_bad_numbers_exit_with_a_message(self, argv, flag):
         with pytest.raises(SystemExit, match=flag):

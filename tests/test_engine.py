@@ -134,6 +134,10 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(n_jobs=0)
 
+    def test_n_jobs_past_four_per_cpu_raises(self):
+        with pytest.raises(ValueError, match="n_jobs must be <="):
+            EngineConfig(n_jobs=10**9)
+
     def test_overrides_compose(self):
         retry = RetryPolicy(max_rebuilds=0)
         engine = RankingEngine(EngineConfig(n_jobs=2), retry=retry)

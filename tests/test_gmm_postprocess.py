@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.base import FairRankingProblem
 from repro.algorithms.gmm_postprocess import GeneralizedMallowsFairRanking
 from repro.algorithms.mallows_postprocess import MallowsFairRanking
+from repro.engine import RankingEngine, RankingRequest, responses_digest
 from repro.fairness.infeasible_index import infeasible_index
 from repro.groups.attributes import GroupAssignment
 from repro.mallows.generalized import dispersion_profile
@@ -129,3 +130,50 @@ class TestProfileBehaviour:
             ]
         )
         assert nd_gmm == pytest.approx(nd_std, abs=0.02)
+
+
+def _thetas(theta, profile, n=10):
+    """``theta`` as the scalar dispersion, or as a per-insertion profile."""
+    return np.full(n - 1, theta) if profile else theta
+
+
+@pytest.mark.parametrize("profile", [False, True], ids=["scalar", "profile"])
+class TestExtremeDispersions:
+    """``θ = 800`` (``e^{-θ}`` underflows to 0) and ``θ = 1e-17``
+    (``e^{-θ}`` rounds to 1) are finite and non-negative, so the engine
+    serves both, as it does for ``mallows``."""
+
+    def test_huge_theta_returns_the_base_ranking(self, segregated_problem, profile):
+        response = RankingEngine().rank(
+            "gmm", segregated_problem, seed=0,
+            thetas=_thetas(800.0, profile), n_samples=5,
+        )
+        assert response.ranking == segregated_problem.base_ranking
+        assert response.metadata["expected_kt"] == 0.0
+
+    # n_samples 1 and 40 sit on either side of the insertion decode's limit.
+    @pytest.mark.parametrize("n_samples", [1, 40])
+    def test_tiny_theta_equals_theta_zero(self, segregated_problem, profile, n_samples):
+        tiny, zero = (
+            RankingEngine().rank(
+                "gmm", segregated_problem, seed=3,
+                thetas=_thetas(theta, profile), n_samples=n_samples,
+            )
+            for theta in (1e-17, 0.0)
+        )
+        assert tiny.ranking.order.tobytes() == zero.ranking.order.tobytes()
+        assert tiny.metadata["selected_index"] == zero.metadata["selected_index"]
+        # The uniform mean: sum of j/2 over the insertions j = 1..9.
+        assert tiny.metadata["expected_kt"] == zero.metadata["expected_kt"] == 22.5
+
+
+def test_rank_many_digest_is_the_same_on_one_and_two_workers(segregated_problem):
+    requests = [
+        RankingRequest("gmm", segregated_problem, params={"thetas": thetas, "n_samples": m})
+        for thetas in (0.7, dispersion_profile(10, 0.1, 2.0, split=4), 1e-17, 800.0)
+        for m in (1, 15, 40)
+    ]
+    with RankingEngine(n_jobs=2) as engine:
+        serial = responses_digest(engine.rank_many(requests, seed=11, n_jobs=1))
+        pooled = responses_digest(engine.rank_many(requests, seed=11, n_jobs=2))
+    assert pooled == serial

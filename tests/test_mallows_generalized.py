@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import kernel_oracle as oracle
 
 from repro.mallows.generalized import (
     GeneralizedMallowsModel,
@@ -71,6 +75,13 @@ class TestModel:
             expected_kendall_tau(10, 0.7)
         )
 
+    @pytest.mark.parametrize("theta", [1e-17, 0.0])
+    def test_expected_distance_where_exp_rounds_to_one_is_uniform(self, theta):
+        # e^{-1e-17} is exactly 1.0: the sampler draws uniformly there, and
+        # the mean is the uniform one, sum of j/2 over j = 1..4.
+        gmm = GeneralizedMallowsModel.standard(identity(5), theta)
+        assert gmm.expected_distance() == 5.0
+
     def test_expected_displacements_brute_force(self):
         center = identity(4)
         thetas = np.array([0.5, 1.5, 0.2])
@@ -135,6 +146,49 @@ class TestSampling:
         a = gmm.sample_orders(5, seed=9)
         b = gmm.sample_orders(5, seed=9)
         assert np.array_equal(a, b)
+
+
+#: Dispersions reaching every branch of the inverse CDF: zero, positive but
+#: so small that ``e^{-θ}`` rounds to 1, ordinary, a subnormal ``e^{-θ}``
+#: and past its underflow to 0.
+DISPERSIONS = st.sampled_from(
+    [0.0, 1e-17, 1e-16, 1e-9, 40.0, 720.0, 800.0]
+) | st.floats(min_value=0.0, max_value=6.0)
+
+
+def _former_orders(model, m, seed):
+    """The former private sampler's draws, or ``None`` where it raised."""
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        try:
+            return oracle.gmm_sample_orders(model, m, seed=seed)
+        except (ArithmeticError, ValueError):
+            return None
+
+
+class TestSharedSampler:
+    """The model draws through the shared RIM sampler; its orders equal the
+    former private sampler's wherever that one returned."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=120),
+        m=st.integers(min_value=1, max_value=80),
+        kind=st.sampled_from(["constant", "two-level", "random"]),
+        head=DISPERSIONS,
+        tail=DISPERSIONS,
+        split=st.integers(min_value=0, max_value=119),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_the_former_sampler(self, n, m, kind, head, tail, split, seed):
+        thetas = np.full(n - 1, tail)
+        if kind == "two-level":
+            thetas[: min(split, n - 1)] = head
+        elif kind == "random":
+            thetas = np.random.default_rng(seed).exponential(head + 0.5, n - 1)
+        model = GeneralizedMallowsModel(random_ranking(n, seed=split), thetas)
+        expected = _former_orders(model, m, seed)
+        assume(expected is not None)
+        assert np.array_equal(model.sample_orders(m, seed=seed), expected)
 
 
 class TestDispersionProfile:

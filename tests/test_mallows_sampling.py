@@ -1,4 +1,5 @@
-"""Statistical tests of the RIM sampler against the exact Mallows law."""
+"""Statistical tests of the RIM sampler against the exact Mallows law, and
+the shape dispatch between its two decodes."""
 
 import math
 from collections import Counter
@@ -6,15 +7,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.mallows import sampling
 from repro.mallows.model import MallowsModel, expected_kendall_tau
 from repro.mallows.sampling import (
+    CHUNKED_MIN_ROWS,
     _displacement_draws,
-    sample_displacements_total,
+    _orders_from_displacements,
     sample_mallows,
     sample_mallows_batch,
 )
 from repro.rankings.distances import kendall_tau_distance
 from repro.rankings.permutation import Ranking, all_rankings, identity, random_ranking
+
+
+def _displacement_totals(n, theta, m, seed):
+    """Total KT distances of ``m`` samples from the centre, without decoding
+    them: the row sums of the displacement draws."""
+    return _displacement_draws(n, theta, m, np.random.default_rng(seed)).sum(axis=1)
 
 
 class TestBatchShapeAndValidity:
@@ -42,8 +51,6 @@ class TestBatchShapeAndValidity:
         for theta in (-1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 sample_mallows_batch(identity(3), theta, 2)
-            with pytest.raises(ValueError):
-                sample_displacements_total(10, theta, 5)
         with pytest.raises(ValueError):
             sample_mallows_batch(identity(3), 1.0, -2)
 
@@ -100,7 +107,7 @@ class TestStatisticalLaw:
     def test_distance_distribution_centerfree(self):
         # The law of d(pi, center) must not depend on the center.
         theta, m, n = 1.0, 3000, 8
-        d1 = sample_displacements_total(n, theta, m, seed=1)
+        d1 = _displacement_totals(n, theta, m, seed=1)
         orders = sample_mallows_batch(random_ranking(n, seed=4), theta, m, seed=2)
         center = random_ranking(n, seed=4)
         d2 = [kendall_tau_distance(Ranking(o), center) for o in orders]
@@ -118,7 +125,7 @@ class TestStatisticalLaw:
 
     def test_displacement_totals_match_model_mean(self):
         n, theta = 20, 0.5
-        totals = sample_displacements_total(n, theta, 4000, seed=3)
+        totals = _displacement_totals(n, theta, 4000, seed=3)
         assert totals.mean() == pytest.approx(expected_kendall_tau(n, theta), rel=0.03)
 
 
@@ -171,3 +178,39 @@ class TestThetaUnderflowBoundary:
         assert np.array_equal(a, b)
         counts = Counter(tuple(o) for o in a)
         assert len(counts) == 6
+
+
+def _routed_decodes(monkeypatch, m, n):
+    """The decodes ``_orders_from_displacements`` runs for an ``(m, n)``
+    batch, recorded by spies around the two decode functions."""
+    used = set()
+    for name, label in (
+        ("_decode_insertion", "insertion"),
+        ("_decode_chunk", "chunked"),
+    ):
+        def spy(*args, _real=getattr(sampling, name), _label=label):
+            used.add(_label)
+            return _real(*args)
+
+        monkeypatch.setattr(sampling, name, spy)
+    v = _displacement_draws(n, 0.7, m, np.random.default_rng(m + n))
+    _orders_from_displacements(np.arange(n), v)
+    return used
+
+
+class TestDispatcher:
+    @pytest.mark.parametrize("n", (1, 100, 2000))
+    @pytest.mark.parametrize("m", (1, CHUNKED_MIN_ROWS - 1))
+    def test_small_batches_decode_by_insertion(self, monkeypatch, m, n):
+        assert _routed_decodes(monkeypatch, m, n) == {"insertion"}
+
+    @pytest.mark.parametrize("n", (40, 200))
+    @pytest.mark.parametrize("m", (CHUNKED_MIN_ROWS, 400))
+    def test_larger_batches_decode_chunked(self, monkeypatch, m, n):
+        assert _routed_decodes(monkeypatch, m, n) == {"chunked"}
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError):
+            _orders_from_displacements(
+                np.arange(3), np.zeros((2, 3), dtype=np.int64), method="bogus"
+            )

@@ -344,6 +344,50 @@ class TestErrorSurface:
         response = run(scenario())
         assert response.ranking.order.tolist() == center.order.tolist()
 
+    def test_gmm_at_extreme_dispersions_is_served(self):
+        """``gmm`` at theta 800 and 1e-17, scalar and profile, answers 200:
+        800 serves the centre, and 1e-17 the same bytes as theta 0."""
+        center = Ranking([3, 0, 5, 1, 4, 2])
+        problem = FairRankingProblem(
+            base_ranking=center,
+            scores=np.linspace(1.0, 0.0, 6),
+            groups=GroupAssignment.from_indices([0, 1] * 3),
+        )
+        cases = [
+            (theta, profile)
+            for theta in (800.0, 1e-17, 0.0)
+            for profile in (False, True)
+        ]
+        bodies = [
+            dumps(encode_rank_request(RankingRequest(
+                "gmm",
+                problem,
+                params={
+                    "thetas": [theta] * 5 if profile else theta,
+                    "n_samples": 5,
+                },
+                seed=9,
+            )))
+            for theta, profile in cases
+        ]
+
+        async def scenario():
+            async with _Frontend(n_jobs=1) as (server, client):
+                return [
+                    await client.request("POST", "/v1/rank", body)
+                    for body in bodies
+                ]
+
+        responses = run(scenario())
+        assert [r.status for r in responses] == [200] * len(cases)
+        orders = {
+            case: loads(r.body)["response"]["ranking"]
+            for case, r in zip(cases, responses)
+        }
+        for profile in (False, True):
+            assert orders[800.0, profile] == center.order.tolist()
+            assert orders[1e-17, profile] == orders[0.0, profile]
+
     def test_unknown_route_404_and_wrong_method_405_with_allow(self):
         async def scenario():
             async with _Frontend(n_jobs=1) as (server, client):
