@@ -13,8 +13,9 @@ perf-regression tripwire; under ``--fast`` the workload shrinks and the
 threshold relaxes so the CI smoke job stays quick yet still catches
 order-of-magnitude regressions.
 
-The distance-metric kernels race their scalar loops the same way, and the
-kernel cache must serve repeated value-equal constraints from memory.
+The many-vs-one Kendall tau kernel (the KT selection criterion's) races its
+scalar loop the same way, and the kernel cache must serve repeated
+value-equal constraints from memory.
 """
 
 from __future__ import annotations
@@ -24,28 +25,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.batch import (
-    DEFAULT_CACHE,
-    batch_cayley,
-    batch_footrule,
-    batch_hamming,
-    batch_infeasible_index,
-    batch_kendall_tau,
-    batch_spearman,
-    batch_ulam,
-)
+from repro.batch import DEFAULT_CACHE, batch_infeasible_index, batch_kendall_tau
 from repro.fairness.constraints import FairnessConstraints
 from repro.fairness.infeasible_index import infeasible_index
 from repro.groups.attributes import GroupAssignment
 from repro.mallows.sampling import _displacement_draws, sample_mallows_batch
-from repro.rankings.distances import (
-    cayley_distance,
-    footrule_distance,
-    hamming_distance,
-    kendall_tau_distance,
-    spearman_distance,
-    ulam_distance,
-)
+from repro.rankings.distances import kendall_tau_distance
 from repro.rankings.permutation import Ranking, random_ranking
 
 N_ITEMS = 50
@@ -183,54 +168,6 @@ def test_batch_kendall_speedup(workload, fast_mode, report):
         "Batch engine — many-vs-one Kendall tau",
         (
             f"m={m} samples, n={N_ITEMS} items\n"
-            f"scalar path : {scalar_s * 1e3:9.1f} ms\n"
-            f"batch path  : {batch_s * 1e3:9.1f} ms\n"
-            f"speedup     : {speedup:9.1f}x (required >= {threshold:g}x)"
-        ),
-        metrics={
-            "m": m, "n": N_ITEMS, "scalar_s": scalar_s, "batch_s": batch_s,
-            "speedup": speedup,
-        },
-    )
-    assert speedup >= threshold
-
-
-def test_batch_distance_kernels_speedup(workload, fast_mode, report):
-    """The PR-2 metric kernels (footrule/Spearman/Hamming/Cayley/Ulam) vs
-    one scalar call per sample, summed across all five metrics."""
-    center, _, _ = workload
-    m = 500 if fast_mode else 2_000
-    threshold = 3.0 if fast_mode else 5.0
-    orders = sample_mallows_batch(center, THETA, m, seed=SEED + 2)
-    pairs = (
-        (batch_footrule, footrule_distance),
-        (batch_spearman, spearman_distance),
-        (batch_hamming, hamming_distance),
-        (batch_cayley, cayley_distance),
-        (batch_ulam, ulam_distance),
-    )
-
-    t0 = time.perf_counter()
-    scalar_results = [
-        np.array([scalar_fn(Ranking(row), center) for row in orders])
-        for _batch_fn, scalar_fn in pairs
-    ]
-    scalar_s = time.perf_counter() - t0
-
-    batch_s = np.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        batch_results = [batch_fn(orders, center) for batch_fn, _ in pairs]
-        batch_s = min(batch_s, time.perf_counter() - t0)
-
-    for got, expected, (batch_fn, _) in zip(batch_results, scalar_results, pairs):
-        assert np.array_equal(got, expected), batch_fn.__name__
-
-    speedup = scalar_s / batch_s
-    report(
-        "Batch engine — distance kernels (footrule/Spearman/Hamming/Cayley/Ulam)",
-        (
-            f"m={m} samples, n={N_ITEMS} items, 5 metrics\n"
             f"scalar path : {scalar_s * 1e3:9.1f} ms\n"
             f"batch path  : {batch_s * 1e3:9.1f} ms\n"
             f"speedup     : {speedup:9.1f}x (required >= {threshold:g}x)"

@@ -9,7 +9,7 @@ attribute-aware baselines that were tuned to a different attribute.
 import numpy as np
 
 from benchmarks.conftest import PANEL_PARAMS
-from repro.algorithms.criteria import batch_percent_fair
+from repro.batch import batch_percent_fair
 from repro.fairness.constraints import FairnessConstraints
 
 

@@ -74,7 +74,7 @@ order-stable digest inputs — and CI fails on any unsuppressed finding
 
 The package layers:
 
-* :mod:`repro.rankings` — permutations, rank distances, NDCG;
+* :mod:`repro.rankings` — permutations, Kendall tau and footrule, NDCG;
 * :mod:`repro.engine` — the serving facade: the algorithm registry,
   session-owned pools/caches, streaming batch ranking, measured-cost
   scheduling;
@@ -89,7 +89,7 @@ The package layers:
   recovery under bounded retries, fault/rebuild telemetry, and the
   deterministic fault-injection harness;
 * :mod:`repro.batch` — the batched evaluation engine: ``(m, n)`` ranking
-  batches, vectorized distance/fairness kernels and the work-unit
+  batches, vectorized Kendall tau/fairness/NDCG kernels and the work-unit
   scheduler underneath the serving facade;
 * :mod:`repro.groups` / :mod:`repro.fairness` — protected attributes,
   two-sided P-fairness, the Infeasible Index;
@@ -105,10 +105,7 @@ from repro.rankings import (
     identity,
     random_ranking,
     kendall_tau_distance,
-    kendall_tau_coefficient,
-    spearman_distance,
     footrule_distance,
-    ulam_distance,
     dcg,
     idcg,
     ndcg,
@@ -174,10 +171,7 @@ __all__ = [
     "identity",
     "random_ranking",
     "kendall_tau_distance",
-    "kendall_tau_coefficient",
-    "spearman_distance",
     "footrule_distance",
-    "ulam_distance",
     "dcg",
     "idcg",
     "ndcg",

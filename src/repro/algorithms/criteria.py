@@ -20,7 +20,6 @@ from repro.batch.kernels import (
     batch_infeasible_index,
     batch_kendall_tau,
     batch_ndcg,
-    batch_percent_fair,
 )
 from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
@@ -31,10 +30,6 @@ __all__ = [
     "MinKendallTauCriterion",
     "MinInfeasibleIndexCriterion",
     "CompositeCriterion",
-    # Batched fairness kernels live in repro.batch.kernels; re-exported here
-    # because this module was their historical home.
-    "batch_infeasible_index",
-    "batch_percent_fair",
 ]
 
 

@@ -6,10 +6,10 @@ This subpackage provides the batched building blocks for that workload:
 
 * :mod:`repro.batch.kernels` — vectorized kernels over ``m`` rankings of
   ``n`` items held as one ``(m, n)`` integer order array (see its module
-  docstring for the array conventions): many-vs-one / many-vs-many
-  distance kernels (Kendall tau, footrule, Spearman, Ulam, Cayley, Hamming,
-  weighted Kendall tau), batched top-``k`` group counts, and the batched
-  Two-Sided Infeasible Index / percentage of P-fair positions / NDCG;
+  docstring for the array conventions): row-wise inversion counts and
+  many-vs-one Kendall tau, the per-prefix violation masks behind the
+  batched Two-Sided Infeasible Index and percentage of P-fair positions,
+  and batched NDCG;
 * :mod:`repro.batch.cache` — a process-wide LRU cache of per-constraint
   bound matrices and per-``(n, theta)`` Mallows position marginals, with
   hit/miss counters and explicit invalidation;
@@ -39,23 +39,13 @@ from repro.batch.cache import (
     use_cache,
 )
 from repro.batch.kernels import (
-    batch_cayley,
     batch_count_inversions,
-    batch_footrule,
-    batch_hamming,
     batch_infeasible_breakdown,
     batch_infeasible_index,
     batch_kendall_tau,
-    batch_kendall_tau_pairwise,
     batch_ndcg,
     batch_percent_fair,
-    batch_prefix_group_counts,
-    batch_spearman,
-    batch_topk_group_counts,
-    batch_ulam,
     batch_violation_masks,
-    batch_weighted_kendall_tau,
-    kendall_tau_matrix,
 )
 from repro.batch.parallel import (
     effective_n_jobs,
@@ -73,25 +63,15 @@ __all__ = [
     "WorkUnit",
     "WorkerPool",
     "active_cache",
-    "batch_cayley",
     "batch_count_inversions",
-    "batch_footrule",
-    "batch_hamming",
     "batch_infeasible_breakdown",
     "batch_infeasible_index",
     "batch_kendall_tau",
-    "batch_kendall_tau_pairwise",
     "batch_ndcg",
     "batch_percent_fair",
-    "batch_prefix_group_counts",
-    "batch_spearman",
-    "batch_topk_group_counts",
-    "batch_ulam",
     "batch_violation_masks",
-    "batch_weighted_kendall_tau",
     "effective_n_jobs",
     "in_worker",
-    "kendall_tau_matrix",
     "resolve_n_jobs",
     "shutdown_workers",
     "use_cache",

@@ -32,6 +32,11 @@ SIGTERM/SIGINT, then drains.  ``lint`` runs the
 repository's own static-analysis gate (:mod:`repro.analysis`) — the REP
 rules that keep the determinism, sans-IO, and cache contracts honest —
 with shell-friendly exit codes: 0 clean, 1 findings, 2 usage/parse error.
+
+Deterministic chaos testing takes its plan from the environment only:
+``REPRO_INJECT_FAULT=KEY:ATTEMPT:ACTION[:SECONDS][;...]`` (parsed by
+:func:`repro.faults.plan_from_env`) makes pool workers fail on cue; a
+malformed value exits 2 before any pool starts.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from repro.experiments.fig2_central_ii import run_fig2
 from repro.experiments.fig34_tradeoff import run_fig34
 from repro.experiments.german_credit_exp import run_german_credit, run_table1
 from repro.experiments.runner import run_all
+from repro.faults import FAULT_ENV_VAR, install_plan, plan_from_env
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,6 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "Reproduce the experiments of 'Fairness in Ranking: Robustness "
             "through Randomization without the Protected Attribute' "
             "(ICDE 2024)."
+        ),
+        epilog=(
+            "Set REPRO_INJECT_FAULT=KEY:ATTEMPT:ACTION[:SECONDS][;...] to "
+            "make pool workers fail on cue (KEY a unit key, '*' = any; "
+            "ATTEMPT the 0-based retry ordinal; ACTION exit/raise/stall).  "
+            "Crash faults are retried and output stays byte-identical."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,20 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "unit runs inline.  N may be at most 4 per CPU"
             ),
         )
-        p.add_argument(
-            "--inject-fault",
-            metavar="SPEC",
-            default=None,
-            help=(
-                "deterministic chaos testing: KEY:ATTEMPT:ACTION[:SECONDS]"
-                "[;...] — KEY a unit key ('*' = any), ATTEMPT the 0-based "
-                "retry ordinal, ACTION one of exit/raise/stall.  The plan "
-                "ships to pool workers through the executor initializer; "
-                "crash faults are retried under the supervised scheduler "
-                "and output stays byte-identical to a fault-free run.  "
-                "Also honored from $REPRO_INJECT_FAULT"
-            ),
-        )
 
     _add_jobs_flag(sub.add_parser("fig1", help="Fig.1: Mallows noise vs Infeasible Index"))
     _add_jobs_flag(sub.add_parser("fig2", help="Fig.2: central-ranking II vs delta"))
@@ -116,11 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--repeats", type=int, default=15, help="noisy-run repetitions"
-        )
-        p.add_argument(
-            "--milp",
-            action="store_true",
-            help="solve the ILP with HiGHS instead of the exact DP",
         )
         _add_jobs_flag(p)
 
@@ -602,18 +595,17 @@ def main(argv: list[str] | None = None) -> int:
         # Static analysis needs no engine session (and must not pay for
         # one): dispatch before the session spins up.
         return _cmd_lint(args)
-    fault_spec = getattr(args, "inject_fault", None) or os.environ.get(
-        "REPRO_INJECT_FAULT"
-    )
-    if fault_spec:
-        from repro.faults import install_plan, parse_fault_specs
-
-        try:
-            install_plan(parse_fault_specs(fault_spec))
-        except ValueError as exc:
-            print(f"error: --inject-fault: {exc}", file=sys.stderr)
-            return 2
-        print(f"# fault injection active: {fault_spec}", file=sys.stderr)
+    try:
+        plan = plan_from_env()
+    except ValueError as exc:
+        print(f"error: {FAULT_ENV_VAR}: {exc}", file=sys.stderr)
+        return 2
+    if plan:
+        install_plan(plan)
+        print(
+            f"# fault injection active: {os.environ[FAULT_ENV_VAR]}",
+            file=sys.stderr,
+        )
     try:
         engine = RankingEngine(n_jobs=getattr(args, "jobs", 1))
     except ValueError as exc:
@@ -643,7 +635,6 @@ def main(argv: list[str] | None = None) -> int:
                 theta=args.theta,
                 noise_sigma=args.sigma,
                 n_repeats=args.repeats,
-                use_milp=args.milp,
                 pool=pool,
             )
         except ValueError as exc:

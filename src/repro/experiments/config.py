@@ -92,7 +92,6 @@ class GermanCreditConfig:
     n_repeats: int = 15
     mallows_best_of: int = 15
     n_bootstrap: int = 1000
-    use_milp: bool = False  # exact DP by default; MILP available for audit
     seed: int = 2024
     #: Scheduler handle for the work units; see the module docstring.
     pool: WorkerPool = WorkerPool()

@@ -15,8 +15,10 @@ Protocol (per the paper):
    (Fig. 5) and w.r.t. ``Housing`` (Fig. 6), and the mean NDCG ±1σ (Fig. 7),
    with bootstrap CIs (n = 1000).
 
-The ILP is solved by the exact DP engine by default (identical optimum,
-orders of magnitude faster); set ``use_milp=True`` to audit with HiGHS.
+The ILP is solved by the exact DP engine (``"dp"``): it reaches the same
+optimum as the HiGHS model (``"ilp"``), orders of magnitude faster.  The
+two are checked against each other in ``tests/test_ilp_dp.py`` and
+``benchmarks/bench_solvers.py``, not here.
 """
 
 from __future__ import annotations
@@ -297,11 +299,10 @@ def _one_repeat(
     )
 
     sigma = config.noise_sigma
-    ilp_name = "ilp" if config.use_milp else "dp"
     algorithms = {
         "DetConstSort": make_algorithm("detconstsort", noise_sigma=sigma),
         "ApproxMultiValuedIPF": make_algorithm("ipf", noise_sigma=sigma),
-        "ILP": make_algorithm(ilp_name, noise_sigma=sigma),
+        "ILP": make_algorithm("dp", noise_sigma=sigma),
         "Mallows (1 sample)": make_algorithm(
             "mallows", theta=config.theta, n_samples=1
         ),

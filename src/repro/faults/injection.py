@@ -2,8 +2,8 @@
 
 An :class:`InjectionPlan` is a picklable table of :class:`FaultSpec`
 rules keyed by ``(unit key, attempt)``.  The parent installs a plan with
-:func:`install_plan` (or the ``REPRO_INJECT_FAULT`` environment
-variable / CLI ``--inject-fault``); the pool plumbing ships it to every
+:func:`install_plan` (the CLI: the ``REPRO_INJECT_FAULT`` environment
+variable, via :func:`plan_from_env`); the pool plumbing ships it to every
 worker through the executor *initializer*, and workers consult
 :func:`maybe_inject` immediately before running each unit.  Because the
 plan matches on the deterministic ``(key, attempt)`` pair, a chaos run

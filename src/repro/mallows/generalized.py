@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mallows.model import _truncated_geometric_moments
 from repro.mallows.sampling import _displacement_icdf, _orders_from_displacements
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
@@ -127,11 +128,8 @@ class GeneralizedMallowsModel:
     def expected_displacements(self) -> np.ndarray:
         """``E[V_j]`` for each insertion — the mean of a truncated geometric
         on ``{0..j}`` with rate ``θ_j``."""
-        out = np.empty(max(self.n - 1, 0), dtype=np.float64)
-        for j in range(1, self.n):
-            theta = float(self.thetas[j - 1])
-            out[j - 1] = _truncated_geometric_mean(theta, j)
-        return out
+        mean, _ = _truncated_geometric_moments(self.thetas, np.arange(1, self.n))
+        return mean
 
     def expected_distance(self) -> float:
         """Expected KT distance from the centre (sum of ``E[V_j]``)."""
@@ -158,17 +156,6 @@ class GeneralizedMallowsModel:
     def sample(self, m: int = 1, seed: SeedLike = None) -> list[Ranking]:
         """Draw ``m`` exact samples as :class:`Ranking` objects."""
         return [Ranking(row) for row in self.sample_orders(m, seed=seed)]
-
-
-def _truncated_geometric_mean(theta: float, j: int) -> float:
-    """Mean of ``P(v) ∝ e^{−θ v}`` on ``{0..j}``."""
-    q = math.exp(-theta)
-    if q >= 1.0:
-        # theta == 0, or e^{-theta} rounds to 1: the sampler draws V_j
-        # uniformly there (see ``_displacement_icdf``), and the formula
-        # below would divide by 1 - q = 0.
-        return j / 2.0
-    return q / (1.0 - q) - (j + 1) * q ** (j + 1) / (1.0 - q ** (j + 1))
 
 
 def dispersion_profile(

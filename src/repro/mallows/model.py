@@ -51,43 +51,100 @@ def partition_function(n: int, theta: float) -> float:
 def expected_kendall_tau(n: int, theta: float) -> float:
     """Expected KT distance of a Mallows sample from its centre.
 
-    ``E[D] = n·q/(1−q) − Σ_{j=1..n} j·q^j/(1−q^j)`` with ``q = e^{−θ}``.
-    At ``θ = 0`` this is the uniform mean ``n(n−1)/4``.
+    The sum of the per-insertion means (see
+    :func:`_truncated_geometric_moments`); at ``θ = 0`` this is the uniform
+    mean ``n(n−1)/4``.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     check_theta(theta)
     if n <= 1:
         return 0.0
-    if theta == 0.0:
-        return n * (n - 1) / 4.0
-    q = math.exp(-theta)
-    j = np.arange(1, n + 1, dtype=np.float64)
-    qj = np.exp(-j * theta)
-    total = n * q / (1.0 - q) - float((j * qj / (1.0 - qj)).sum())
-    return float(total)
+    mean, _ = _truncated_geometric_moments(theta, np.arange(1, n))
+    return float(mean.sum())
 
 
 def variance_kendall_tau(n: int, theta: float) -> float:
     """Variance of the KT distance of a Mallows sample from its centre.
 
-    The distance decomposes into independent per-insertion displacements
-    ``V_j`` on ``{0..j−1}`` with ``P(v) ∝ q^v``, so the variance is the sum
-    of truncated-geometric variances.
+    The distance decomposes into independent per-insertion displacements,
+    so the variance is the sum of their variances (see
+    :func:`_truncated_geometric_moments`).
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    check_theta(theta)
     if n <= 1:
         return 0.0
-    if theta == 0.0:
-        # Var of uniform inversions: sum_{j=1..n-1} (j^2 + 2j)/12  (variance
-        # of uniform on {0..j}).
-        j = np.arange(1, n, dtype=np.float64)
-        return float((((j + 1) ** 2 - 1) / 12.0).sum())
-    q = math.exp(-theta)
-    var = 0.0
-    for j in range(2, n + 1):
-        # V on {0..j-1}, P(v) ∝ q^v: Var = q/(1-q)^2 − j² q^j/(1−q^j)².
-        var += q / (1 - q) ** 2 - (j**2) * (q**j) / (1 - q**j) ** 2
-    return float(var)
+    _, var = _truncated_geometric_moments(theta, np.arange(1, n))
+    return float(var.sum())
+
+
+def _truncated_geometric_moments(
+    theta: float | np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of ``P(v) ∝ e^{−θ v}`` on ``{0..j}``, elementwise.
+
+    This is the law of insertion ``j``'s displacement.  With ``N = j + 1``
+    both moments are differences of reciprocals,
+
+    ``mean = 1/expm1(θ) − N/expm1(Nθ)``,
+    ``var = 1/(4 sinh²(θ/2)) − N²/(4 sinh²(Nθ/2))``,
+
+    accurate as written while ``Nθ ≥ 1``.  Below that both terms are near
+    ``1/θ`` (``1/θ²``) and their difference cancels, so the poles are
+    subtracted by hand: ``mean = j/2 + g(θ) − N·g(Nθ)`` and
+    ``var = (N²−1)/12 + h(θ) − N²·h(Nθ)``, with ``g`` and ``h`` from
+    :func:`_pole_free_parts`.  At ``θ = 0`` these are the uniform law's
+    ``j/2`` and ``(N²−1)/12``, and they leave it smoothly as θ grows.
+    """
+    theta, size = np.broadcast_arrays(
+        np.asarray(theta, dtype=np.float64), np.asarray(j, dtype=np.float64) + 1.0
+    )
+    mean = np.empty(size.shape)
+    var = np.empty(size.shape)
+    far = size * theta >= 1.0
+    t, s = theta[far], size[far]
+    inv_t, inv_t2 = _expm1_reciprocals(t)
+    inv_st, inv_st2 = _expm1_reciprocals(s * t)
+    mean[far] = inv_t - s * inv_st
+    var[far] = inv_t2 - s * s * inv_st2
+    t, s = theta[~far], size[~far]
+    g_t, h_t = _pole_free_parts(t)
+    g_st, h_st = _pole_free_parts(s * t)
+    mean[~far] = (s - 1.0) / 2.0 + g_t - s * g_st
+    var[~far] = (s * s - 1.0) / 12.0 + h_t - s * s * h_st
+    return mean, var
+
+
+def _expm1_reciprocals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``1/expm1(x)`` and ``1/(4 sinh²(x/2))`` for ``x > 0``, written in
+    ``e^{−x}`` so that neither overflows at large ``x``."""
+    e = np.exp(-x)
+    d = -np.expm1(-x)
+    return e / d, e / (d * d)
+
+
+def _pole_free_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``g(x) = 1/expm1(x) − 1/x + 1/2`` and
+    ``h(x) = 1/(4 sinh²(x/2)) − 1/x² + 1/12`` for ``0 ≤ x < 1``.
+
+    Below 0.1 they come from their Bernoulli series, four terms each
+    (truncated, off by under 2e-14 relative at 0.1); above it, from the
+    reciprocals directly.
+    """
+    g = np.empty_like(x)
+    h = np.empty_like(x)
+    series = x < 0.1
+    t = x[series]
+    t2 = t * t
+    g[series] = t * (1 / 12 - t2 * (1 / 720 - t2 * (1 / 30240 - t2 / 1209600)))
+    h[series] = t2 * (1 / 240 - t2 * (1 / 6048 - t2 * (1 / 172800 - t2 / 5322240)))
+    t = x[~series]
+    inv, inv2 = _expm1_reciprocals(t)
+    g[~series] = inv - 1.0 / t + 0.5
+    h[~series] = inv2 - 1.0 / (t * t) + 1 / 12
+    return g, h
 
 
 @dataclass(frozen=True)

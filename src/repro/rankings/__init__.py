@@ -1,17 +1,13 @@
-"""Permutation core: the :class:`Ranking` type, rank distances, and quality
-measures (NDCG family) used throughout the paper."""
+"""Permutation core: the :class:`Ranking` type, the paper's two rank
+distances (Kendall tau for the Mallows model, footrule for IPF), and the
+quality measures (NDCG family) used throughout the paper."""
 
 from repro.rankings.permutation import Ranking, identity, random_ranking
 from repro.rankings.distances import (
-    cayley_distance,
     footrule_distance,
-    hamming_distance,
-    kendall_tau_coefficient,
     kendall_tau_distance,
     kendall_tau_distance_naive,
     max_kendall_tau,
-    spearman_distance,
-    ulam_distance,
 )
 from repro.rankings.quality import (
     cumulative_gain,
@@ -29,13 +25,8 @@ __all__ = [
     "random_ranking",
     "kendall_tau_distance",
     "kendall_tau_distance_naive",
-    "kendall_tau_coefficient",
     "max_kendall_tau",
-    "spearman_distance",
     "footrule_distance",
-    "ulam_distance",
-    "cayley_distance",
-    "hamming_distance",
     "cumulative_gain",
     "dcg",
     "idcg",

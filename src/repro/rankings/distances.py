@@ -1,13 +1,23 @@
-"""Distance metrics between rankings (Section III-C of the paper).
+"""Rank distances between rankings (Section III-C of the paper).
 
 All functions accept either :class:`~repro.rankings.permutation.Ranking`
 objects or raw permutation arrays.  Distances are computed between the
 *position* views: two rankings agree on a pair ``(i, j)`` when both place
 item ``i`` before item ``j``.
 
-The Kendall tau implementation runs in ``O(n log n)`` via a merge-sort
-inversion count; a quadratic reference implementation is kept for testing
-and micro-benchmarking.
+Two distances, one per use the paper makes of them:
+
+* Kendall tau is the distance of the Mallows model.
+  :func:`kendall_tau_distance` (``O(n log n)``, a merge-sort inversion
+  count) scores :meth:`repro.mallows.model.MallowsModel.log_pmf` and
+  GrBinaryIPF's ``kendall_tau_to_base`` metadata, and
+  :func:`max_kendall_tau` bounds :meth:`MallowsModel.max_distance`.
+  :func:`kendall_tau_distance_naive` is its quadratic reference, kept for
+  tests and micro-benchmarks; the batched form is
+  :func:`repro.batch.batch_kendall_tau`.
+* Spearman's footrule is the objective ApproxMultiValuedIPF optimizes;
+  :func:`footrule_distance` is the reference the tests check that
+  optimum against.
 """
 
 from __future__ import annotations
@@ -106,32 +116,6 @@ def max_kendall_tau(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def kendall_tau_coefficient(pi: RankingLike, sigma: RankingLike) -> float:
-    """Kendall's tau coefficient ``kτ = 1 − 4·d_KT / (k(k−1)) ∈ [−1, 1]``.
-
-    Equals 1 for identical rankings and −1 for exact reversals.
-    """
-    p = _positions(pi)
-    s = _positions(sigma)
-    # Validate before the degenerate-size early return: a length-mismatched
-    # sigma must raise, not silently score 1.0.
-    check_same_length(p, s, "rankings")
-    n = p.size
-    if n < 2:
-        return 1.0
-    d = kendall_tau_distance(pi, sigma)
-    return 1.0 - 4.0 * d / (n * (n - 1))
-
-
-def spearman_distance(pi: RankingLike, sigma: RankingLike) -> int:
-    """Spearman distance ``d₂ = Σᵢ (π(i) − σ(i))²`` (total squared displacement)."""
-    p = _positions(pi).astype(np.int64)
-    s = _positions(sigma).astype(np.int64)
-    check_same_length(p, s, "rankings")
-    diff = p - s
-    return int(np.dot(diff, diff))
-
-
 def footrule_distance(pi: RankingLike, sigma: RankingLike) -> int:
     """Spearman's footrule ``Σᵢ |π(i) − σ(i)|`` (total absolute displacement).
 
@@ -142,116 +126,3 @@ def footrule_distance(pi: RankingLike, sigma: RankingLike) -> int:
     s = _positions(sigma).astype(np.int64)
     check_same_length(p, s, "rankings")
     return int(np.abs(p - s).sum())
-
-
-def ulam_distance(pi: RankingLike, sigma: RankingLike) -> int:
-    """Ulam distance: ``n`` minus the longest common subsequence of the two
-    orders, i.e. the minimum number of move-one-item operations.
-
-    Computed as ``n − LIS(relative order)`` in ``O(n log n)``.
-    """
-    p = _positions(pi)
-    s = _positions(sigma)
-    check_same_length(p, s, "rankings")
-    n = p.size
-    if n == 0:
-        return 0
-    # Items in sigma's order; their pi-positions form a sequence whose LIS
-    # length is the size of the largest sub-ranking on which they agree.
-    if isinstance(sigma, Ranking):
-        sigma_order = sigma.order
-    else:
-        sigma_order = as_permutation_array(sigma)
-    seq = p[sigma_order]
-    return n - _longest_increasing_subsequence_length(seq)
-
-
-def _longest_increasing_subsequence_length(seq: np.ndarray) -> int:
-    """Patience-sorting LIS length (strictly increasing)."""
-    tails: list[int] = []
-    for value in seq.tolist():
-        lo, hi = 0, len(tails)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tails[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(tails):
-            tails.append(value)
-        else:
-            tails[lo] = value
-    return len(tails)
-
-
-def cayley_distance(pi: RankingLike, sigma: RankingLike) -> int:
-    """Cayley distance: minimum number of (arbitrary) transpositions turning
-    one ranking into the other, ``n`` minus the number of cycles of σπ⁻¹."""
-    p = _positions(pi)
-    s = _positions(sigma)
-    check_same_length(p, s, "rankings")
-    n = p.size
-    if n == 0:
-        return 0
-    # Composite permutation mapping pi-positions to sigma-positions.
-    comp = np.empty(n, dtype=np.int64)
-    comp[p] = s
-    seen = np.zeros(n, dtype=bool)
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = int(comp[j])
-    return n - cycles
-
-
-def weighted_kendall_tau(
-    pi: RankingLike,
-    sigma: RankingLike,
-    weights: Sequence[float] | np.ndarray | None = None,
-) -> float:
-    """Position-weighted Kendall tau distance.
-
-    Each discordant pair ``(i, j)`` contributes ``w[min position]`` — the
-    weight of the higher of the two positions the pair occupies in ``pi`` —
-    so disagreements near the top cost more.  With ``weights = None`` the
-    DCG discounts ``1/log(1+r)`` are used (1-based rank ``r``), the natural
-    companion to NDCG-based efficiency; uniform weights recover the plain
-    Kendall tau.
-
-    Runs in ``O(n²)`` (the weighting breaks the inversion-count trick);
-    intended for the paper's scales (``n ≤ a few hundred``).
-    """
-    p = _positions(pi).astype(np.int64)
-    s = _positions(sigma).astype(np.int64)
-    check_same_length(p, s, "rankings")
-    n = p.size
-    if n < 2:
-        return 0.0
-    if weights is None:
-        w = 1.0 / np.log1p(np.arange(1, n + 1, dtype=np.float64))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError(
-                f"weights must have shape ({n},), got {w.shape}"
-            )
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-    dp = p[:, None] - p[None, :]
-    ds = s[:, None] - s[None, :]
-    discordant = np.triu((dp * ds) < 0, k=1)
-    top_pos = np.minimum(p[:, None], p[None, :])
-    return float((w[top_pos] * discordant).sum())
-
-
-def hamming_distance(pi: RankingLike, sigma: RankingLike) -> int:
-    """Number of positions at which the two rankings hold different items."""
-    p = _positions(pi)
-    s = _positions(sigma)
-    check_same_length(p, s, "rankings")
-    return int((p != s).sum())

@@ -36,12 +36,11 @@ class TestParser:
 
     def test_fig5_options(self):
         args = _build_parser().parse_args(
-            ["fig5", "--theta", "1", "--sigma", "0.5", "--repeats", "3", "--milp"]
+            ["fig5", "--theta", "1", "--sigma", "0.5", "--repeats", "3"]
         )
         assert args.theta == 1.0
         assert args.sigma == 0.5
         assert args.repeats == 3
-        assert args.milp is True
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -137,6 +136,26 @@ class TestMain:
     def test_bad_numbers_exit_with_a_message(self, argv, flag):
         with pytest.raises(SystemExit, match=flag):
             main(argv)
+
+    def test_malformed_fault_plan_exits_2_before_the_session(
+        self, monkeypatch, capsys
+    ):
+        def no_session(*args, **kwargs):
+            raise AssertionError("the engine session (and its pool) started")
+
+        monkeypatch.setattr("repro.cli.RankingEngine", no_session)
+        monkeypatch.setenv("REPRO_INJECT_FAULT", "*:first:exit")
+        assert main(["fig1", "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_INJECT_FAULT: ")
+        assert err.count("\n") == 1
+
+    def test_inject_fault_flag_is_a_usage_error(self, capsys):
+        # The chaos plan comes from $REPRO_INJECT_FAULT only.
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--inject-fault", "*:0:exit"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
 
 class TestRankCommand:

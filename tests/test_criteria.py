@@ -9,9 +9,8 @@ from repro.algorithms.criteria import (
     MaxNdcgCriterion,
     MinInfeasibleIndexCriterion,
     MinKendallTauCriterion,
-    batch_infeasible_index,
-    batch_percent_fair,
 )
+from repro.batch import batch_infeasible_index, batch_percent_fair
 from repro.fairness.constraints import FairnessConstraints
 from repro.fairness.infeasible_index import infeasible_index, percent_fair_positions
 from repro.groups.attributes import GroupAssignment

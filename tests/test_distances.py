@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 from repro.exceptions import LengthMismatchError
 from repro.rankings.distances import (
-    cayley_distance,
     footrule_distance,
-    hamming_distance,
-    kendall_tau_coefficient,
     kendall_tau_distance,
     kendall_tau_distance_naive,
     max_kendall_tau,
-    spearman_distance,
-    ulam_distance,
-    weighted_kendall_tau,
 )
 from repro.rankings.permutation import Ranking, all_rankings, identity
 
@@ -94,54 +88,13 @@ class TestKendallTau:
         assert kendall_tau_distance(p, q) == kendall_tau_distance_naive(p, q)
 
 
-class TestKendallTauCoefficient:
-    def test_identical_is_one(self):
-        r = Ranking([1, 2, 0])
-        assert kendall_tau_coefficient(r, r) == 1.0
-
-    def test_reversal_is_minus_one(self):
-        n = 6
-        assert kendall_tau_coefficient(
-            identity(n), Ranking(np.arange(n)[::-1])
-        ) == pytest.approx(-1.0)
-
-    def test_trivial_lengths(self):
-        assert kendall_tau_coefficient(Ranking([0]), Ranking([0])) == 1.0
-        assert kendall_tau_coefficient(Ranking([]), Ranking([])) == 1.0
-
-    def test_length_mismatch_raises_even_for_trivial_pi(self):
-        # Regression: the n < 2 early return used to skip the length check
-        # and silently report a perfect 1.0 for mismatched inputs.
-        with pytest.raises(LengthMismatchError):
-            kendall_tau_coefficient(Ranking([0]), Ranking([0, 1]))
-        with pytest.raises(LengthMismatchError):
-            kendall_tau_coefficient(Ranking([]), Ranking([0]))
-        with pytest.raises(LengthMismatchError):
-            kendall_tau_coefficient(Ranking([0, 1, 2]), Ranking([0, 1]))
-
-    @given(perm6, perm6)
-    def test_range(self, p, q):
-        k = kendall_tau_coefficient(Ranking(np.array(p)), Ranking(np.array(q)))
-        assert -1.0 <= k <= 1.0
-
-
 class TestLengthValidationAudit:
     """Every distance function must validate lengths before any
     degenerate-size early return."""
 
     @pytest.mark.parametrize(
         "fn",
-        [
-            kendall_tau_distance,
-            kendall_tau_distance_naive,
-            kendall_tau_coefficient,
-            spearman_distance,
-            footrule_distance,
-            ulam_distance,
-            cayley_distance,
-            hamming_distance,
-            weighted_kendall_tau,
-        ],
+        [kendall_tau_distance, kendall_tau_distance_naive, footrule_distance],
     )
     def test_short_inputs_still_validated(self, fn):
         with pytest.raises(LengthMismatchError):
@@ -150,11 +103,7 @@ class TestLengthValidationAudit:
             fn(Ranking([]), Ranking([0]))
 
 
-class TestSpearmanAndFootrule:
-    def test_spearman_known(self):
-        # positions: pi=[1,0,2] -> swap items 0,1: (1-0)^2+(0-1)^2 = 2
-        assert spearman_distance(Ranking([1, 0, 2]), Ranking([0, 1, 2])) == 2
-
+class TestFootrule:
     def test_footrule_known(self):
         assert footrule_distance(Ranking([1, 0, 2]), Ranking([0, 1, 2])) == 2
 
@@ -169,70 +118,12 @@ class TestSpearmanAndFootrule:
     @given(perm6)
     def test_identity_distances_zero(self, p):
         r = Ranking(np.array(p))
-        assert spearman_distance(r, r) == 0
         assert footrule_distance(r, r) == 0
-
-    @given(perm6, perm6)
-    def test_spearman_symmetry(self, p, q):
-        rp, rq = Ranking(np.array(p)), Ranking(np.array(q))
-        assert spearman_distance(rp, rq) == spearman_distance(rq, rp)
-
-
-class TestUlam:
-    def test_identical(self):
-        r = Ranking([2, 0, 1])
-        assert ulam_distance(r, r) == 0
-
-    def test_single_move(self):
-        # moving one item => distance 1
-        assert ulam_distance(Ranking([1, 2, 3, 0]), Ranking([0, 1, 2, 3])) == 1
-
-    def test_reversal(self):
-        n = 5
-        assert ulam_distance(identity(n), Ranking(np.arange(n)[::-1])) == n - 1
-
-    @given(perm6, perm6)
-    def test_symmetry(self, p, q):
-        rp, rq = Ranking(np.array(p)), Ranking(np.array(q))
-        assert ulam_distance(rp, rq) == ulam_distance(rq, rp)
-
-    @given(perm6, perm6)
-    def test_bounded_by_n_minus_1(self, p, q):
-        assert 0 <= ulam_distance(Ranking(np.array(p)), Ranking(np.array(q))) <= 5
-
-
-class TestCayleyAndHamming:
-    def test_cayley_single_transposition(self):
-        assert cayley_distance(Ranking([1, 0, 2]), Ranking([0, 1, 2])) == 1
-
-    def test_cayley_cycle(self):
-        # 3-cycle needs 2 transpositions.
-        assert cayley_distance(Ranking([1, 2, 0]), Ranking([0, 1, 2])) == 2
-
-    def test_hamming(self):
-        assert hamming_distance(Ranking([1, 0, 2]), Ranking([0, 1, 2])) == 2
-
-    @given(perm6, perm6)
-    def test_cayley_le_hamming(self, p, q):
-        rp, rq = Ranking(np.array(p)), Ranking(np.array(q))
-        assert cayley_distance(rp, rq) <= hamming_distance(rp, rq)
-
-    @given(perm6, perm6)
-    def test_cayley_symmetry(self, p, q):
-        rp, rq = Ranking(np.array(p)), Ranking(np.array(q))
-        assert cayley_distance(rp, rq) == cayley_distance(rq, rp)
 
 
 def test_all_distances_zero_iff_equal():
     for pi in all_rankings(4):
-        for metric in (
-            kendall_tau_distance,
-            spearman_distance,
-            footrule_distance,
-            ulam_distance,
-            cayley_distance,
-            hamming_distance,
-        ):
+        for metric in (kendall_tau_distance, footrule_distance):
             base = Ranking([0, 1, 2, 3])
             d = metric(pi, base)
             assert (d == 0) == (pi == base), (metric.__name__, pi)
@@ -244,58 +135,3 @@ def test_max_kendall_tau_values():
     assert max_kendall_tau(5) == 10
     with pytest.raises(ValueError):
         max_kendall_tau(-1)
-
-
-class TestWeightedKendallTau:
-    def test_uniform_weights_recover_plain_kt(self):
-        from repro.rankings.distances import weighted_kendall_tau
-
-        p, q = Ranking([2, 0, 3, 1]), Ranking([0, 1, 2, 3])
-        w = np.ones(4)
-        assert weighted_kendall_tau(p, q, w) == kendall_tau_distance(p, q)
-
-    def test_identical_zero(self):
-        from repro.rankings.distances import weighted_kendall_tau
-
-        r = Ranking([1, 0, 2])
-        assert weighted_kendall_tau(r, r) == 0.0
-
-    def test_top_swap_costs_more_than_bottom_swap(self):
-        from repro.rankings.distances import weighted_kendall_tau
-
-        base = identity(6)
-        top_swap = Ranking([1, 0, 2, 3, 4, 5])
-        bottom_swap = Ranking([0, 1, 2, 3, 5, 4])
-        assert weighted_kendall_tau(top_swap, base) > weighted_kendall_tau(
-            bottom_swap, base
-        )
-
-    def test_default_weights_are_dcg_discounts(self):
-        from repro.rankings.distances import weighted_kendall_tau
-
-        base = identity(3)
-        swapped = Ranking([1, 0, 2])
-        # Single discordant pair at positions (0, 1) in `swapped`; top
-        # position 0 has 1-based rank 1 -> weight 1/log(2).
-        assert weighted_kendall_tau(swapped, base) == pytest.approx(
-            1.0 / np.log(2)
-        )
-
-    def test_weight_validation(self):
-        from repro.rankings.distances import weighted_kendall_tau
-
-        with pytest.raises(ValueError):
-            weighted_kendall_tau(identity(3), identity(3), np.ones(2))
-        with pytest.raises(ValueError):
-            weighted_kendall_tau(identity(3), identity(3), -np.ones(3))
-
-    @given(perm6, perm6)
-    def test_symmetry_in_weighting_sense(self, p, q):
-        # Weighted KT is not symmetric in general (weights follow pi's
-        # positions) but must be non-negative and zero iff equal.
-        from repro.rankings.distances import weighted_kendall_tau
-
-        rp, rq = Ranking(np.array(p)), Ranking(np.array(q))
-        d = weighted_kendall_tau(rp, rq)
-        assert d >= 0.0
-        assert (d == 0.0) == (rp == rq)

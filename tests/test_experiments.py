@@ -182,11 +182,3 @@ class TestGermanCredit:
         )
         result = run_german_credit(cfg, data=synthesize_german_credit(seed=0))
         assert "sigma=1" in result.to_text_fig5()
-
-    def test_milp_engine_panel(self):
-        cfg = GermanCreditConfig(
-            theta=0.5, noise_sigma=0.0, sizes=(10,), n_repeats=2,
-            n_bootstrap=50, use_milp=True, seed=3,
-        )
-        result = run_german_credit(cfg, data=synthesize_german_credit(seed=0))
-        assert result.ppfair_known["ILP"][10].estimate >= 90.0

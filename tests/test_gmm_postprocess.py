@@ -166,6 +166,19 @@ class TestExtremeDispersions:
         # The uniform mean: sum of j/2 over the insertions j = 1..9.
         assert tiny.metadata["expected_kt"] == zero.metadata["expected_kt"] == 22.5
 
+    def test_expected_kt_just_below_theta_zero_is_the_uniform_mean(self, profile):
+        # e^{-1e-12} is below 1, so the closed form's 1/(1 - e^{-θ}) terms
+        # cancelled: it served twice the uniform mean.  The true mean sits
+        # θ·Var(d_KT) ≈ 4e-10 below n(n-1)/4 at n = 24.
+        n = 24
+        problem = FairRankingProblem.from_scores(np.linspace(1.0, 0.0, n))
+        response = RankingEngine().rank(
+            "gmm", problem, seed=0, thetas=_thetas(1e-12, profile, n), n_samples=3
+        )
+        assert response.metadata["expected_kt"] == pytest.approx(
+            n * (n - 1) / 4, abs=1e-9
+        )
+
 
 def test_rank_many_digest_is_the_same_on_one_and_two_workers(segregated_problem):
     requests = [

@@ -1,12 +1,14 @@
 """Tests for the Mallows model: partition function, pmf, moments."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mallows.generalized import GeneralizedMallowsModel
 from repro.mallows.model import (
     MallowsModel,
     expected_kendall_tau,
@@ -92,6 +94,45 @@ class TestExpectedDistance:
                     for r in all_rankings(n)
                 ) / z
                 assert variance_kendall_tau(n, theta) == pytest.approx(brute_var)
+
+
+def _decimal_insertion_moments(theta, jmax):
+    """Mean and variance of ``P(v) ∝ e^{−θ v}`` on ``{0..j}`` for
+    ``j = 1..jmax``, by direct summation in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(repr(theta))
+        z = s1 = s2 = Decimal(0)
+        moments = []
+        for v in range(jmax + 1):
+            w = (-t * v).exp()
+            z, s1, s2 = z + w, s1 + v * w, s2 + v * v * w
+            if v:
+                mean = s1 / z
+                moments.append((mean, s2 / z - mean * mean))
+        return moments
+
+
+#: From θ = 0 through values where e^{-θ} rounds to 1, cancels, or
+#: underflows, on both sides of every branch of the moment formula.
+MOMENT_THETAS = [
+    0.0, 1e-300, 1e-17, 1e-12, 1e-9, 1e-6, 1e-4, 3e-3, 0.01, 0.05,
+    0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 200.0, 800.0,
+]
+
+
+@pytest.mark.parametrize("theta", MOMENT_THETAS)
+def test_moments_match_a_decimal_direct_sum(theta):
+    exact = _decimal_insertion_moments(theta, 199)
+    for n in (2, 5, 17, 60, 200):
+        mean = float(sum(m for m, _ in exact[: n - 1]))
+        var = float(sum(v for _, v in exact[: n - 1]))
+        assert expected_kendall_tau(n, theta) == pytest.approx(mean, rel=1e-13)
+        assert variance_kendall_tau(n, theta) == pytest.approx(var, rel=1e-13)
+    gmm = GeneralizedMallowsModel.standard(identity(200), theta)
+    assert gmm.expected_displacements() == pytest.approx(
+        [float(m) for m, _ in exact], rel=1e-13
+    )
 
 
 class TestMallowsModel:

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.base import FairRankingProblem
-from repro.algorithms.criteria import batch_infeasible_index, batch_percent_fair
 from repro.algorithms.detconstsort import DetConstSort
 from repro.algorithms.dp import DpFairRanking
 from repro.algorithms.ipf import ApproxMultiValuedIPF
 from repro.algorithms.mallows_postprocess import MallowsFairRanking
+from repro.batch import batch_infeasible_index, batch_percent_fair
 from repro.fairness.checks import is_fair, prefix_group_counts
 from repro.fairness.constraints import FairnessConstraints
 from repro.fairness.infeasible_index import (
