@@ -196,8 +196,8 @@ def test_kernel_cache_effectiveness(workload, report):
         "Batch engine — kernel cache (10 repeats, rebuilt constraints)",
         stats.summary(),
     )
-    assert stats.bounds_misses == 1
-    assert stats.bounds_hits == 9
+    assert stats.misses == 1
+    assert stats.hits == 9
 
 
 def test_bench_batch_sampling_10k(benchmark, fast_mode, workload):

@@ -192,20 +192,20 @@ def test_streaming_overlaps_the_tail(fast_mode, report):
 def test_learned_costs_persist_to_trajectory(fast_mode, report):
     """Satellite: measured per-unit wall-times become scheduler weights and
     the cost table lands in the JSON trajectory (via report metrics)."""
-    from repro.engine.costs import DEFAULT_COSTS
+    from repro.engine.costs import CostModel
     from repro.experiments.runner import reports_digest, run_all
 
-    DEFAULT_COSTS.clear()
+    costs = CostModel()
     t0 = time.perf_counter()
-    first = reports_digest(run_all(fast=True, n_jobs=2))
+    first = reports_digest(run_all(fast=True, n_jobs=2, costs=costs))
     first_s = time.perf_counter() - t0
-    table_after_first = DEFAULT_COSTS.to_jsonable()
+    table_after_first = costs.to_jsonable()
     # Every unit kind of the pipeline has been measured.
     for kind in ("fig1:cell", "fig2:delta", "fig34:delta", "table1"):
         assert any(key.startswith(kind) for key in table_after_first), kind
 
     t0 = time.perf_counter()
-    second = reports_digest(run_all(fast=True, n_jobs=2))
+    second = reports_digest(run_all(fast=True, n_jobs=2, costs=costs))
     second_s = time.perf_counter() - t0
     # Learned weights shape dispatch only: the reports stay byte-identical.
     assert second == first

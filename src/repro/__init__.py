@@ -5,7 +5,8 @@ Mareček, Fotakis; ICDE 2024).
 Quickstart
 ----------
 Serving goes through a :class:`~repro.engine.RankingEngine` session: it
-owns the worker pool and the kernel cache for its lifetime, and names
+owns a worker-pool handle for its lifetime (there is one kernel cache per
+process, which no session owns), and names
 every algorithm in the zoo by a registry key
 (``"mallows"``, ``"gmm"``, ``"detconstsort"``, ``"ipf"``, ``"binary-ipf"``,
 ``"ilp"``, ``"dp"``):
@@ -68,7 +69,7 @@ deterministic chaos harness drives it all in tests and CI::
 These contracts are machine-checked: ``repro lint src/``
 (:mod:`repro.analysis`, a stdlib-``ast`` linter) statically enforces the
 determinism, sans-IO, and cache-discipline invariants — seeded RNG entry
-points, clock-free serving core, registry-only construction,
+points, clock-free serving core, one kernel cache per process,
 order-stable digest inputs — and CI fails on any unsuppressed finding
 (see the README's "Invariants & lint rules").
 
@@ -76,7 +77,7 @@ The package layers:
 
 * :mod:`repro.rankings` — permutations, Kendall tau and footrule, NDCG;
 * :mod:`repro.engine` — the serving facade: the algorithm registry,
-  session-owned pools/caches, streaming batch ranking, measured-cost
+  session-owned pool handles, streaming batch ranking, measured-cost
   scheduling;
 * :mod:`repro.serve` — the async serving tier over one engine session:
   coalescing micro-batches, cost-priced admission control, per-request

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch.cache import active_cache
+from repro.batch.cache import DEFAULT_CACHE
 from repro.algorithms.base import (
     FairRankingAlgorithm,
     FairRankingProblem,
@@ -55,7 +55,7 @@ class GrBinaryIPF(FairRankingAlgorithm):
             queues.append(members.tolist())
         heads = [0, 0]
         counts = np.zeros(2, dtype=np.int64)
-        lower_m, upper_m = active_cache().count_bounds(constraints, n)
+        lower_m, upper_m = DEFAULT_CACHE.count_bounds(constraints, n)
 
         order = np.empty(n, dtype=np.int64)
         for pos in range(n):

@@ -58,6 +58,20 @@ class MaxNdcgCriterion(SelectionCriterion):
         return batch_ndcg(orders, problem.require_scores())
 
 
+def check_criterion(criterion: SelectionCriterion | None) -> SelectionCriterion:
+    """``criterion``, or :class:`MaxNdcgCriterion` for ``None``; anything
+    that is not a :class:`SelectionCriterion` raises :class:`TypeError`
+    (a criterion's name, as a string, is not one)."""
+    if criterion is None:
+        return MaxNdcgCriterion()
+    if not isinstance(criterion, SelectionCriterion):
+        raise TypeError(
+            "criterion must be a SelectionCriterion, got "
+            f"{type(criterion).__name__}"
+        )
+    return criterion
+
+
 class MinKendallTauCriterion(SelectionCriterion):
     """Prefer the sample closest (in KT distance) to the base ranking.
 

@@ -25,7 +25,7 @@ from repro.algorithms.base import (
 )
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_finite_non_negative
+from repro.utils.validation import check_finite_non_negative, check_real
 
 
 class DetConstSort(FairRankingAlgorithm):
@@ -46,6 +46,11 @@ class DetConstSort(FairRankingAlgorithm):
         check_finite_non_negative(noise_sigma, "noise_sigma")
         self.noise_sigma = float(noise_sigma)
         if target_proportions is not None:
+            if np.ndim(target_proportions) == 1:
+                # Each rate as given: a float conversion first would turn
+                # `true` or "0.5" into a rate.
+                for rate in target_proportions:
+                    check_real(rate, "target_proportions")
             target_proportions = np.asarray(target_proportions, dtype=np.float64)
             if target_proportions.ndim != 1 or not np.all(
                 (target_proportions >= 0) & (target_proportions <= 1)

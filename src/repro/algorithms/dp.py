@@ -28,7 +28,7 @@ from repro.exceptions import InfeasibleProblemError
 from repro.rankings.permutation import Ranking
 from repro.rankings.quality import position_discounts
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_finite_non_negative
+from repro.utils.validation import check_count, check_finite_non_negative
 
 
 class DpFairRanking(FairRankingAlgorithm):
@@ -48,8 +48,8 @@ class DpFairRanking(FairRankingAlgorithm):
 
     def __init__(self, noise_sigma: float = 0.0, top_k: int | None = None):
         check_finite_non_negative(noise_sigma, "noise_sigma")
-        if top_k is not None and top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
+        if top_k is not None:
+            check_count(top_k, "top_k")
         self.noise_sigma = float(noise_sigma)
         self.top_k = top_k
         suffix = f", sigma={self.noise_sigma:g}" if self.noise_sigma else ""

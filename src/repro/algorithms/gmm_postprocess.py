@@ -18,11 +18,11 @@ from repro.algorithms.base import (
     FairRankingProblem,
     FairRankingResult,
 )
-from repro.algorithms.criteria import MaxNdcgCriterion, SelectionCriterion
+from repro.algorithms.criteria import SelectionCriterion, check_criterion
 from repro.mallows.generalized import GeneralizedMallowsModel
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_theta
+from repro.utils.validation import check_count, check_finite_non_negative
 
 
 class GeneralizedMallowsFairRanking(FairRankingAlgorithm):
@@ -49,20 +49,20 @@ class GeneralizedMallowsFairRanking(FairRankingAlgorithm):
         n_samples: int = 1,
         criterion: SelectionCriterion | None = None,
     ):
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        check_count(n_samples, "n_samples")
         if np.isscalar(thetas):
-            check_theta(thetas)
+            check_finite_non_negative(thetas, "thetas")
             self._thetas = float(thetas)
         else:
-            arr = np.asarray(thetas, dtype=np.float64)
-            if arr.ndim != 1:
+            if np.ndim(thetas) != 1:
                 raise ValueError("thetas must be a 1-D vector")
-            for theta in arr.tolist():
-                check_theta(theta)
-            self._thetas = arr
+            # Each entry as given: a float conversion first would turn
+            # `true` or "0.5" into a dispersion.
+            for theta in thetas:
+                check_finite_non_negative(theta, "thetas")
+            self._thetas = np.asarray(thetas, dtype=np.float64)
         self.n_samples = int(n_samples)
-        self.criterion = criterion if criterion is not None else MaxNdcgCriterion()
+        self.criterion = check_criterion(criterion)
         label = (
             f"{self._thetas:g}" if np.isscalar(self._thetas) else "profile"
         )

@@ -29,7 +29,11 @@ from repro.exceptions import InfeasibleProblemError, SolverError
 from repro.rankings.permutation import Ranking
 from repro.rankings.quality import position_discounts
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_finite_non_negative
+from repro.utils.validation import (
+    check_count,
+    check_finite_non_negative,
+    check_real,
+)
 
 
 class IlpFairRanking(FairRankingAlgorithm):
@@ -56,13 +60,15 @@ class IlpFairRanking(FairRankingAlgorithm):
         top_k: int | None = None,
     ):
         check_finite_non_negative(noise_sigma, "noise_sigma")
-        # inf is HiGHS's own default (no limit); NaN fails `>= 0`.
-        if time_limit is not None and not time_limit >= 0.0:
-            raise ValueError(
-                f"time_limit must be non-negative or inf, got {time_limit}"
-            )
-        if top_k is not None and top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
+        if time_limit is not None:
+            check_real(time_limit, "time_limit")
+            # inf is HiGHS's own default (no limit); NaN fails `>= 0`.
+            if not time_limit >= 0.0:
+                raise ValueError(
+                    f"time_limit must be non-negative or inf, got {time_limit}"
+                )
+        if top_k is not None:
+            check_count(top_k, "top_k")
         self.noise_sigma = float(noise_sigma)
         self.time_limit = time_limit
         self.top_k = top_k

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.batch.cache import active_cache
+from repro.batch.cache import DEFAULT_CACHE
 from repro.algorithms.base import (
     FairRankingAlgorithm,
     FairRankingProblem,
@@ -57,7 +57,7 @@ def feasible_position_intervals(
     Returns two ``(n,)`` int arrays indexed by item.
     """
     n = groups.n_items
-    lower_m, upper_m = active_cache().count_bounds(constraints, n)  # (n, g)
+    lower_m, upper_m = DEFAULT_CACHE.count_bounds(constraints, n)  # (n, g)
     # A floor demanding more members than a group contains can never be
     # met — the per-member intervals below would silently ignore it.
     sizes = groups.group_sizes

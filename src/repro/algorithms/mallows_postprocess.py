@@ -14,11 +14,11 @@ from repro.algorithms.base import (
     FairRankingProblem,
     FairRankingResult,
 )
-from repro.algorithms.criteria import MaxNdcgCriterion, SelectionCriterion
+from repro.algorithms.criteria import SelectionCriterion, check_criterion
 from repro.mallows.sampling import sample_mallows_batch
 from repro.rankings.permutation import Ranking
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_theta
+from repro.utils.validation import check_count, check_theta
 
 
 class MallowsFairRanking(FairRankingAlgorithm):
@@ -55,11 +55,10 @@ class MallowsFairRanking(FairRankingAlgorithm):
         criterion: SelectionCriterion | None = None,
     ):
         check_theta(theta)
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        check_count(n_samples, "n_samples")
         self.theta = float(theta)
         self.n_samples = int(n_samples)
-        self.criterion = criterion if criterion is not None else MaxNdcgCriterion()
+        self.criterion = check_criterion(criterion)
         self.name = f"mallows(theta={self.theta:g}, m={self.n_samples})"
 
     def rank(self, problem: FairRankingProblem, seed: SeedLike = None) -> FairRankingResult:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch.cache import active_cache
+from repro.batch.cache import DEFAULT_CACHE
 from repro.fairness.constraints import FairnessConstraints
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_finite_non_negative
@@ -35,7 +35,7 @@ def noisy_count_bounds(
     """
     check_finite_non_negative(sigma, "sigma")
     rng = as_generator(seed)
-    lower_m, upper_m = active_cache().count_bounds(constraints, max_length)
+    lower_m, upper_m = DEFAULT_CACHE.count_bounds(constraints, max_length)
     lower = lower_m.astype(np.float64)
     upper = upper_m.astype(np.float64)
     if sigma > 0:

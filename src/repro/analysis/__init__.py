@@ -3,12 +3,12 @@
 The layers beneath this one run on contracts: the ``n_jobs`` byte-equality
 guarantee assumes all randomness flows through ``SeedSequence`` children
 (never a global RNG), the sans-IO ``ServerCore`` assumes no code path
-reads a real clock, the engine's session caches assume kernels reach
-memoization through ``active_cache()``.  Until this package, those
-contracts were enforced by convention and caught — if at all — by a flaky
-digest mismatch hours later.  ``repro.analysis`` turns each one into an
-AST lint rule (stdlib :mod:`ast`, no dependencies) that fails at review
-time instead.
+reads a real clock, and every kernel assumes one kernel cache per process
+(``DEFAULT_CACHE``) that nothing else constructs or clears.  Until this
+package, those contracts were enforced by convention and caught — if at
+all — by a flaky digest mismatch hours later.  ``repro.analysis`` turns
+each one into an AST lint rule (stdlib :mod:`ast`, no dependencies) that
+fails at review time instead.
 
 Quick use (the CLI form is ``python -m repro.cli lint src/``)::
 
@@ -29,7 +29,8 @@ rules*, and each rule's ``rationale`` attribute):
 REP001    global-RNG construction/use outside seeded entry points
 REP002    wall-clock reads inside clock-free (sans-IO / digest) modules
 REP003    blocking calls inside ``async def`` bodies in ``repro.serve``
-REP004    ``KernelCache()`` / ``DEFAULT_CACHE`` use outside cache owners
+REP004    a second ``KernelCache()``, or ``DEFAULT_CACHE`` cleared or
+          rebound, outside ``repro.batch.cache`` (one cache per process)
 REP006    unordered-container iteration in digest-feeding modules
 REP007    bare/swallowed ``except`` in worker-executed code
 REP008    unbounded retry loops in worker-dispatch/serving code

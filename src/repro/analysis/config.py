@@ -99,12 +99,9 @@ class LintConfig:
 
     # -- REP004: cache discipline -----------------------------------------
     #: Modules allowed to construct :class:`~repro.batch.cache.KernelCache`
-    #: or mutate ``DEFAULT_CACHE`` — the cache module itself and the engine
-    #: sessions that own private caches.
-    cache_owners: tuple[str, ...] = (
-        "repro.batch.cache",
-        "repro.engine",
-    )
+    #: or mutate ``DEFAULT_CACHE``: only the cache module itself, since
+    #: there is one kernel cache per process.
+    cache_owners: tuple[str, ...] = ("repro.batch.cache",)
 
     # -- REP006: ordered-iteration discipline -----------------------------
     #: The digest-feeding modules: anything iterated here can shape a

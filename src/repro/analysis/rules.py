@@ -12,10 +12,10 @@ until now, *check*:
 * **REP003** — ``async def`` bodies in the serving tier must never block
   the event loop: no sleeps, no sync IO, no inline engine compute (that
   is what the executor hop is for).
-* **REP004** — kernel call sites reach memoization through
-  ``active_cache()`` so engine sessions can scope it; constructing
-  ``KernelCache`` (or mutating ``DEFAULT_CACHE``) elsewhere silently
-  splits the cache a session thinks it owns.
+* **REP004** — there is one kernel cache per process, ``DEFAULT_CACHE``,
+  and every bound-matrix lookup reads it; constructing another
+  ``KernelCache`` (or clearing or rebinding ``DEFAULT_CACHE``) elsewhere
+  silently splits or resets that one memo.
 * **REP006** — anything that feeds ``reports_digest``/``responses_digest``
   must iterate deterministically; sets (and, as a discipline, dict views)
   iterate in hash/insertion order the reader cannot verify locally —
@@ -228,22 +228,21 @@ class BlockingAsyncRule(Rule):
 # REP004 — cache discipline
 # ---------------------------------------------------------------------------
 
-#: ``DEFAULT_CACHE`` methods that mutate it (``stats()`` is a read).
-_CACHE_MUTATORS = frozenset(
-    {"clear", "invalidate_constraints", "invalidate_marginals"}
-)
+#: ``DEFAULT_CACHE`` methods that mutate it (lookups and ``stats()`` only
+#: fill or read it).
+_CACHE_MUTATORS = frozenset({"clear"})
 
 
 @register_rule
 class CacheDisciplineRule(Rule):
     id = "REP004"
-    summary = "KernelCache construction / DEFAULT_CACHE mutation outside owners"
+    summary = "a second KernelCache / DEFAULT_CACHE mutation (one cache per process)"
     rationale = (
-        "Engine sessions own private KernelCaches installed via "
-        "use_cache(); kernels reach memoization through active_cache(). "
-        "Constructing KernelCache (or mutating DEFAULT_CACHE) elsewhere "
-        "splits the cache a session thinks it owns and corrupts its "
-        "hit/miss accounting."
+        "There is one kernel cache per process: every bound-matrix lookup "
+        "reads DEFAULT_CACHE. Constructing another KernelCache splits that "
+        "memo, and clearing or rebinding DEFAULT_CACHE from library code "
+        "throws away every caller's entries and resets the hit/miss "
+        "counters benchmarks read."
     )
 
     def applies(self, ctx: LintContext) -> bool:
@@ -255,10 +254,9 @@ class CacheDisciplineRule(Rule):
             if name is not None and name.split(".")[-1] == "KernelCache":
                 yield _at(
                     node,
-                    "direct KernelCache(...) construction — go through "
-                    "active_cache() (session caches install themselves via "
-                    "use_cache); only repro.batch.cache and the engine may "
-                    "construct caches",
+                    "direct KernelCache(...) construction — there is one "
+                    "kernel cache per process; read DEFAULT_CACHE (only "
+                    "repro.batch.cache constructs it)",
                 )
                 return
             if (
@@ -269,10 +267,10 @@ class CacheDisciplineRule(Rule):
                 if owner is not None and owner.split(".")[-1] == "DEFAULT_CACHE":
                     yield _at(
                         node,
-                        f"DEFAULT_CACHE.{node.func.attr}(...) outside the "
-                        "cache owners — mutating the process-wide cache "
-                        "from library code invalidates other sessions' "
-                        "entries behind their backs",
+                        f"DEFAULT_CACHE.{node.func.attr}(...) outside "
+                        "repro.batch.cache — the one kernel cache per process "
+                        "is shared, so clearing it from library code drops "
+                        "every caller's entries behind their backs",
                     )
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (
@@ -283,9 +281,8 @@ class CacheDisciplineRule(Rule):
                 if name is not None and name.split(".")[-1] == "DEFAULT_CACHE":
                     yield _at(
                         target,
-                        "rebinding DEFAULT_CACHE — the process-wide cache "
-                        "is installed once by repro.batch.cache; sessions "
-                        "scope their own via use_cache()",
+                        "rebinding DEFAULT_CACHE — the one kernel cache per "
+                        "process is installed once by repro.batch.cache",
                     )
 
 

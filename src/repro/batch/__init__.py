@@ -10,9 +10,9 @@ This subpackage provides the batched building blocks for that workload:
   many-vs-one Kendall tau, the per-prefix violation masks behind the
   batched Two-Sided Infeasible Index and percentage of P-fair positions,
   and batched NDCG;
-* :mod:`repro.batch.cache` — a process-wide LRU cache of per-constraint
-  bound matrices and per-``(n, theta)`` Mallows position marginals, with
-  hit/miss counters and explicit invalidation;
+* :mod:`repro.batch.cache` — the one kernel cache per process: an LRU
+  memo of the per-constraint prefix bound matrices, with hit/miss
+  counters;
 * :mod:`repro.batch.schedule` — the one supervised dispatch path:
   independent jobs (figure experiments, German Credit panels, per-panel
   repeats, per-delta trial blocks) flattened into one task graph of
@@ -31,13 +31,7 @@ of the corresponding scalar function (same integers, same floats) and is
 tested for exact agreement.
 """
 
-from repro.batch.cache import (
-    DEFAULT_CACHE,
-    CacheStats,
-    KernelCache,
-    active_cache,
-    use_cache,
-)
+from repro.batch.cache import DEFAULT_CACHE, CacheStats, KernelCache
 from repro.batch.kernels import (
     batch_count_inversions,
     batch_infeasible_breakdown,
@@ -62,7 +56,6 @@ __all__ = [
     "KernelCache",
     "WorkUnit",
     "WorkerPool",
-    "active_cache",
     "batch_count_inversions",
     "batch_infeasible_breakdown",
     "batch_infeasible_index",
@@ -74,5 +67,4 @@ __all__ = [
     "in_worker",
     "resolve_n_jobs",
     "shutdown_workers",
-    "use_cache",
 ]

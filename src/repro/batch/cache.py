@@ -1,82 +1,54 @@
-"""Cross-loop memoization of per-constraint / per-model precomputations.
+"""One kernel cache per process: the memoized P-fairness prefix bounds.
 
-The Monte-Carlo experiments call the batched kernels thousands of times with
-a handful of distinct ``(constraints, n)`` pairs — every German Credit repeat
-rebuilds proportional constraints whose rate vectors are *value*-equal to the
-previous repeat's — and the exact-marginal utilities recompute the same
-``(n, theta)`` position-marginal matrix on every call.  This module holds a
-small process-wide cache for both:
+Every P-fairness check reads the prefix bounds ``⌊β_i·ℓ⌋`` and
+``⌈α_i·ℓ⌉`` of
+:meth:`repro.fairness.constraints.FairnessConstraints.count_bounds_matrix`
+— the weakly fair input, the Infeasible Index and P-fair-position kernels,
+IPF and the noisy baselines.  The Monte-Carlo experiments ask for the same
+handful of ``(constraints, n)`` pairs thousands of times (every German
+Credit repeat rebuilds proportional constraints whose rate vectors are
+*value*-equal to the previous repeat's), so :data:`DEFAULT_CACHE` memoizes
+them per ``(alpha, beta, n)`` *by value* (the rate vectors' bytes),
+together with the transposed ``int32`` variants the violation kernel
+consumes.
 
-* **Prefix bound matrices** — :meth:`KernelCache.count_bounds` memoizes
-  :meth:`repro.fairness.constraints.FairnessConstraints.count_bounds_matrix`
-  per ``(alpha, beta, n)`` *by value* (the rate vectors' bytes), together
-  with the transposed ``int32`` variants the violation kernel consumes;
-* **Position marginals** — :meth:`KernelCache.position_marginals` memoizes
-  the exact ``(n, n)`` Mallows marginal matrix per ``(n, theta)``.
-
-Entries are immutable (arrays are returned read-only), eviction is LRU with
-a bounded entry count, and hit/miss counters are exposed via
-:meth:`KernelCache.stats` so benchmarks can surface cache effectiveness.
-Invalidation is explicit: :meth:`KernelCache.invalidate_constraints` drops
-every entry of one constraint set, :meth:`KernelCache.clear` drops
-everything (counters included).
-
-A process-wide default instance, :data:`DEFAULT_CACHE`, is consulted by
-:func:`repro.batch.kernels.batch_violation_masks` and
-:func:`repro.mallows.marginals.position_marginals` — *indirectly*, through
-:func:`active_cache`: a serving session (:class:`repro.engine.RankingEngine`)
-that owns a private :class:`KernelCache` installs it for the duration of a
-request via the :func:`use_cache` context manager, so its hit/miss counters
-and eviction budget are session-scoped rather than process-global.  Tests
-that need a cold path can call ``DEFAULT_CACHE.clear()`` or construct a
-private :class:`KernelCache`.
+Entries are immutable (arrays are returned read-only), eviction is LRU
+over at most :data:`MAX_ENTRIES` entries, and hit/miss counters are exposed
+via :meth:`KernelCache.stats` so benchmarks can surface cache
+effectiveness.  :meth:`KernelCache.clear` drops everything, counters
+included, for callers that need a cold path.  Pool workers are separate
+processes, so each keeps its own.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterator
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
 if TYPE_CHECKING:
     from repro.fairness.constraints import FairnessConstraints
 
-#: Default maximum number of entries kept per table (bounds / marginals).
-_DEFAULT_MAX_ENTRIES = 128
+#: Most entries the cache keeps before evicting the least recently used.
+MAX_ENTRIES = 128
 
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss counters and current sizes of one :class:`KernelCache`."""
+    """Hit/miss counters and current size of one :class:`KernelCache`."""
 
-    bounds_hits: int
-    bounds_misses: int
-    marginals_hits: int
-    marginals_misses: int
-    bounds_entries: int
-    marginals_entries: int
-
-    @property
-    def hits(self) -> int:
-        """Total hits across both tables."""
-        return self.bounds_hits + self.marginals_hits
-
-    @property
-    def misses(self) -> int:
-        """Total misses across both tables."""
-        return self.bounds_misses + self.marginals_misses
+    hits: int
+    misses: int
+    entries: int
 
     def summary(self) -> str:
         """One-line human-readable rendering (used in benchmark reports)."""
         return (
-            f"bounds {self.bounds_hits} hits / {self.bounds_misses} misses "
-            f"({self.bounds_entries} cached), "
-            f"marginals {self.marginals_hits} hits / "
-            f"{self.marginals_misses} misses ({self.marginals_entries} cached)"
+            f"bounds {self.hits} hits / {self.misses} misses "
+            f"({self.entries} cached)"
         )
 
 
@@ -93,19 +65,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class KernelCache:
-    """Bounded LRU cache of kernel precomputations (thread-safe)."""
+    """Bounded LRU cache of prefix bound matrices (thread-safe)."""
 
-    def __init__(self, max_entries: int = _DEFAULT_MAX_ENTRIES):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = int(max_entries)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._bounds: OrderedDict[Hashable, tuple[np.ndarray, ...]] = OrderedDict()
-        self._marginals: OrderedDict[Hashable, np.ndarray] = OrderedDict()
-        self._bounds_hits = 0
-        self._bounds_misses = 0
-        self._marginals_hits = 0
-        self._marginals_misses = 0
+        self._hits = 0
+        self._misses = 0
 
     # -- lookup ---------------------------------------------------------------
 
@@ -125,27 +91,6 @@ class KernelCache:
         _, _, lower32, upper32 = self._bounds_entry(constraints, n)
         return lower32, upper32
 
-    def position_marginals(self, n: int, theta: float) -> np.ndarray:
-        """Memoized exact Mallows position-marginal matrix for ``(n, theta)``
-        (read-only; see :func:`repro.mallows.marginals.position_marginals`)."""
-        key = (int(n), float(theta))
-        with self._lock:
-            cached = self._marginals.get(key)
-            if cached is not None:
-                self._marginals_hits += 1
-                self._marginals.move_to_end(key)
-                return cached
-            self._marginals_misses += 1
-        from repro.mallows.marginals import _compute_position_marginals
-
-        value = _freeze(_compute_position_marginals(n, theta))
-        with self._lock:
-            self._marginals[key] = value
-            self._marginals.move_to_end(key)
-            while len(self._marginals) > self._max_entries:
-                self._marginals.popitem(last=False)
-        return value
-
     def _bounds_entry(
         self, constraints: "FairnessConstraints", n: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -153,10 +98,10 @@ class KernelCache:
         with self._lock:
             cached = self._bounds.get(key)
             if cached is not None:
-                self._bounds_hits += 1
+                self._hits += 1
                 self._bounds.move_to_end(key)
                 return cached
-            self._bounds_misses += 1
+            self._misses += 1
         lower, upper = constraints.count_bounds_matrix(n)
         entry = (
             _freeze(lower),
@@ -167,86 +112,25 @@ class KernelCache:
         with self._lock:
             self._bounds[key] = entry
             self._bounds.move_to_end(key)
-            while len(self._bounds) > self._max_entries:
+            while len(self._bounds) > MAX_ENTRIES:
                 self._bounds.popitem(last=False)
         return entry
 
     # -- maintenance ----------------------------------------------------------
 
-    def invalidate_constraints(self, constraints: "FairnessConstraints") -> int:
-        """Drop every cached bound matrix of ``constraints`` (any ``n``);
-        returns the number of entries removed."""
-        prefix = (constraints.alpha.tobytes(), constraints.beta.tobytes())
-        with self._lock:
-            doomed = [k for k in self._bounds if k[:2] == prefix]
-            for k in doomed:
-                del self._bounds[k]
-        return len(doomed)
-
-    def invalidate_marginals(self, n: int | None = None) -> int:
-        """Drop cached marginal matrices (all of them, or only size ``n``);
-        returns the number of entries removed."""
-        with self._lock:
-            if n is None:
-                count = len(self._marginals)
-                self._marginals.clear()
-                return count
-            doomed = [k for k in self._marginals if k[0] == int(n)]
-            for k in doomed:
-                del self._marginals[k]
-        return len(doomed)
-
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss counters."""
         with self._lock:
             self._bounds.clear()
-            self._marginals.clear()
-            self._bounds_hits = self._bounds_misses = 0
-            self._marginals_hits = self._marginals_misses = 0
+            self._hits = self._misses = 0
 
     def stats(self) -> CacheStats:
-        """Snapshot of the hit/miss counters and table sizes."""
+        """Snapshot of the hit/miss counters and the table size."""
         with self._lock:
             return CacheStats(
-                bounds_hits=self._bounds_hits,
-                bounds_misses=self._bounds_misses,
-                marginals_hits=self._marginals_hits,
-                marginals_misses=self._marginals_misses,
-                bounds_entries=len(self._bounds),
-                marginals_entries=len(self._marginals),
+                hits=self._hits, misses=self._misses, entries=len(self._bounds)
             )
 
 
-#: Process-wide cache consulted by the kernels and the marginal utilities
-#: whenever no session cache is installed (see :func:`active_cache`).
+#: The process's one kernel cache, read by every bound-matrix lookup.
 DEFAULT_CACHE = KernelCache()
-
-#: The installed session cache, or ``None`` (fall back to DEFAULT_CACHE).
-#: Thread-local so two engine sessions serving from different threads do
-#: not see each other's tables.
-_ACTIVE = threading.local()
-
-
-def active_cache() -> KernelCache:
-    """The cache the kernels consult right now: the innermost
-    :func:`use_cache` installation, else :data:`DEFAULT_CACHE`."""
-    return getattr(_ACTIVE, "cache", None) or DEFAULT_CACHE
-
-
-@contextmanager
-def use_cache(cache: KernelCache) -> Iterator[KernelCache]:
-    """Install ``cache`` as the active kernel cache for the duration of the
-    ``with`` block (re-entrant; restores the previous installation on exit).
-
-    This is how a :class:`repro.engine.RankingEngine` scopes memoization to
-    its own session: kernels reached from inside the block read and fill
-    ``cache`` instead of the process-wide default.  The installation is
-    per-thread and does not propagate to pool worker processes (each worker
-    keeps its own process-wide default cache).
-    """
-    previous = getattr(_ACTIVE, "cache", None)
-    _ACTIVE.cache = cache
-    try:
-        yield cache
-    finally:
-        _ACTIVE.cache = previous

@@ -29,10 +29,8 @@ bounded regardless of ``m``.
 Caching
 -------
 Per-``(constraints, n)`` precomputations (the prefix bound matrices of the
-violation kernels) are memoized across calls in the *active*
-:class:`repro.batch.cache.KernelCache` — the process-wide default, or an
-engine session's private cache installed via
-:func:`repro.batch.cache.use_cache`; see :mod:`repro.batch.cache`.
+violation kernels) are memoized across calls in the process's one kernel
+cache, :data:`repro.batch.cache.DEFAULT_CACHE`; see :mod:`repro.batch.cache`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.batch.cache import active_cache
+from repro.batch.cache import DEFAULT_CACHE
 from repro.exceptions import LengthMismatchError
 from repro.rankings.permutation import Ranking
 from repro.rankings.quality import idcg, position_discounts
@@ -166,7 +164,7 @@ def batch_violation_masks(
     # (m, n, g) one-hot tensor and its slow length-g axis reduction; counts
     # are at most n so int32 halves the traffic with identical integers.
     # The transposed bound matrices are memoized per (constraints, n).
-    lower32, upper32 = active_cache().violation_bounds32(constraints, n)
+    lower32, upper32 = DEFAULT_CACHE.violation_bounds32(constraints, n)
     chunk = max(1, _PREFIX_BUDGET // max(1, n))
     for lo in range(0, m, chunk):
         rows = grp[lo : lo + chunk]

@@ -222,8 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the repo's static-analysis rules (REP001-REP011: seeded "
-            "RNG, clock-free sans-IO, non-blocking async, cache/registry "
-            "discipline, sorted digest iteration, worker error hygiene, "
+            "RNG, clock-free sans-IO, non-blocking async, one kernel cache "
+            "per process, sorted digest iteration, worker error hygiene, "
             "bounded retries, plus the transitive call-graph rules and "
             "picklable pool payloads); exits 0 when clean, 1 on findings, "
             "2 on usage/parse errors"

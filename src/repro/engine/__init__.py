@@ -1,8 +1,8 @@
 """repro.engine — the unified serving facade.
 
-One session object, :class:`RankingEngine`, owns the process pool, the
-kernel caches and a measured-cost scheduler model for its lifetime, and
-serves the whole algorithm zoo through a string-keyed registry:
+One session object, :class:`RankingEngine`, owns a handle on the process
+pool and a measured-cost model for its lifetime, and serves the whole
+algorithm zoo through a string-keyed registry:
 
 >>> import numpy as np
 >>> from repro.engine import RankingEngine
@@ -40,7 +40,9 @@ Module map
 
 ``rank_many`` yields responses **as-completed** while staying
 byte-identical to the serial loop for every ``n_jobs`` — see the
-determinism contract in :mod:`repro.engine.core`.
+determinism contract in :mod:`repro.engine.core`.  No session owns a
+kernel cache: there is one kernel cache per process
+(:data:`repro.batch.cache.DEFAULT_CACHE`).
 """
 
 from repro.engine.core import (
@@ -51,11 +53,7 @@ from repro.engine.core import (
     RankingResponse,
     responses_digest,
 )
-from repro.engine.costs import (
-    DEFAULT_COSTS,
-    CostModel,
-    kind_label,
-)
+from repro.engine.costs import CostModel, kind_label
 from repro.engine.registry import (
     AlgorithmSpec,
     algorithm_names,
@@ -69,7 +67,6 @@ from repro.engine.registry import (
 __all__ = [
     "AlgorithmSpec",
     "CostModel",
-    "DEFAULT_COSTS",
     "EngineConfig",
     "EngineStats",
     "RankingEngine",

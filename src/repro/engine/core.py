@@ -3,20 +3,19 @@
 Design
 ------
 The experiments harness grew all the throughput machinery — batched
-kernels, a shared process pool, LRU kernel caches, a work scheduler — but
-reached it only through experiment configs.  ``RankingEngine`` is the
-library-user surface over the same machinery: a session object that owns
+kernels, a shared process pool, a work scheduler — but reached it only
+through experiment configs.  ``RankingEngine`` is the library-user surface
+over the same machinery: a session object that owns
 
 * a :class:`~repro.batch.schedule.WorkerPool` handle (its ``n_jobs``
   budget resolves onto the shared per-count executors),
-* a private :class:`~repro.batch.cache.KernelCache` (installed as the
-  active cache around every request, so memoized bound matrices and
-  position marginals — and their hit/miss counters — are session-scoped),
 * a :class:`~repro.engine.costs.CostModel` that learns measured per-kind
   unit wall-times and feeds them back as dispatch weights
 
 for its lifetime, and exposes the whole algorithm zoo through the
-string-keyed registry (:mod:`repro.engine.registry`).
+string-keyed registry (:mod:`repro.engine.registry`).  Memoized kernel
+precomputations are not the session's: there is one kernel cache per
+process (:data:`repro.batch.cache.DEFAULT_CACHE`).
 
 Determinism contract
 --------------------
@@ -51,7 +50,6 @@ from typing import Any, Callable, Generator, Iterable, Iterator, Mapping, Sequen
 import numpy as np
 
 from repro.algorithms.base import FairRankingAlgorithm, FairRankingProblem
-from repro.batch.cache import CacheStats, KernelCache, use_cache
 from repro.batch.parallel import resolve_n_jobs
 from repro.batch.schedule import WorkerPool, WorkUnit
 from repro.engine.costs import CostModel
@@ -171,8 +169,6 @@ class EngineStats:
     ``utilization`` is busy-seconds over wall-seconds × workers for the
     session's ``rank_many`` streams: 1.0 means every worker computed the
     whole time, values near ``1 / n_jobs`` mean the pool mostly idled.
-    ``cache`` counts parent-process kernel-cache traffic (pool children
-    keep their own process-wide caches).
     """
 
     requests_total: int
@@ -180,7 +176,6 @@ class EngineStats:
     busy_seconds: float
     wall_seconds: float
     n_jobs: int
-    cache: CacheStats
     cost_table: dict[str, dict[str, float]]
     #: Crash-recovery tallies for the session's pooled work (see
     #: :meth:`repro.faults.FaultCounters.snapshot`) — all zero on a
@@ -201,8 +196,7 @@ class EngineStats:
             f"{self.requests_total} requests in {self.batches_total} "
             f"batches, busy {self.busy_seconds:.2f}s / wall "
             f"{self.wall_seconds:.2f}s on {self.n_jobs} worker(s) "
-            f"(utilization {self.utilization:.0%}); cache: "
-            f"{self.cache.summary()}"
+            f"(utilization {self.utilization:.0%})"
         )
         if any(value for value in self.faults.values()):
             recovered = (
@@ -357,9 +351,8 @@ class RankingEngine:
     ['detconstsort', 'mallows']
 
     The engine is usable as a context manager; :meth:`close` drops the
-    session cache and cost model (the shared worker processes stay up for
-    other sessions — :func:`repro.batch.shutdown_workers` tears those
-    down).
+    session's cost model (the shared worker processes stay up for other
+    sessions — :func:`repro.batch.shutdown_workers` tears those down).
     """
 
     def __init__(
@@ -377,7 +370,6 @@ class RankingEngine:
         self._pool = WorkerPool(
             config.n_jobs, policy=config.retry, counters=self._faults
         )
-        self._cache = KernelCache()
         self._costs = CostModel()
         self._requests_total = 0
         self._batches_total = 0
@@ -397,11 +389,6 @@ class RankingEngine:
         """The session's scheduler handle — thread it into experiment
         configs to funnel their work units through this session's pool."""
         return self._pool
-
-    @property
-    def cache(self) -> KernelCache:
-        """The session-owned kernel cache."""
-        return self._cache
 
     @property
     def costs(self) -> CostModel:
@@ -431,14 +418,13 @@ class RankingEngine:
         self.close()
 
     def close(self) -> None:
-        """End the session: drop its cache and cost model.
+        """End the session: drop its cost model.
 
         Further requests raise.  The shared worker processes are *not*
         killed — they are pooled across sessions; call
         :func:`repro.batch.shutdown_workers` to tear them down.
         """
         self._closed = True
-        self._cache.clear()
         self._costs.clear()
 
     def _require_open(self) -> None:
@@ -506,12 +492,11 @@ class RankingEngine:
                 None,
             )
         spec = algorithm_spec(name)
-        with use_cache(self._cache):
-            (ranking, metadata), seconds = clock_unit(
-                _rank_unit,
-                request_seed,
-                (spec.name, tuple(sorted(request_params.items())), problem),
-            )
+        (ranking, metadata), seconds = clock_unit(
+            _rank_unit,
+            request_seed,
+            (spec.name, tuple(sorted(request_params.items())), problem),
+        )
         self._requests_total += 1
         self._costs.observe(("rank", spec.name, problem.n_items), seconds)
         return RankingResponse(
@@ -612,9 +597,7 @@ class RankingEngine:
         Two differences from iterating :meth:`rank_many`:
 
         * delivery is *pushed*: ``on_response(response)`` fires in this
-          thread as each request completes (never with the session cache
-          installed, so a callback's own kernel work stays out of the
-          session's counters);
+          thread as each request completes;
         * failures are *per-request*: each unit runs guarded in whichever
           process executes it, so an algorithm raising poisons only its
           own request — ``on_error(index, request, exception)`` fires for
@@ -671,18 +654,7 @@ class RankingEngine:
         t0 = time.perf_counter()
         stream = pool.iter(units)
         try:
-            while True:
-                # The session cache is installed only while the scheduler
-                # actually computes (inline units run inside next()); it
-                # must NOT stay installed across the yield — the consumer's
-                # own kernel work between responses belongs to whatever
-                # cache *it* has active, and interleaved streams from two
-                # engines would otherwise restore in non-LIFO order.
-                with use_cache(self._cache):
-                    try:
-                        done = next(stream)
-                    except StopIteration:
-                        break
+            for done in stream:
                 index = done.key
                 request = requests[index]
                 ok, outcome = done.result
@@ -712,15 +684,14 @@ class RankingEngine:
 
     def stats(self) -> EngineStats:
         """Counters of the session so far: request/batch totals, busy vs
-        wall time (pool utilization), the session cache's hit/miss
-        counters, and the learned cost table."""
+        wall time (pool utilization), the learned cost table and the
+        crash-recovery tally."""
         return EngineStats(
             requests_total=self._requests_total,
             batches_total=self._batches_total,
             busy_seconds=self._busy_seconds,
             wall_seconds=self._wall_seconds,
             n_jobs=resolve_n_jobs(self._config.n_jobs),
-            cache=self._cache.stats(),
             cost_table=self._costs.to_jsonable(),
             faults=self._faults.snapshot(),
         )

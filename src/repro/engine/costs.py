@@ -1,4 +1,4 @@
-"""Measured-cost feedback for the work scheduler.
+"""Measured-cost feedback for the work scheduler and the admission gate.
 
 The scheduler dispatches :class:`~repro.batch.schedule.WorkUnit`\\ s
 longest-processing-time-first, but until a unit kind has actually run, its
@@ -12,16 +12,16 @@ by guesswork.
 
 Three consumers:
 
+* :func:`repro.experiments.runner.run_all` schedules from and feeds the
+  model it is given — the engine session's, the caller's ``costs=``, or a
+  fresh one per call — so a second pipeline run given the same model
+  dispatches from the first run's measurements;
 * :class:`repro.engine.RankingEngine` owns one model per session —
   repeated ``rank_many`` calls over similar request mixes converge onto
   measured dispatch order;
-* :func:`repro.experiments.runner.run_all` observes into a process-wide
-  :data:`DEFAULT_COSTS` table, so a second pipeline run in the same process
-  schedules from the first run's measurements, and benchmark runs persist
-  the table into the ``BENCH_*.json`` perf trajectory;
 * the async serving tier (:mod:`repro.serve`) *prices admission* by the
-  same table: a request's predicted cost is its kind's EWMA seconds, as
-  measured by the session itself.
+  session's table: a request's predicted cost is its kind's EWMA
+  seconds, as measured by the session itself.
 
 Weights only shape the dispatch order, never the results: whatever the
 model has (or has not) learned, output stays byte-identical.
@@ -112,8 +112,9 @@ class CostModel:
             }
 
     def to_jsonable(self) -> dict[str, dict[str, float]]:
-        """The cost table with stringified kinds, for ``BENCH_*.json``
-        persistence (kinds are tuples; JSON keys must be strings)."""
+        """The cost table with stringified kinds, for JSON reports such
+        as :attr:`repro.engine.EngineStats.cost_table` (kinds are tuples;
+        JSON keys must be strings)."""
         return {
             kind_label(kind): {
                 "ewma_seconds": seconds,
@@ -141,8 +142,3 @@ def kind_label(kind: Hashable) -> str:
     if isinstance(kind, tuple):
         return ":".join(str(part) for part in kind)
     return str(kind)
-
-
-#: Process-wide cost table the experiment pipeline feeds (engine sessions
-#: own private models instead).
-DEFAULT_COSTS = CostModel()

@@ -21,7 +21,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.batch import WorkerPool, WorkUnit
-from repro.engine.costs import DEFAULT_COSTS, CostModel
+from repro.engine.costs import CostModel
 
 if TYPE_CHECKING:
     from repro.engine import RankingEngine
@@ -104,9 +104,9 @@ def run_all(
         everything through it.
     costs:
         The measured-cost table to schedule from and feed (defaults to the
-        process-wide :data:`~repro.engine.costs.DEFAULT_COSTS`).  Units
-        whose ``kind`` has been observed before — an earlier ``run_all``
-        in this process, or previous requests on the ``engine`` — are
+        ``engine``'s model, else a fresh :class:`CostModel`).  Units whose
+        ``kind`` the table has observed before — an earlier ``run_all``
+        given the same table, or previous requests on the ``engine`` — are
         dispatched by measured seconds instead of their static weight
         guesses; every completed unit's wall-time is folded back in.
         Weights shape only the dispatch order, never the reports.
@@ -114,7 +114,7 @@ def run_all(
     say = progress or (lambda _msg: None)
     pool = engine.pool if engine is not None else WorkerPool(n_jobs)
     if costs is None:
-        costs = engine.costs if engine is not None else DEFAULT_COSTS
+        costs = engine.costs if engine is not None else CostModel()
 
     fig1_cfg = (
         Fig1Config(n_samples=50, n_bootstrap=200, pool=pool)
@@ -195,9 +195,9 @@ def run_all(
         if pending[group] == 0:
             say(f"{group} done")
 
-    # Measured-cost dispatch: kinds observed before (an earlier run in this
-    # process, or the engine session's history) replace their static weight
-    # guesses with learned seconds.
+    # Measured-cost dispatch: kinds the table observed before (an earlier
+    # run given the same table, or the engine session's history) replace
+    # their static weight guesses with learned seconds.
     kind_of = {unit.key: unit.kind for unit in units}
     results = pool.run(costs.reweight(units), on_unit_done=_on_unit_done)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch.cache import active_cache
+from repro.batch.cache import DEFAULT_CACHE
 from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
 from repro.rankings.permutation import Ranking
@@ -40,7 +40,7 @@ def is_fair(
     if constraints.k > n:
         return True
     counts = prefix_group_counts(ranking, groups)
-    lower, upper = active_cache().count_bounds(constraints, n)
+    lower, upper = DEFAULT_CACHE.count_bounds(constraints, n)
     rows = slice(constraints.k - 1, n)
     ok_lower = counts[rows] >= lower[rows]
     ok_upper = counts[rows] <= upper[rows]

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.cache import active_cache
+from repro.batch.cache import DEFAULT_CACHE
 from repro.exceptions import InfeasibleProblemError
 from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
@@ -91,7 +91,7 @@ def weakly_fair_ranking(
     sizes = [len(q) for q in queues]
     score_of = s.tolist()
 
-    lower_m, upper_m = active_cache().count_bounds(constraints, n)
+    lower_m, upper_m = DEFAULT_CACHE.count_bounds(constraints, n)
     # Floors can never exceed what the groups can supply; demanding more
     # items than a group has is infeasible outright (strong mode).
     if strong and np.any(lower_m > np.array(sizes)[None, :]):

@@ -35,18 +35,7 @@ def position_marginals(n: int, theta: float) -> np.ndarray:
 
     At ``theta = 0`` every entry is ``1/n``; as ``theta → ∞`` the matrix
     approaches the identity.
-
-    The ``O(n³)`` computation is memoized per ``(n, theta)`` in
-    the active :class:`repro.batch.cache.KernelCache` (experiment loops
-    sweep the same θ grid over and over); the returned matrix is read-only.
     """
-    from repro.batch.cache import active_cache
-
-    return active_cache().position_marginals(n, theta)
-
-
-def _compute_position_marginals(n: int, theta: float) -> np.ndarray:
-    """Uncached computation behind :func:`position_marginals`."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     check_theta(theta)

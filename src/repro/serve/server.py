@@ -81,8 +81,9 @@ class AsyncRankingServer:
     Parameters
     ----------
     engine:
-        The engine session to serve from (owns workers, caches, and the
-        cost model that prices admission).
+        The engine session to serve from (owns the worker-pool handle and
+        the cost model that prices admission; the kernel cache is the
+        process's one, not the session's).
     config:
         A :class:`~repro.serve.protocol.ServeConfig`; keyword overrides
         may be passed instead of (or on top of) it, e.g.

@@ -8,6 +8,7 @@ error messages) in one place.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -62,15 +63,40 @@ def check_same_length(a: np.ndarray, b: np.ndarray, what: str = "inputs") -> Non
         )
 
 
-def check_finite_non_negative(value: float, name: str) -> None:
-    """Raise :class:`ValueError` unless ``value`` is finite and ``>= 0``.
+def check_real(value: float, name: str) -> None:
+    """Raise :class:`TypeError` unless ``value`` is a real number.
 
-    Rejects NaN, which passes a bare ``value < 0`` test, and ``±inf``.
+    Python and NumPy integers and floats pass; a ``bool`` does not (it is
+    an ``int`` to Python, but ``true`` for ``theta`` is a caller's mistake,
+    not ``1``), and neither does a numeric string.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+
+
+def check_count(value: int, name: str) -> None:
+    """Raise unless ``value`` is an integer ``>= 1`` (a sample count, a
+    prefix length): :class:`TypeError` for a ``bool``, a float or any other
+    non-integer (Python and NumPy integers pass), :class:`ValueError` below
+    1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_finite_non_negative(value: float, name: str) -> None:
+    """Raise unless ``value`` is a finite real number ``>= 0``:
+    :class:`TypeError` for a non-real (see :func:`check_real`),
+    :class:`ValueError` for NaN (which passes a bare ``value < 0`` test),
+    ``±inf`` and negatives.
+    """
+    check_real(value, name)
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def check_theta(theta: float) -> None:
-    """Raise :class:`ValueError` unless ``theta`` is a finite ``θ >= 0``."""
+    """Raise unless ``theta`` is a finite real ``θ >= 0`` (see
+    :func:`check_finite_non_negative`)."""
     check_finite_non_negative(theta, "theta")

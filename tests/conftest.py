@@ -64,3 +64,25 @@ def brute_force_best(perms, key):
         if best_val is None or v > best_val:
             best, best_val = r, v
     return best, best_val
+
+
+#: ``(algorithm, params, field)``: constructor parameters of the wrong type
+#: (a float or bool count, a bool or string real, a criterion's name), each
+#: refused at construction with a message naming ``field``.
+MISTYPED_PARAMS = [
+    ("mallows", {"theta": 1.0, "n_samples": 2.7}, "n_samples"),
+    ("mallows", {"theta": 1.0, "n_samples": True}, "n_samples"),
+    ("gmm", {"thetas": 1.0, "n_samples": 2.7}, "n_samples"),
+    ("gmm", {"thetas": 1.0, "n_samples": True}, "n_samples"),
+    ("mallows", {"theta": True}, "theta"),
+    ("mallows", {"theta": "1"}, "theta"),
+    ("dp", {"noise_sigma": True}, "noise_sigma"),
+    ("mallows", {"theta": 1.0, "n_samples": 3, "criterion": "max-ndcg"}, "criterion"),
+    ("gmm", {"thetas": 1.0, "n_samples": 3, "criterion": "max-ndcg"}, "criterion"),
+    ("gmm", {"thetas": [0.5, True, 0.5]}, "thetas"),
+    ("gmm", {"thetas": [0.5, "0.5", 0.5]}, "thetas"),
+    ("detconstsort", {"target_proportions": [True, 0.5]}, "target_proportions"),
+    ("detconstsort", {"target_proportions": ["0.5", "0.5"]}, "target_proportions"),
+    ("dp", {"top_k": 2.5}, "top_k"),
+    ("ilp", {"time_limit": True}, "time_limit"),
+]

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.algorithms.base import FairRankingProblem, FairRankingResult
 from repro.algorithms.detconstsort import DetConstSort
-from repro.batch.cache import active_cache
+from repro.batch.cache import DEFAULT_CACHE
 from repro.exceptions import InfeasibleProblemError
 from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
@@ -63,7 +63,7 @@ def weakly_fair_ranking(
     heads = np.zeros(g, dtype=np.int64)
     sizes = np.array([q.size for q in queues], dtype=np.int64)
 
-    lower_m, upper_m = active_cache().count_bounds(constraints, n)
+    lower_m, upper_m = DEFAULT_CACHE.count_bounds(constraints, n)
     # Floors can never exceed what the groups can supply; demanding more
     # items than a group has is infeasible outright (strong mode).
     if strong and np.any(lower_m > sizes[None, :]):
@@ -363,7 +363,7 @@ def feasible_position_intervals(
     base_ranking: Ranking,
 ) -> tuple[np.ndarray, np.ndarray]:
     n = groups.n_items
-    lower_m, upper_m = active_cache().count_bounds(constraints, n)  # (n, g)
+    lower_m, upper_m = DEFAULT_CACHE.count_bounds(constraints, n)  # (n, g)
     # A floor demanding more members than a group contains can never be
     # met — the per-member intervals below would silently ignore it.
     sizes = groups.group_sizes

@@ -1,14 +1,14 @@
-"""REP004 true negatives: kernels reach memoization through
-``active_cache()``; reading stats is not mutation.
+"""REP004 true negatives: kernels read the one kernel cache per process;
+filling it by lookup and reading stats is not mutation.
 
 Linted as ``repro.batch.kernels`` — same scope as the violations.
 """
 
-from repro.batch.cache import DEFAULT_CACHE, active_cache
+from repro.batch.cache import DEFAULT_CACHE
 
 
 def violation_masks(constraints, n):
-    lower32, upper32 = active_cache().violation_bounds32(constraints, n)
+    lower32, upper32 = DEFAULT_CACHE.violation_bounds32(constraints, n)
     return lower32, upper32
 
 

@@ -1,13 +1,12 @@
-"""Unit tests for the cross-loop kernel cache (:mod:`repro.batch.cache`)."""
+"""Unit tests for the one kernel cache per process (:mod:`repro.batch.cache`)."""
 
 import numpy as np
 import pytest
 
 from repro.batch import DEFAULT_CACHE, KernelCache, batch_violation_masks
-from repro.batch.cache import CacheStats
+from repro.batch.cache import MAX_ENTRIES, CacheStats
 from repro.fairness.constraints import FairnessConstraints
 from repro.groups.attributes import GroupAssignment
-from repro.mallows.marginals import _compute_position_marginals, position_marginals
 
 
 @pytest.fixture
@@ -30,14 +29,14 @@ class TestBoundsCache:
         cache = KernelCache()
         cache.count_bounds(constraints, 8)
         stats = cache.stats()
-        assert (stats.bounds_misses, stats.bounds_hits) == (1, 0)
+        assert (stats.misses, stats.hits) == (1, 0)
         cache.count_bounds(constraints, 8)
         cache.violation_bounds32(constraints, 8)
         stats = cache.stats()
-        assert (stats.bounds_misses, stats.bounds_hits) == (1, 2)
+        assert (stats.misses, stats.hits) == (1, 2)
         # A different prefix length is a different entry.
         cache.count_bounds(constraints, 9)
-        assert cache.stats().bounds_misses == 2
+        assert cache.stats().misses == 2
 
     def test_value_based_keying(self):
         """Rebuilt-but-equal constraints (the German Credit loop) hit."""
@@ -47,7 +46,7 @@ class TestBoundsCache:
         cache.count_bounds(a, 6)
         cache.count_bounds(b, 6)  # same rates, different object and k
         stats = cache.stats()
-        assert (stats.bounds_misses, stats.bounds_hits) == (1, 1)
+        assert (stats.misses, stats.hits) == (1, 1)
 
     def test_returned_arrays_read_only(self, constraints):
         cache = KernelCache()
@@ -55,72 +54,30 @@ class TestBoundsCache:
         with pytest.raises(ValueError):
             lower[0, 0] = 99
 
-    def test_invalidate_constraints(self, constraints):
-        cache = KernelCache()
-        cache.count_bounds(constraints, 5)
-        cache.count_bounds(constraints, 6)
-        other = FairnessConstraints.from_rates([1.0], [0.0], k=1)
-        cache.count_bounds(other, 5)
-        assert cache.invalidate_constraints(constraints) == 2
-        assert cache.stats().bounds_entries == 1
-        cache.count_bounds(constraints, 5)  # cold again
-        assert cache.stats().bounds_misses == 4
-
     def test_lru_eviction(self):
-        cache = KernelCache(max_entries=2)
+        """The cache holds MAX_ENTRIES entries; one more evicts the least
+        recently used."""
+        cache = KernelCache()
         cons = [
             FairnessConstraints.from_rates([r], [0.0], k=1)
-            for r in (0.25, 0.5, 0.75)
+            for r in np.linspace(0.0, 1.0, MAX_ENTRIES + 1)
         ]
-        cache.count_bounds(cons[0], 4)
-        cache.count_bounds(cons[1], 4)
-        cache.count_bounds(cons[2], 4)  # evicts cons[0]
-        assert cache.stats().bounds_entries == 2
-        cache.count_bounds(cons[2], 4)
-        assert cache.stats().bounds_hits == 1
+        for c in cons:
+            cache.count_bounds(c, 4)  # the last one evicts cons[0]
+        assert cache.stats().entries == MAX_ENTRIES
+        cache.count_bounds(cons[-1], 4)
+        assert cache.stats().hits == 1
         cache.count_bounds(cons[0], 4)  # re-inserted: a miss
-        assert cache.stats().bounds_misses == 4
+        assert cache.stats().misses == MAX_ENTRIES + 2
 
-    def test_rejects_bad_max_entries(self):
-        with pytest.raises(ValueError):
-            KernelCache(max_entries=0)
-
-
-class TestMarginalsCache:
-    def test_values_match_uncached(self):
+    def test_clear_resets_counters(self, constraints):
         cache = KernelCache()
-        got = cache.position_marginals(7, 0.8)
-        assert np.array_equal(got, _compute_position_marginals(7, 0.8))
-        assert not got.flags.writeable
-
-    def test_hit_miss_and_invalidate(self):
-        cache = KernelCache()
-        cache.position_marginals(6, 0.5)
-        cache.position_marginals(6, 0.5)
-        cache.position_marginals(6, 1.0)
-        stats = cache.stats()
-        assert (stats.marginals_misses, stats.marginals_hits) == (2, 1)
-        assert cache.invalidate_marginals(6) == 2
-        assert cache.stats().marginals_entries == 0
-        cache.position_marginals(6, 0.5)
-        cache.position_marginals(5, 0.5)
-        assert cache.invalidate_marginals() == 2
-
-    def test_public_function_is_cached(self):
-        DEFAULT_CACHE.clear()
-        a = position_marginals(9, 0.33)
-        before = DEFAULT_CACHE.stats().marginals_hits
-        b = position_marginals(9, 0.33)
-        assert DEFAULT_CACHE.stats().marginals_hits == before + 1
-        assert a is b  # the very same cached (read-only) matrix
-
-    def test_clear_resets_counters(self):
-        cache = KernelCache()
-        cache.position_marginals(4, 0.1)
+        cache.count_bounds(constraints, 4)
+        cache.count_bounds(constraints, 4)
         cache.clear()
-        stats = cache.stats()
-        assert stats.hits == stats.misses == 0
-        assert stats.marginals_entries == stats.bounds_entries == 0
+        assert cache.stats() == CacheStats(hits=0, misses=0, entries=0)
+        cache.count_bounds(constraints, 4)  # cold again
+        assert cache.stats().misses == 1
 
 
 class TestDefaultCacheWiring:
@@ -131,15 +88,12 @@ class TestDefaultCacheWiring:
         orders = np.stack([np.random.default_rng(s).permutation(8) for s in range(5)])
         batch_violation_masks(orders, groups, constraints)
         first = DEFAULT_CACHE.stats()
-        assert first.bounds_misses >= 1
+        assert first.misses >= 1
         batch_violation_masks(orders, groups, constraints)
         second = DEFAULT_CACHE.stats()
-        assert second.bounds_hits == first.bounds_hits + 1
-        assert second.bounds_misses == first.bounds_misses
+        assert second.hits == first.hits + 1
+        assert second.misses == first.misses
 
     def test_stats_summary_renders(self):
-        stats = CacheStats(1, 2, 3, 4, 5, 6)
-        text = stats.summary()
-        assert "bounds 1 hits / 2 misses" in text
-        assert "marginals 3 hits / 4 misses" in text
-        assert stats.hits == 4 and stats.misses == 6
+        stats = CacheStats(hits=1, misses=2, entries=3)
+        assert stats.summary() == "bounds 1 hits / 2 misses (3 cached)"

@@ -3,8 +3,8 @@
 The contracts under test: the registry resolves the whole zoo by name,
 ``rank`` matches the legacy constructor path byte for byte, ``rank_many``
 streams as-completed responses that are byte-identical to the serial loop
-for every ``n_jobs``, the engine session owns its cache/cost state, and the
-measured-cost model feeds scheduler weights.
+for every ``n_jobs``, served requests read the one kernel cache per
+process, and the measured-cost model feeds scheduler weights.
 """
 
 from __future__ import annotations
@@ -28,6 +28,27 @@ from repro.engine import (
 )
 from repro.faults import RetryPolicy
 from repro.groups.attributes import GroupAssignment
+from tests.conftest import MISTYPED_PARAMS
+
+#: ``responses_digest`` of CI's engine zoo (see ``_engine_zoo``); the CI
+#: step checks the same value.
+ENGINE_ZOO_DIGEST = (
+    "a0de6e0ed80545db758696fe1319c72648998606fb6af106150f3995a36e3f5a"
+)
+
+
+def _engine_zoo() -> list[RankingRequest]:
+    """CI's engine zoo: 120 items in 3 groups, four algorithms six times."""
+    rng = np.random.default_rng(0)
+    groups = GroupAssignment.from_indices(rng.integers(0, 3, size=120))
+    problem = FairRankingProblem.from_scores(rng.uniform(0, 1, 120), groups)
+    zoo = [
+        ("mallows", {"theta": 0.5, "n_samples": 300}),
+        ("dp", {}),
+        ("ipf", {}),
+        ("detconstsort", {}),
+    ]
+    return [RankingRequest(a, problem, params=p) for a, p in zoo] * 6
 
 
 @pytest.fixture
@@ -69,6 +90,30 @@ class TestRegistry:
         alg = make_algorithm("mallows", theta=1.0, n_samples=15)
         assert isinstance(alg, FairRankingAlgorithm)
         assert alg.name == "mallows(theta=1, m=15)"
+
+    @pytest.mark.parametrize("name, params, field", MISTYPED_PARAMS)
+    def test_mistyped_params_rejected_at_construction(self, name, params, field):
+        with pytest.raises(TypeError, match=field):
+            make_algorithm(name, **params)
+
+    def test_numpy_scalar_params_accepted(self, problem):
+        """NumPy integers and floats are the numbers they hold."""
+        for name, params in (
+            ("mallows", {"theta": 0.5, "n_samples": 15}),
+            ("gmm", {"thetas": 0.5, "n_samples": 15}),
+            ("dp", {"noise_sigma": 0.5, "top_k": 3}),
+        ):
+            as_numpy = {
+                key: np.int64(value) if isinstance(value, int) else np.float64(value)
+                for key, value in params.items()
+            }
+            plain = make_algorithm(name, **params)
+            numpy = make_algorithm(name, **as_numpy)
+            assert numpy.name == plain.name
+            assert (
+                numpy.rank(problem, seed=1).ranking.order
+                == plain.rank(problem, seed=1).ranking.order
+            ).all()
 
     def test_make_algorithm_does_not_warn(self, recwarn):
         make_algorithm("detconstsort")
@@ -177,14 +222,15 @@ class TestRank:
             engine.rank("dp")
 
     def test_session_cache_accumulates(self, problem):
+        """Served requests read the one kernel cache per process."""
+        from repro.batch.cache import DEFAULT_CACHE
+
+        DEFAULT_CACHE.clear()
         engine = RankingEngine()
         engine.rank("ipf", problem)
         engine.rank("ipf", problem)
-        stats = engine.stats()
-        assert stats.cache.bounds_hits >= 1
-        assert stats.requests_total == 2
-        # The session owns its cache: a fresh engine starts cold.
-        assert RankingEngine().stats().cache.hits == 0
+        assert DEFAULT_CACHE.stats().hits >= 1
+        assert engine.stats().requests_total == 2
 
 
 class TestRankMany:
@@ -198,6 +244,14 @@ class TestRankMany:
                 engine.rank_many(mixed_requests, seed=7, n_jobs=n_jobs)
             )
             assert responses_digest(streamed) == digest
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_engine_zoo_digest_is_pinned(self, n_jobs):
+        """Comparing worker counts compares two runs of the same code, so a
+        change that moves every response passes it; this pins the bytes."""
+        engine = RankingEngine(n_jobs=n_jobs)
+        streamed = engine.rank_many(_engine_zoo(), seed=2024)
+        assert responses_digest(streamed) == ENGINE_ZOO_DIGEST
 
     def test_request_seed_pins_stream(self, problem):
         engine = RankingEngine()
@@ -274,33 +328,6 @@ class TestRankMany:
         assert engine.costs.known(("rank", "dp", problem.n_items))
         table = engine.stats().cost_table
         assert any(key.startswith("rank:dp") for key in table)
-
-    def test_interleaved_streams_do_not_leak_session_cache(self, problem):
-        """The session cache must be active only while the scheduler
-        computes — never across yields: interleaved streams from two
-        engines would otherwise restore in non-LIFO order and leave one
-        engine's private cache installed for the rest of the thread."""
-        from repro.batch.cache import DEFAULT_CACHE, active_cache
-
-        e1, e2 = RankingEngine(), RankingEngine()
-        g1 = e1.rank_many([("dp", problem)] * 2, seed=0)
-        g2 = e2.rank_many([("dp", problem)] * 2, seed=0)
-        next(g1)
-        next(g2)
-        # Suspended mid-stream: the consumer's thread sees the default.
-        assert active_cache() is DEFAULT_CACHE
-        list(g1)
-        list(g2)
-        assert active_cache() is DEFAULT_CACHE
-
-    def test_abandoned_stream_restores_default_cache(self, problem):
-        from repro.batch.cache import DEFAULT_CACHE, active_cache
-
-        engine = RankingEngine()
-        stream = engine.rank_many([("dp", problem)] * 3, seed=0)
-        next(stream)
-        stream.close()
-        assert active_cache() is DEFAULT_CACHE
 
     def test_utilization_and_busy_seconds_tracked(self, mixed_requests):
         engine = RankingEngine()

@@ -118,7 +118,7 @@ class TestScoping:
             ("rep001_violation.py", "repro.experiments.driver"),
             ("rep002_violation.py", "repro.serve.server"),
             ("rep003_violation.py", "repro.batch.kernels"),
-            ("rep004_violation.py", "repro.engine.core"),
+            ("rep004_violation.py", "repro.batch.cache"),
             ("rep006_violation.py", "repro.fairness.checks"),
             ("rep007_violation.py", "repro.rankings.sorting"),
             # repro.experiments.driver: a seeded entry point (RNG fine)
@@ -132,6 +132,13 @@ class TestScoping:
         path = os.path.join(FIXTURE_DIR, name)
         result = LintEngine().lint_file(path, module=out_of_scope_module)
         assert result.active == ()
+
+    def test_engine_owns_no_cache(self):
+        """One kernel cache per process: the engine is not a cache owner."""
+        path = os.path.join(FIXTURE_DIR, "rep004_violation.py")
+        result = LintEngine().lint_file(path, module="repro.engine.core")
+        actual = sorted((f.rule, f.line) for f in result.active)
+        assert actual == expected_findings(path)
 
     def test_prefix_matching_respects_boundaries(self):
         # repro.served is not under repro.serve: REP002 must not fire.

@@ -47,6 +47,7 @@ from repro.serve import (
 )
 
 from serve_harness import DrainGate, submit_all
+from tests.conftest import MISTYPED_PARAMS
 
 SEED = 20260807
 
@@ -304,6 +305,29 @@ class TestErrorSurface:
         error = validate_error_body(payload)
         assert error["code"] == "bad_request"
         assert "time_limit" in error["message"]
+
+    def test_mistyped_algorithm_params_are_400(self):
+        """A float or bool count, a bool or string real and a criterion's
+        name are refused as bad requests naming the field, not coerced
+        (``n_samples: 2.7`` served as 2, ``theta: true`` as 1) and not a
+        500."""
+        problem = FairRankingProblem.from_scores(
+            np.linspace(1.0, 0.0, 8), GroupAssignment.from_indices([0, 1] * 4)
+        )
+        bodies = [
+            json.dumps(
+                encode_rank_request(RankingRequest(name, problem, params=params))
+            )
+            for name, params, _ in MISTYPED_PARAMS
+        ]
+        results = self._post_rank(bodies)
+        for (status, payload), (name, params, field) in zip(
+            results, MISTYPED_PARAMS
+        ):
+            assert status == 400, (name, params)
+            error = validate_error_body(payload)
+            assert error["code"] == "bad_request"
+            assert field in error["message"], (name, params, error)
 
     def test_negative_seed_fails_only_its_own_request(self):
         """A ``"seed": -1`` body is refused at the wire, so the three
