@@ -94,14 +94,18 @@ class DetConstSort(FairRankingAlgorithm):
 
         ranked: list[int] = []            # items in current partial ranking
         ranked_group: list[int] = []      # group of each placed item
-        min_counts = np.zeros(g, dtype=np.float64)
+        min_counts = [0.0] * g
 
+        # The walk runs on Python scalars: a float product, sum and floor
+        # are the IEEE operations numpy applies elementwise, so every
+        # tempMinCounts entry equals its float64 counterpart.
         k = 0
         while len(ranked) < n:
             k += 1
-            temp_min = np.floor(props * k + 1e-9)
+            temp_min = [math.floor(p * k + 1e-9) for p in props_of]
             if self.noise_sigma > 0:
-                temp_min = temp_min + rng.normal(0.0, self.noise_sigma, size=g)
+                noise = rng.normal(0.0, self.noise_sigma, size=g).tolist()
+                temp_min = [t + e for t, e in zip(temp_min, noise)]
             changed = [
                 gi
                 for gi in range(g)
@@ -117,7 +121,7 @@ class DetConstSort(FairRankingAlgorithm):
                     ranked_group.append(gi)
                     # heads[gj] is also gj's count in `ranked`.
                     self._bubble_up(ranked, ranked_group, heads, score_of, props_of)
-            min_counts = np.maximum(min_counts, temp_min)
+            min_counts = [max(m, t) for m, t in zip(min_counts, temp_min)]
             if k > 4 * n + 10:
                 # Safety net: with noisy targets some group may never come
                 # due; fill remaining positions by score.

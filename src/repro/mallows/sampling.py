@@ -30,21 +30,22 @@ dispatcher picks by batch shape.
 
 The chunked decode costs about three NumPy calls per item whatever ``m``
 is, so a batch of a few rows pays that overhead with almost no work to
-amortize it over.  Medians on a 2-core host, in ms:
+amortize it over.  Medians on a 2-core host, in ms (positions in ``uint8``
+up to ``n = 256``, ``uint16`` above):
 
 ======  =======  =====  ==============  ================
 rows m  items n  ``θ``  chunked decode  insertion decode
 ======  =======  =====  ==============  ================
-     1      100    1.0           0.393             0.010
-    15      100    1.0           0.471             0.138
-    31      100      0           0.794             0.508
-    16     2000    0.5            38.7               5.3
-   400       40    0.7           0.338             2.662
-   400      200    0.7           3.507             7.700
+     1      100    1.0           0.402             0.012
+    15      100    1.0           0.486             0.150
+    31      100      0           0.505             0.356
+    16     2000    0.5            25.6               3.5
+   400       40    0.7           0.321             1.771
+   400      200    0.7           3.304             9.588
 ======  =======  =====  ==============  ================
 
-Over ``n = 10..500`` at ``θ = 0.7`` the insertion decode took 0.36–0.95 of
-the chunked decode's time at ``m = 32`` and 0.66–1.17 at ``m = 64``; below
+Over ``n = 10..500`` at ``θ = 0.7`` the insertion decode took 0.40–0.98 of
+the chunked decode's time at ``m = 32`` and 0.73–1.85 at ``m = 64``; below
 32 rows it won at every ``n`` tried (10 to 2000), ``θ = 0`` included.  So
 batches of fewer than ``CHUNKED_MIN_ROWS`` (32) rows decode by insertion at
 any ``n``, and larger batches decode chunked: the paper's Algorithm 1
@@ -82,6 +83,10 @@ def _displacement_icdf(
     (one ``θ`` per insertion, as in the Generalized Mallows model), or a
     float array broadcast against the columns of ``u`` (one ``θ`` for them
     all).
+
+    ``u`` is scratch: the geometric branch transforms it in place, since the
+    temporaries of the expression form cost about as much memory traffic as
+    the arithmetic.  Both callers pass uniforms they never read again.
     """
     q = math.exp(-theta) if theta > 0.0 else 1.0
     if q >= 1.0:
@@ -97,9 +102,12 @@ def _displacement_icdf(
     # CDF(v) = (1 − q^{v+1}) / (1 − q^{j+1});  inverse transform:
     #   v = floor( log(1 − u·(1 − q^{j+1})) / log q )
     # ``q ** (j + 1.0)`` is np.power for an array ``j``, float pow for an int.
-    tail = 1.0 - q ** (j + 1.0)
-    v = np.floor(np.log1p(-u * tail) / math.log(q))
-    return np.clip(v, 0, j).astype(np.int64)
+    u *= -(1.0 - q ** (j + 1.0))
+    np.log1p(u, out=u)
+    u /= math.log(q)
+    np.floor(u, out=u)
+    np.clip(u, 0, j, out=u)
+    return u.astype(np.int64)
 
 
 def _displacement_draws(n: int, theta: float, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,7 +196,7 @@ def _orders_from_displacements(
     vT = np.ascontiguousarray(v.T)
     # Positions fit the smallest dtype that can hold 0..n-1; smaller elements
     # mean proportionally less memory traffic in the decode loop.
-    dtype = np.dtype(np.int16) if n <= np.iinfo(np.int16).max else np.dtype(np.int64)
+    dtype = np.min_scalar_type(n - 1)
     for lo in range(0, m, _DECODE_CHUNK):
         hi = min(lo + _DECODE_CHUNK, m)
         _decode_chunk(center_order, np.ascontiguousarray(vT[:, lo:hi]), out[lo:hi], dtype)

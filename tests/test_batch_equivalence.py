@@ -88,6 +88,16 @@ def test_every_decode_matches_legacy_on_random_shapes(n, m, theta, seed):
         assert np.array_equal(got, expected), method
 
 
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_chunked_decode_across_the_uint8_limit(n):
+    """The chunked decode (the one 40 rows take) keeps positions in uint8
+    up to n = 256 and in uint16 above; both sides equal the reference loop."""
+    v = _displacement_draws(n, 0.0, 40, np.random.default_rng(n))
+    center = np.random.default_rng(n + 1).permutation(n)
+    expected = _legacy_orders_from_displacements(center, v)
+    assert np.array_equal(_orders_from_displacements(center, v), expected)
+
+
 def test_decode_across_chunk_boundary():
     """Batches straddling the decode chunk size must be seamless."""
     n = 6

@@ -228,6 +228,20 @@ class TestWeaklyFairRanking:
         with pytest.raises(Exception):
             weakly_fair_ranking(np.ones(5), two_groups_10)
 
+    @pytest.mark.parametrize("n_bounded", [2, 4])
+    @pytest.mark.parametrize("strong", [True, False])
+    def test_constraints_for_another_group_count_rejected(self, n_bounded, strong):
+        # Refused up front, as FairRankingProblem refuses it, in both modes:
+        # no bound column may be read for a group it does not describe.
+        ga = GroupAssignment(["a", "b", "c"] * 2)
+        rates = [1.0 / n_bounded] * n_bounded
+        fc = FairnessConstraints.from_rates(rates, rates)
+        with pytest.raises(
+            InvalidConstraintError,
+            match=f"^constraints for {n_bounded} groups on an assignment of 3$",
+        ):
+            weakly_fair_ranking(np.linspace(1, 0, 6), ga, fc, strong=strong)
+
     def test_german_like_four_groups(self, rng):
         sizes = [21, 34, 10, 35]
         labels = sum([[f"g{i}"] * s for i, s in enumerate(sizes)], [])

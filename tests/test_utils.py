@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.batch.kernels import batch_percent_fair
 from repro.exceptions import InvalidPermutationError, LengthMismatchError
+from repro.fairness.constraints import FairnessConstraints
+from repro.groups.attributes import GroupAssignment
 from repro.utils.bootstrap import bootstrap_ci
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.tables import format_series, format_table
@@ -139,6 +142,69 @@ class TestBootstrap:
             r = bootstrap_ci(data, n_resamples=300, seed=rng)
             hits += r.low <= 0.0 <= r.high
         assert hits >= 40
+
+
+class TestBootstrapMedian:
+    """``bootstrap_ci(..., statistic=np.median)`` reads the medians from
+    sorted resample rows; it must return the three floats that
+    ``np.median(resamples, axis=1)`` gives on the same draws."""
+
+    @staticmethod
+    def partition_reference(data, n_resamples, seed):
+        """``bootstrap_ci``'s median path as ``np.median`` computes it."""
+        arr = np.asarray(data, dtype=np.float64)
+        estimate = float(np.median(arr))
+        if arr.size == 1:
+            return estimate, estimate, estimate
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
+        alpha = (1.0 - 0.95) / 2.0
+        low, high = np.quantile(np.median(arr[idx], axis=1), [alpha, 1.0 - alpha])
+        return estimate, float(low), float(high)
+
+    @staticmethod
+    def bits(*values):
+        # float.hex tells -0.0 from 0.0 and prints every NaN as "nan".
+        return [float(v).hex() for v in values]
+
+    def check(self, data, n_resamples=400, seed=0):
+        got = bootstrap_ci(data, statistic=np.median, n_resamples=n_resamples, seed=seed)
+        want = self.partition_reference(data, n_resamples, seed)
+        assert self.bits(got.estimate, got.low, got.high) == self.bits(*want)
+
+    @pytest.mark.parametrize("size", range(1, 41))
+    def test_distinct_values(self, size):
+        self.check(np.random.default_rng(size).random(size), seed=size)
+
+    @pytest.mark.parametrize("size", range(1, 41))
+    def test_tied_values(self, size):
+        # PPfair-like data: few distinct values, so the middle order
+        # statistics are often equal.
+        data = 100.0 * np.random.default_rng(size).integers(0, 4, size) / 3
+        self.check(data, seed=size)
+
+    @pytest.mark.parametrize("size", [2, 3, 6, 7, 14, 15])
+    def test_signed_zeros(self, size):
+        # The sort and the partition may put either zero in the middle;
+        # the sign np.mean gives their average must be np.median's.
+        data = np.random.default_rng(size).choice([-0.0, 0.0, 1.0], size)
+        self.check(data, seed=size)
+        self.check(np.array([-0.0, -0.0]))
+
+    @pytest.mark.parametrize("size", [2, 5, 8, 15])
+    def test_nan_gives_np_median_result(self, size):
+        data = np.random.default_rng(size).random(size)
+        data[size // 2] = np.nan
+        self.check(data, seed=size)
+        assert np.isnan(bootstrap_ci(data, statistic=np.median, seed=0).estimate)
+
+    def test_a_ppfair_row_that_violates_everywhere_is_positive_zero(self):
+        # PPfair = 100 * (1 - e / n) is +0.0 at e = n, never -0.0, so no
+        # German Credit median series holds a signed zero.
+        ga = GroupAssignment(["a", "b", "b", "b"])
+        fc = FairnessConstraints.from_rates([0.0, 1.0], [0.0, 1.0])
+        ppfair = batch_percent_fair(np.array([[0, 1, 2, 3]]), ga, fc)
+        assert ppfair[0] == 0.0 and not np.signbit(ppfair[0])
 
 
 class TestTables:
